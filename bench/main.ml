@@ -574,6 +574,15 @@ let micro () =
   let bib_catalog = Xstorage.Store.catalog_of doc (Xstorage.Models.tag_partitioned doc) in
   let warm_engine = Xengine.Engine.create bib_catalog in
   ignore (Xengine.Engine.query warm_engine bib_query);
+  (* Document mutations aim at the middle of the bib document, so a
+     structural edit shifts about half of its nodes. *)
+  let bib_tree = Xdm.Doc.to_tree doc (Xdm.Doc.root doc) in
+  let middle l = List.nth l (List.length l / 2) in
+  let mid_text = middle (Xdm.Doc.nodes_with_label doc "#text") in
+  let mid_entry = middle (Xdm.Doc.children doc (Xdm.Doc.root doc)) in
+  let new_book =
+    Xdm.Xml_tree.parse "<book year=\"2005\"><title>T</title><author>A</author></book>"
+  in
   let tests =
     Test.make_grouped ~name:"xam"
       [ Test.make ~name:"summary-build" (Staged.stage (fun () -> Sum.of_doc doc));
@@ -588,6 +597,14 @@ let micro () =
         Test.make ~name:"rewrite-edge-store"
           (Staged.stage (fun () ->
                Xam.Rewrite.rewrite bib_s ~query:bib_query ~views:edge_views));
+        Test.make ~name:"doc-of-tree" (Staged.stage (fun () -> Xdm.Doc.of_tree bib_tree));
+        Test.make ~name:"doc-update-value"
+          (Staged.stage (fun () -> Xdm.Doc.update_value doc mid_text "v"));
+        Test.make ~name:"doc-delete-subtree"
+          (Staged.stage (fun () -> Xdm.Doc.delete_subtree doc mid_entry));
+        Test.make ~name:"doc-insert-subtree"
+          (Staged.stage (fun () ->
+               Xdm.Doc.insert_subtree doc ~parent:(Xdm.Doc.root doc) ~before:mid_entry new_book));
         Test.make ~name:"engine-cold-query"
           (Staged.stage (fun () ->
                Xengine.Engine.query (Xengine.Engine.create bib_catalog) bib_query));

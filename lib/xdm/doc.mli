@@ -36,6 +36,10 @@ val label : t -> int -> string
 
 val pre : t -> int -> int
 val post : t -> int -> int
+(** Post-order rank, 1-based. Derived, not stored: the nodes closed by
+    the time a node closes are those before its [subtree_end] except its
+    [depth - 1] ancestors, so it is [subtree_end - depth + 1]. *)
+
 val depth : t -> int -> int
 val parent : t -> int -> int
 (** [-1] on the root. *)
@@ -83,13 +87,24 @@ val iter : (int -> unit) -> t -> unit
 
 (** {1 Mutations}
 
-    Functional updates: each returns a fresh document with one edit
-    applied; the input is untouched. The flattened layout is rebuilt
-    through the {!of_tree} path, so all structural invariants hold by
-    construction. Node handles are pre-order ranks and are therefore
-    {b not stable} across structural edits — re-resolve any held handles
-    against the returned document. All three raise [Invalid_argument] on
-    handles that are out of range or of the wrong kind. *)
+    Functional updates: each returns a new document with one edit
+    applied; the input is untouched. A document is stored by column (one
+    array per field), and the new version shares every column the edit
+    does not change:
+    - {!update_value} copies the value column (pointers only) and shares
+      the rest; handles and labels are unchanged, so the label index
+      carries over;
+    - {!delete_subtree} and {!insert_subtree} copy each column around the
+      edit point and adjust only what moved: the subtree ends of the
+      edit point's ancestors and, after it, subtree ends and parents (by
+      the edit's size) and following siblings' ordinals (by one); an
+      insert lays the grafted tree out in place, as {!of_tree} would.
+    Post-order ranks are derived from the subtree end and depth, so no
+    edit has to renumber them. Node handles are pre-order ranks and are
+    therefore {b not stable} across structural edits — re-resolve any
+    held handles against the returned document. All three raise
+    [Invalid_argument] on handles that are out of range or of the wrong
+    kind. *)
 
 val insert_subtree : t -> parent:int -> ?before:int -> Xml_tree.t -> t
 (** Graft a parsed subtree under element [parent]: before child [before]
@@ -134,8 +149,12 @@ val pack : t -> packed_node array
 (** The node array in handle order; entry [i] describes handle [i]. *)
 
 val unpack : name:string -> packed_node array -> t
-(** Rebuild a document from {!pack} output. Checks the structural
-    invariants the accessors rely on (parents precede children, subtree
-    ends are nested and within bounds, depths are consistent) and raises
-    [Invalid_argument] when they do not hold — corrupted input never
-    produces a document that crashes later. *)
+(** Rebuild a document from {!pack} output. Checks, in one pass, the
+    structural invariants the accessors rely on: each node's parent is
+    the innermost node still open at it, subtree ends are nested within
+    the parent's, depths follow the parent chain, [p_post] is
+    [p_subtree_end - p_depth + 1], text and attribute nodes are leaves,
+    attributes precede their element's other children, and ordinals are
+    the 1-based rank among siblings. Raises [Invalid_argument] when one
+    does not hold — corrupted input never produces a document whose
+    structural predicates disagree or that crashes later. *)

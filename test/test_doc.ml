@@ -111,11 +111,12 @@ let children_prop =
 let serialize d = T.serialize (Doc.to_tree d (Doc.root d))
 
 (* [pack]/[unpack ~name] re-checks the flattened invariants (pre/post
-   consistency, parent links, subtree extents); running a mutated
-   document through it is the structural oracle for every edit. *)
+   consistency, parent links, subtree extents, ordinals); running a
+   mutated document through it is the structural oracle for every edit. *)
 let repack d =
-  let d' = Doc.unpack ~name:(Doc.name d) (Doc.pack d) in
-  Alcotest.(check string) "pack/unpack stable" (serialize d) (serialize d');
+  let packed = Doc.pack d in
+  let d' = Doc.unpack ~name:(Doc.name d) packed in
+  Alcotest.(check bool) "pack/unpack stable" true (Doc.pack d' = packed);
   d
 
 let test_insert_subtree () =
@@ -171,6 +172,204 @@ let test_mutation_errors () =
   rejects "update an element" (fun () -> Doc.update_value d 0 "v");
   rejects "out-of-range handle" (fun () -> Doc.delete_subtree d 99)
 
+(* --- unpack rejects inconsistent structure ------------------------------ *)
+
+let test_unpack_rejects () =
+  let p = Doc.pack (Doc.of_string "<a><b><c/></b><d/></a>") in
+  (* handles: a = 0, b = 1, c = 2, d = 3 *)
+  Alcotest.(check bool) "the untouched array loads" true
+    (Doc.pack (Doc.unpack ~name:"x" p) = p);
+  let rejects what f =
+    let q = Array.copy p in
+    f q;
+    Alcotest.(check bool) what true
+      (match Doc.unpack ~name:"x" q with exception Invalid_argument _ -> true | _ -> false)
+  in
+  rejects "c's subtree swallows its parent's sibling d" (fun q ->
+      q.(2) <- { (q.(2)) with Doc.p_subtree_end = 4 });
+  rejects "... even with the matching post" (fun q ->
+      q.(2) <- { (q.(2)) with Doc.p_subtree_end = 4; p_post = 2 });
+  rejects "duplicate post" (fun q -> q.(3) <- { (q.(3)) with Doc.p_post = 1 });
+  rejects "parent is not the innermost open node" (fun q ->
+      q.(3) <- { (q.(3)) with Doc.p_parent = 1; p_depth = 3 });
+  rejects "ordinal is not the rank among siblings" (fun q ->
+      q.(3) <- { (q.(3)) with Doc.p_ordinal = 1 });
+  rejects "text node with a child" (fun q -> q.(1) <- { (q.(1)) with Doc.p_kind = Doc.Text });
+  rejects "attribute after an element sibling" (fun q ->
+      q.(3) <- { (q.(3)) with Doc.p_kind = Doc.Attribute; p_label = "@d" })
+
+(* --- splice vs. the tree-level oracle ------------------------------------ *)
+
+module O = Doc_oracle
+
+(* Apply [edit] both ways: the spliced document must equal the rebuilt
+   one record for record and pass [unpack]. *)
+let check_agrees what d edit =
+  let packed = Doc.pack (O.splice d edit) in
+  Alcotest.(check bool) (what ^ ": splice = oracle") true (packed = Doc.pack (O.apply d edit));
+  ignore (Doc.unpack ~name:(Doc.name d) packed)
+
+let test_splice_shapes () =
+  let d =
+    Doc.of_string
+      "<lib a=\"1\" b=\"2\"><book y=\"1\"><t>A</t><e/></book><empty/><o z=\"1\"/>tail\
+       <x k=\"v\">m<e/></x></lib>"
+  in
+  let first lbl = List.hd (Doc.nodes_with_label d lbl) in
+  let last lbl = List.hd (List.rev (Doc.nodes_with_label d lbl)) in
+  let book = first "book" and x = first "x" in
+  let first_kid i = List.find (fun j -> Doc.kind d j <> Doc.Attribute) (Doc.children d i) in
+  let graft = T.parse "<n q=\"3\"><m>new</m><v/></n>" in
+  List.iter
+    (fun (what, edit) -> check_agrees what d edit)
+    [ ("delete the first attribute", O.Drop (first "@a"));
+      ("delete the last attribute", O.Drop (first "@b"));
+      ("delete a text node", O.Drop (first "#text"));
+      ("delete a first child", O.Drop (first "@y"));
+      ("delete a first element child", O.Drop book);
+      ("delete the last node", O.Drop (last "e"));
+      ("insert before the first child", O.Graft { parent = 0; before = Some book; tree = graft });
+      ("insert before a text node", O.Graft { parent = x; before = Some (first_kid x); tree = graft });
+      ("append to an empty element", O.Graft { parent = first "empty"; before = None; tree = graft });
+      ("append to an attribute-only element",
+       O.Graft { parent = first "o"; before = None; tree = graft });
+      ("append to the root", O.Graft { parent = 0; before = None; tree = graft });
+      ("graft a bare text node", O.Graft { parent = x; before = None; tree = T.text "t" });
+      ("graft a bare text node first",
+       O.Graft { parent = book; before = Some (first_kid book); tree = T.text "" });
+      ("update an attribute", O.Set_value (first "@k", "w"));
+      ("update a text node", O.Set_value (last "#text", "n"));
+      ("empty a text node", O.Set_value (first "#text", "")) ];
+  (* An update keeps handles and labels: the label index carries over. *)
+  let before = Doc.nodes_with_label d "e" in
+  let d' = Doc.update_value d (first "#text") "Z" in
+  Alcotest.(check (list int)) "label index after update" before (Doc.nodes_with_label d' "e")
+
+(* Random documents: workload generators at small sizes, and a tree
+   generator with attributes, text (possibly empty) and empty elements. *)
+let attr_tree_gen =
+  let open QCheck2.Gen in
+  let label = oneofl [ "a"; "b"; "c" ] in
+  let attrs =
+    map
+      (fun names -> List.map (fun n -> (n, "v" ^ n)) (List.sort_uniq compare names))
+      (list_size (int_bound 2) (oneofl [ "p"; "q"; "r" ]))
+  in
+  let leaf =
+    oneof
+      [ map T.text (oneofl [ "x"; ""; "y z" ]);
+        map2 (fun tag attrs -> T.elt ~attrs tag []) label attrs ]
+  in
+  fix
+    (fun self depth ->
+      if depth = 0 then leaf
+      else
+        frequency
+          [ (1, leaf);
+            ( 3,
+              map3
+                (fun tag attrs children -> T.elt ~attrs tag children)
+                label attrs
+                (list_size (int_bound 3) (self (depth - 1))) ) ])
+    3
+
+let doc_tree_gen =
+  let open QCheck2.Gen in
+  let module W = Xworkload in
+  oneof
+    [ map (function T.Text _ as t -> T.elt "root" [ t ] | e -> e) attr_tree_gen;
+      map (fun seed -> W.Gen_bib.generate ~seed ~books:2 ~theses:1 ()) nat;
+      map (fun seed -> W.Gen_dblp.generate ~seed ~entries:3 ()) nat;
+      map (fun seed -> W.Gen_sci.nasa ~seed ~datasets:1 ()) nat;
+      map (fun seed -> W.Gen_sci.swissprot ~seed ~entries:1 ()) nat ]
+
+(* An edit step names its shape and picks its target from the candidates
+   the current document offers; a step with no candidate is skipped. *)
+type shape =
+  | Del_attr | Del_text | Del_first_child | Del_any
+  | Ins_first | Ins_before | Ins_empty | Ins_append | Ins_text
+  | Upd_attr | Upd_text
+
+let shape_name = function
+  | Del_attr -> "delete attribute" | Del_text -> "delete text"
+  | Del_first_child -> "delete first child" | Del_any -> "delete"
+  | Ins_first -> "insert before first child" | Ins_before -> "insert before"
+  | Ins_empty -> "append to empty element" | Ins_append -> "append"
+  | Ins_text -> "graft text" | Upd_attr -> "update attribute" | Upd_text -> "update text"
+
+let step_gen =
+  let open QCheck2.Gen in
+  triple
+    (oneofl
+       [ Del_attr; Del_text; Del_first_child; Del_any; Ins_first; Ins_before; Ins_empty;
+         Ins_append; Ins_text; Upd_attr; Upd_text ])
+    nat attr_tree_gen
+
+let edit_of_step d (shape, pick, tree) =
+  let handles = List.init (Doc.size d) Fun.id in
+  let where p = List.filter p handles in
+  let is k j = Doc.kind d j = k in
+  let kids j = List.filter (fun c -> not (is Doc.Attribute c)) (Doc.children d j) in
+  let elements = where (is Doc.Element) in
+  let choose = function [] -> None | l -> Some (List.nth l (pick mod List.length l)) in
+  let before_some j = match kids j with [] -> None | l -> Some (j, l) in
+  let graft parent before tree = O.Graft { parent; before; tree } in
+  match shape with
+  | Del_attr -> Option.map (fun j -> O.Drop j) (choose (where (is Doc.Attribute)))
+  | Del_text -> Option.map (fun j -> O.Drop j) (choose (where (fun j -> j > 0 && is Doc.Text j)))
+  | Del_first_child ->
+      Option.map (fun j -> O.Drop (List.hd (Doc.children d j)))
+        (choose (List.filter (fun j -> Doc.children d j <> []) elements))
+  | Del_any -> Option.map (fun j -> O.Drop j) (choose (List.tl handles))
+  | Ins_first ->
+      Option.map (fun (j, l) -> graft j (Some (List.hd l)) tree)
+        (choose (List.filter_map before_some elements))
+  | Ins_before ->
+      Option.map (fun (j, l) -> graft j (Some (List.nth l (pick mod List.length l))) tree)
+        (choose (List.filter_map before_some elements))
+  | Ins_empty ->
+      Option.map (fun j -> graft j None tree)
+        (choose (List.filter (fun j -> Doc.children d j = []) elements))
+  | Ins_append -> Option.map (fun j -> graft j None tree) (choose elements)
+  | Ins_text -> Option.map (fun j -> graft j None (T.text "g")) (choose elements)
+  | Upd_attr ->
+      Option.map (fun j -> O.Set_value (j, "u" ^ string_of_int pick))
+        (choose (where (is Doc.Attribute)))
+  | Upd_text ->
+      Option.map (fun j -> O.Set_value (j, "u" ^ string_of_int pick)) (choose (where (is Doc.Text)))
+
+let print_case (tree, steps) =
+  T.serialize tree ^ "\n"
+  ^ String.concat "; "
+      (List.map (fun (shape, pick, t) ->
+           Printf.sprintf "%s #%d %s" (shape_name shape) pick (T.serialize t))
+         steps)
+
+let splice_prop =
+  QCheck2.Test.make ~name:"splice = of_tree of the tree-level edit" ~count:300 ~print:print_case
+    QCheck2.Gen.(pair doc_tree_gen (list_size (int_range 1 8) step_gen))
+    (fun (tree, steps) ->
+      let step (spliced, rebuilt) s =
+        match edit_of_step spliced s with
+        | None -> (spliced, rebuilt)
+        | Some edit ->
+            (* Build the label index first so an update has one to carry. *)
+            ignore (Doc.nodes_with_label spliced "#text");
+            let spliced = O.splice spliced edit and rebuilt = O.apply rebuilt edit in
+            let packed = Doc.pack spliced in
+            if packed <> Doc.pack rebuilt then QCheck2.Test.fail_report "pack differs";
+            ignore (Doc.unpack ~name:"check" packed);
+            List.iter
+              (fun l ->
+                if Doc.nodes_with_label spliced l <> Doc.nodes_with_label rebuilt l then
+                  QCheck2.Test.fail_reportf "label index differs on %s" l)
+              (Doc.labels rebuilt);
+            (spliced, rebuilt)
+      in
+      let d = Doc.of_tree tree in
+      ignore (List.fold_left step (d, d) steps);
+      true)
+
 let () =
   Alcotest.run "doc"
     [ ( "doc",
@@ -185,7 +384,11 @@ let () =
           Alcotest.test_case "delete_subtree" `Quick test_delete_subtree;
           Alcotest.test_case "update_value" `Quick test_update_value;
           Alcotest.test_case "invalid mutations are rejected" `Quick
-            test_mutation_errors ] );
+            test_mutation_errors;
+          Alcotest.test_case "splice matches the tree oracle" `Quick test_splice_shapes;
+          Alcotest.test_case "unpack rejects inconsistent structure" `Quick
+            test_unpack_rejects ] );
       ( "props",
         [ QCheck_alcotest.to_alcotest rebuild_prop;
-          QCheck_alcotest.to_alcotest children_prop ] ) ]
+          QCheck_alcotest.to_alcotest children_prop;
+          QCheck_alcotest.to_alcotest splice_prop ] ) ]

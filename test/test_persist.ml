@@ -600,6 +600,71 @@ let test_hostile_counts () =
   corrupt_only "huge dewey component count" (fun () ->
       Codec.r_nid (Binio.reader dewey_bytes))
 
+(* A CRC-valid document section whose node array is inconsistent (a
+   duplicate post label) must fail closed: [Doc.unpack] rejects it, so
+   every open path reports a snapshot error instead of handing out a
+   document whose structural predicates lie. *)
+let test_hostile_doc_section () =
+  let doc = Doc.of_string "<a><b><c/></b><d/></a>" in
+  let cat = bib_catalog doc in
+  (* The codec's document layout, re-encoded here so a node can be forged. *)
+  let encode packed =
+    let w = Binio.writer () in
+    Binio.w_str w (Doc.name doc);
+    Binio.w_int w (Array.length packed);
+    Array.iter
+      (fun (p : Doc.packed_node) ->
+        List.iter (Binio.w_int w) [ p.p_post; p.p_depth; p.p_parent; p.p_ordinal ];
+        Binio.w_u8 w (match p.p_kind with Doc.Element -> 0 | Doc.Attribute -> 1 | Doc.Text -> 2);
+        Binio.w_str w p.p_label;
+        Binio.w_str w p.p_value;
+        Binio.w_int w p.p_subtree_end)
+      packed;
+    Binio.contents w
+  in
+  with_snapshot ~doc cat (fun path ->
+      let data = read_file path in
+      let toc_start = 32 in
+      let toc_len = get_int data 16 in
+      (* TOC: entry count, then per entry name length, name, off, len, crc. *)
+      let rec find k pos =
+        if k = get_int data toc_start then Alcotest.fail "no doc section"
+        else
+          let name_len = get_int data pos in
+          let fields = pos + 8 + name_len in
+          if String.sub data (pos + 8) name_len = "doc" then fields
+          else find (k + 1) (fields + 24)
+      in
+      let fields = find 0 (toc_start + 8) in
+      let off = get_int data fields and len = get_int data (fields + 8) in
+      let packed = Doc.pack doc in
+      Alcotest.(check string) "re-encoding matches the codec" (String.sub data off len)
+        (encode packed);
+      (* handles: a = 0, b = 1, c = 2, d = 3; give d the post of c *)
+      packed.(3) <- { (packed.(3)) with Doc.p_post = 1 };
+      let section = encode packed in
+      let b = Bytes.of_string data in
+      Bytes.blit_string section 0 b off len;
+      put_int b (fields + 16) (Binio.crc32 section);
+      put_int b 24 (Binio.crc32 ~pos:toc_start ~len:toc_len (Bytes.to_string b));
+      let p = tmp_path "hostile_doc" in
+      write_file p (Bytes.to_string b);
+      Fun.protect
+        ~finally:(fun () -> Sys.remove p)
+        (fun () ->
+          Alcotest.(check bool) "rejected by load" true
+            (match Snapshot.load p with Error _ -> true | Ok _ -> false);
+          Alcotest.(check bool) "rejected by the paging reader" true
+            (match Snapshot.Reader.open_ p with
+            | Error _ -> true
+            | Ok r ->
+                Snapshot.Reader.close r;
+                false);
+          match Engine.of_snapshot_r p with
+          | Error (Xerror.Snapshot_error _) -> ()
+          | Error e -> Alcotest.failf "wrong error class: %s" (Xerror.to_string e)
+          | Ok _ -> Alcotest.fail "opened a snapshot with an inconsistent document"))
+
 (* --- Engine entry points ------------------------------------------------- *)
 
 let specs_of doc =
@@ -679,6 +744,47 @@ let test_engine_hot_swap () =
           let r' = Engine.query e pat in
           Alcotest.(check bool) "catalog survived the failed load" true
             (Rel.equal_unordered expected r'.Engine.rel)))
+
+(* Splicing an edit into the document must leave nothing for the
+   snapshot to notice: after a mixed batch, the engine's snapshot is
+   byte-equal to one written with the document rebuilt from the
+   tree-level edit, under the same catalog and LSN. *)
+let test_spliced_snapshot_bytes () =
+  let doc = Xworkload.Gen_bib.generate_doc ~seed:3 ~books:12 ~theses:4 () in
+  let e = Engine.of_doc doc (specs_of doc) in
+  let handles p = List.filter p (List.init (Doc.size doc) Fun.id) in
+  let text = List.hd (handles (fun h -> Doc.kind doc h = Doc.Text)) in
+  let attr = List.hd (handles (fun h -> Doc.kind doc h = Doc.Attribute)) in
+  let entries = Doc.children doc (Doc.root doc) in
+  let ops =
+    [ Engine.Update_value { node = text; value = "Spliced title" };
+      Engine.Update_value { node = attr; value = "1999" };
+      Engine.Delete_subtree { node = List.nth entries (List.length entries - 1) };
+      Engine.Insert_subtree
+        { parent = Doc.root doc; before = Some (List.hd entries);
+          xml = "<book year=\"2001\"><title>New</title><author>A. Author</author></book>" } ]
+  in
+  (match Engine.apply_batch_r e ops with
+  | Ok _ -> ()
+  | Error err -> Alcotest.failf "apply failed: %s" (Xerror.to_string err));
+  let rebuilt =
+    List.fold_left (fun d op -> Doc_oracle.apply d (Doc_oracle.of_mutation op)) doc ops
+  in
+  Alcotest.(check bool) "spliced document = rebuilt document" true
+    (match Engine.document e with
+    | Some d -> Doc.pack d = Doc.pack rebuilt
+    | None -> false);
+  let spliced_path = tmp_path "spliced" and rebuilt_path = tmp_path "rebuilt" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ spliced_path; rebuilt_path ])
+    (fun () ->
+      ignore (Engine.save_snapshot e spliced_path);
+      (match Snapshot.save ~doc:rebuilt ~lsn:(Engine.lsn e) rebuilt_path (Engine.catalog e) with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "save failed: %s" msg);
+      Alcotest.(check bool) "snapshot bytes identical" true
+        (String.equal (read_file spliced_path) (read_file rebuilt_path)))
 
 let test_lazy_engine_save () =
   (* Regression: saving from a lazily-opened engine used to serialize the
@@ -827,12 +933,16 @@ let () =
           Alcotest.test_case "hostile TOC geometry" `Quick
             test_hostile_toc_geometry;
           Alcotest.test_case "hostile element counts" `Quick
-            test_hostile_counts ] );
+            test_hostile_counts;
+          Alcotest.test_case "hostile document section" `Quick
+            test_hostile_doc_section ] );
       ( "engine",
         [ Alcotest.test_case "save / reopen equivalence" `Quick
             test_engine_roundtrip;
           Alcotest.test_case "hot-swap via load_snapshot" `Quick
             test_engine_hot_swap;
+          Alcotest.test_case "spliced edits snapshot byte-identically" `Quick
+            test_spliced_snapshot_bytes;
           Alcotest.test_case "lazy engine saves real extents" `Quick
             test_lazy_engine_save;
           Alcotest.test_case "lazy engine add_module materializes" `Quick
