@@ -342,16 +342,16 @@ let e7 () =
   let run_catalog name specs =
     let catalog = Xstorage.Store.catalog_of doc specs in
     let engine = Xengine.Engine.create catalog in
-    match Xengine.Engine.query_opt engine query with
-    | None ->
+    match Xengine.Engine.query_r engine query with
+    | Error _ ->
         Printf.printf "%-12s %8d %12s %12s %8s  (no rewriting)\n" name
           (List.length catalog.Xstorage.Store.modules)
           "-" "-" "-"
-    | Some r ->
+    | Ok r ->
         let ex = r.Xengine.Engine.explain in
         let scans = String.concat " , " (Xalgebra.Logical.scans ex.Xengine.Explain.plan) in
         (* The repeated query rides the plan cache: no second rewrite. *)
-        let warm = Xengine.Engine.query engine query in
+        let warm = Xengine.Xerror.get_exn (Xengine.Engine.query_r engine query) in
         assert warm.Xengine.Engine.explain.Xengine.Explain.cache_hit;
         Printf.printf "%-12s %8d %12.1f %12.2f %8d  %s\n" name
           (List.length catalog.Xstorage.Store.modules)
@@ -573,7 +573,7 @@ let micro () =
   let empty_env = Xalgebra.Eval.env_of_list [] in
   let bib_catalog = Xstorage.Store.catalog_of doc (Xstorage.Models.tag_partitioned doc) in
   let warm_engine = Xengine.Engine.create bib_catalog in
-  ignore (Xengine.Engine.query warm_engine bib_query);
+  ignore (Xengine.Xerror.get_exn (Xengine.Engine.query_r warm_engine bib_query));
   (* Document mutations aim at the middle of the bib document, so a
      structural edit shifts about half of its nodes. *)
   let bib_tree = Xdm.Doc.to_tree doc (Xdm.Doc.root doc) in
@@ -607,9 +607,11 @@ let micro () =
                Xdm.Doc.insert_subtree doc ~parent:(Xdm.Doc.root doc) ~before:mid_entry new_book));
         Test.make ~name:"engine-cold-query"
           (Staged.stage (fun () ->
-               Xengine.Engine.query (Xengine.Engine.create bib_catalog) bib_query));
+               Xengine.Xerror.get_exn
+                 (Xengine.Engine.query_r (Xengine.Engine.create bib_catalog) bib_query)));
         Test.make ~name:"engine-warm-query"
-          (Staged.stage (fun () -> Xengine.Engine.query warm_engine bib_query));
+          (Staged.stage (fun () ->
+               Xengine.Xerror.get_exn (Xengine.Engine.query_r warm_engine bib_query)));
         (* Same warm query with every guard armed (generously): the price
            of the budget checks inside the instrumented cursors. *)
         Test.make ~name:"engine-budgeted-query"
@@ -782,9 +784,9 @@ let pmicro () =
   let scanned = ref 0 and pruned = ref 0 in
   List.iter
     (fun p ->
-      match Engine.query_opt te p with
-      | None -> ()
-      | Some (r : Engine.result) ->
+      match Engine.query_r te p with
+      | Error _ -> ()
+      | Ok (r : Engine.result) ->
           scanned := !scanned + r.Engine.explain.Xengine.Explain.partitions_scanned;
           pruned := !pruned + r.Engine.explain.Xengine.Explain.partitions_pruned)
     (book_title :: pats);
@@ -928,13 +930,16 @@ let persist_exp () =
                 Engine.of_doc d (Xstorage.Models.path_partitioned (S.of_doc d)))
           in
           let base = Engine.of_doc doc specs in
-          let save_ms, bytes = time_ms (fun () -> Engine.save_snapshot base snap) in
+          let save_ms, bytes =
+            time_ms (fun () -> Xengine.Xerror.get_exn (Engine.save_snapshot_r base snap))
+          in
           let eager_ms =
-            bench_ms ~repeats:3 (fun () -> Engine.of_snapshot snap)
+            bench_ms ~repeats:3 (fun () ->
+                Xengine.Xerror.get_exn (Engine.of_snapshot_r snap))
           in
           let lazy_ms =
             bench_ms ~repeats:3 (fun () ->
-                Engine.of_snapshot ~lazy_extents:true snap)
+                Xengine.Xerror.get_exn (Engine.of_snapshot_r ~lazy_extents:true snap))
           in
           (* Same answers down all three roads. *)
           let pats =
@@ -942,8 +947,10 @@ let persist_exp () =
               { Xworkload.Pattern_gen.default with size = 4; optional_p = 0.2 }
               ~count:10
           in
-          let eager = Engine.of_snapshot snap in
-          let lazily = Engine.of_snapshot ~lazy_extents:true snap in
+          let eager = Xengine.Xerror.get_exn (Engine.of_snapshot_r snap) in
+          let lazily =
+            Xengine.Xerror.get_exn (Engine.of_snapshot_r ~lazy_extents:true snap)
+          in
           let answers e =
             List.map
               (fun p ->
@@ -1169,8 +1176,8 @@ let wal_exp () =
           let snap = Filename.concat dir "base.snap" in
           let wal = Filename.concat dir "wal" in
           let e = Engine.of_doc doc specs in
-          ignore (Engine.save_snapshot e snap);
-          ignore (Engine.attach_wal e wal);
+          ignore (Xengine.Xerror.get_exn (Engine.save_snapshot_r e snap));
+          ignore (Xengine.Xerror.get_exn (Engine.attach_wal_r e wal));
           let apply_ms, () =
             time_ms (fun () ->
                 for i = 1 to n do
@@ -1196,8 +1203,8 @@ let wal_exp () =
           Engine.detach_wal e;
           let recover_ms =
             bench_ms ~repeats:3 (fun () ->
-                let r = Engine.of_snapshot snap in
-                ignore (Engine.attach_wal r wal);
+                let r = Xengine.Xerror.get_exn (Engine.of_snapshot_r snap) in
+                ignore (Xengine.Xerror.get_exn (Engine.attach_wal_r r wal));
                 Engine.detach_wal r)
           in
           Printf.printf
@@ -1257,7 +1264,7 @@ let serve_exp () =
       try Sys.remove sock with Sys_error _ -> ())
     (fun () ->
       let base = Engine.of_doc doc specs in
-      ignore (Engine.save_snapshot base snap);
+      ignore (Xengine.Xerror.get_exn (Engine.save_snapshot_r base snap));
       let queries =
         [| {|for $b in doc("bib")//book return <t>{$b/title/text()}</t>|};
            {|for $t in doc("bib")//thesis return <a>{$t/author/text()}</a>|};

@@ -673,9 +673,9 @@ let churn_cmd =
   let background_arg =
     Arg.(value & flag
          & info [ "background" ]
-             ~doc:"Checkpoint in a background thread \
-                   (Engine.checkpoint_background_r) instead of stalling the \
-                   write loop; at most one checkpoint in flight")
+             ~doc:"Run each checkpoint (Engine.checkpoint_r) in a \
+                   background thread instead of in the write loop; at most \
+                   one checkpoint in flight")
   in
   let sleep_arg =
     Arg.(value & opt int 0
@@ -716,7 +716,7 @@ let churn_cmd =
               Some
                 (Thread.create
                    (fun () ->
-                     match Xengine.Engine.checkpoint_background_r engine snap with
+                     match Xengine.Engine.checkpoint_r engine snap with
                      | Ok _ -> ()
                      | Error e ->
                          Printf.eprintf "churn: background checkpoint: %s\n%!"

@@ -41,9 +41,9 @@ let () =
           [ P.v ~axis:P.Child "name" ~node:(P.mk_node ~value:true "name") [];
             P.v "keyword" ~node:(P.mk_node ~value:true "keyword") [] ] ]
   in
-  (match Xengine.Engine.query_opt engine query with
-  | None -> print_endline "no rewriting"
-  | Some r ->
+  (match Xengine.Engine.query_r engine query with
+  | Error _ -> print_endline "no rewriting"
+  | Ok r ->
       let ex = r.Xengine.Engine.explain in
       Printf.printf "rewritings: %d\n" ex.Xengine.Explain.candidates;
       Format.printf "EXPLAIN:@.%a@.@." Xengine.Explain.pp ex;
@@ -64,7 +64,7 @@ let () =
       return <res>{$i/name/text()}</res>|}
   in
   Printf.printf "XQuery: %s\n" src;
-  let r = Xengine.Engine.query_string engine src in
+  let r = Xengine.Xerror.get_exn (Xengine.Engine.query_string_r engine src) in
   let out = r.Xengine.Engine.output in
   Printf.printf "first 200 bytes of the result:\n%s...\n"
     (String.sub out 0 (min 200 (String.length out)));

@@ -35,7 +35,7 @@ let () =
      fallback); the outer tagging plan is still instrumented. *)
   let engine0 = Xengine.Engine.of_doc doc [] in
   let direct = Xquery.Translate.eval_direct doc query in
-  let r = Xengine.Engine.query_ast engine0 query in
+  let r = Xengine.Xerror.get_exn (Xengine.Engine.query_ast_r engine0 query) in
   let via_patterns = r.Xengine.Engine.output in
   Printf.printf "\nresult (%d bytes):\n%s\n" (String.length via_patterns) via_patterns;
   assert (String.equal direct via_patterns);
@@ -69,9 +69,9 @@ let () =
       ]
   in
   let engine = Xengine.Engine.of_doc doc specs in
-  match Xengine.Engine.query_opt engine small_query with
-  | None -> print_endline "no rewriting found"
-  | Some r ->
+  match Xengine.Engine.query_r engine small_query with
+  | Error _ -> print_endline "no rewriting found"
+  | Ok r ->
       let ex = r.Xengine.Engine.explain in
       Printf.printf "\nrewritings of the follow-up query: %d; best via %s\n"
         ex.Xengine.Explain.candidates

@@ -30,9 +30,9 @@ let () =
   List.iter
     (fun (name, specs) ->
       let engine = Xengine.Engine.of_doc doc specs in
-      match Xengine.Engine.query_opt engine query with
-      | None -> Printf.printf "%-32s no plan found\n" name
-      | Some r ->
+      match Xengine.Engine.query_r engine query with
+      | Error _ -> Printf.printf "%-32s no plan found\n" name
+      | Ok r ->
           let out = r.Xengine.Engine.rel in
           Printf.printf "%-32s %2d modules → plan over {%s}: %d tuples%s\n" name
             (List.length (Xengine.Engine.catalog engine).Store.modules)
@@ -42,7 +42,7 @@ let () =
             (Xalgebra.Rel.cardinality out)
             (if Xalgebra.Rel.cardinality out = expected then "" else "  (MISMATCH!)");
           (* The same query again rides the plan cache. *)
-          let again = Xengine.Engine.query engine query in
+          let again = Xengine.Xerror.get_exn (Xengine.Engine.query_r engine query) in
           assert again.Xengine.Engine.explain.Xengine.Explain.cache_hit)
     storages;
 

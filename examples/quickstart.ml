@@ -50,15 +50,15 @@ let () =
           [ P.v ~axis:P.Child "title" ~node:(P.mk_node ~value:true "title") [] ] ]
   in
   let engine = Xengine.Engine.of_doc doc [ ("V1", v1); ("V2", v2) ] in
-  match Xengine.Engine.query_opt engine query with
-  | None -> print_endline "no rewriting — the views cannot answer the query"
-  | Some r ->
+  match Xengine.Engine.query_r engine query with
+  | Error _ -> print_endline "no rewriting — the views cannot answer the query"
+  | Ok r ->
       Format.printf "best plan:@.%a@.@." Xalgebra.Logical.pp
         r.Xengine.Engine.explain.Xengine.Explain.plan;
       Format.printf "EXPLAIN:@.%a@." Xengine.Explain.pp r.Xengine.Engine.explain;
       Format.printf "result:@.%a@." Xalgebra.Rel.pp r.Xengine.Engine.rel;
       (* 6. Ask again: the plan cache answers, no rewriting runs. *)
-      let again = Xengine.Engine.query engine query in
+      let again = Xengine.Xerror.get_exn (Xengine.Engine.query_r engine query) in
       Format.printf "repeated query: cache %s; %a@."
         (if again.Xengine.Engine.explain.Xengine.Explain.cache_hit then "HIT" else "MISS")
         Xengine.Engine.pp_counters

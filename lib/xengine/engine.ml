@@ -16,8 +16,6 @@ module Slowlog = Xobs.Slowlog
 module Summary = Xsummary.Summary
 module Wal = Xwal.Wal
 
-exception No_rewriting of string
-
 type counters = {
   queries : int;
   hits : int;
@@ -29,25 +27,11 @@ type counters = {
   quarantines : int;
 }
 
-(* The live counters are atomics: queries may run concurrently across
-   domains ({!query_batch}), and the chaos suite's exact accounting
-   (faults absorbed = faults injected, etc.) must hold under any
-   interleaving. [counters] snapshots them into the plain record above. *)
-type acounters = {
-  a_queries : int Atomic.t;
-  a_hits : int Atomic.t;
-  a_misses : int Atomic.t;
-  a_rewrites : int Atomic.t;
-  a_fallbacks : int Atomic.t;
-  a_faults : int Atomic.t;
-  a_degraded : int Atomic.t;
-  a_quarantines : int Atomic.t;
-}
-
-(* The same accounting, mirrored into the engine's metrics registry so the
-   Prometheus exposition and the slow-query tooling see it without a
-   registry-vs-engine reconciliation step. The registry's counters are
-   themselves atomics, so the mirror is exact under query_batch too. *)
+(* The engine's accounting lives in its metrics registry only: the
+   Prometheus exposition and the slow-query tooling read it there, and
+   [counters] copies the same counters out. The registry's counters are
+   atomics, so the accounting stays exact under [query_batch] (the chaos
+   suite checks faults absorbed = faults injected). *)
 type emetrics = {
   m_queries : Metrics.counter;
   m_errors : Metrics.counter;
@@ -157,13 +141,16 @@ type t = {
   mutable lsn : int;  (* records applied; the WAL position of this state *)
   mutable snapshot_lsn : int;  (* lsn covered by the latest snapshot save *)
   mutable wal : Wal.Writer.t option;
-  mutable dormant : (string * Pattern.t * string) list;
-      (* modules dropped by maintenance (name, xam, reason), retried for
-         resurrection on every later apply *)
+  mutable declared : (string * Pattern.t) list;
+      (* every catalog module (name, xam) in the order [create],
+         [set_catalog_r] or [add_module] gave it; maintenance rebuilds
+         exactly this list *)
+  mutable dormant : (string * string) list;
+      (* the declared modules maintenance dropped (name, reason), in
+         declared order, retried for resurrection on every later apply *)
   mutable reader_faults : unit -> (string * int * string) list;
       (* partition page-in faults from the backing snapshot reader, if
          this engine was opened lazily *)
-  counters : acounters;
   constraints : bool;
   max_views : int;
   budget : budget;
@@ -179,6 +166,10 @@ type t = {
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+
+let with_apply_lock t f =
+  Mutex.lock t.apply_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.apply_lock) f
 
 type result = { rel : Rel.t; explain : Explain.t; trace : Trace.t option }
 
@@ -255,15 +246,20 @@ let validation_error = function
 
 let catalog_error catalog = validation_error (Store.validate catalog)
 
-let create ?(cache_capacity = 128) ?(constraints = true) ?(max_views = 3)
-    ?(budget = unlimited) ?(env_wrap = Fun.id) ?pool ?obs ?doc catalog =
-  (match catalog_error catalog with
-  | Some e -> raise (Xerror.Error e)
-  | None -> ());
+let declared_of (catalog : Store.catalog) =
+  List.map
+    (fun (m : Store.module_) -> (m.Store.name, m.Store.xam))
+    catalog.Store.modules
+
+(* The record behind [create] and [create_lazy]: [catalog] is the
+   resident catalog (a lazy engine's skeleton), [base_env] the storage
+   lookup over it or over [lazy_catalog]. *)
+let make ?(cache_capacity = 128) ?(constraints = true) ?(max_views = 3)
+    ?(budget = unlimited) ?(env_wrap = Fun.id) ?pool ?obs ?doc ~lazy_catalog
+    ~base_env catalog =
   let obs = match obs with Some o -> o | None -> Obs.create () in
-  let base_env = Store.env catalog in
   { catalog;
-    lazy_catalog = None;
+    lazy_catalog;
     generation = Atomic.make 0;
     base_env;
     env = env_wrap base_env;
@@ -274,13 +270,9 @@ let create ?(cache_capacity = 128) ?(constraints = true) ?(max_views = 3)
     lsn = 0;
     snapshot_lsn = 0;
     wal = None;
+    declared = declared_of catalog;
     dormant = [];
     reader_faults = (fun () -> []);
-    counters =
-      { a_queries = Atomic.make 0; a_hits = Atomic.make 0;
-        a_misses = Atomic.make 0; a_rewrites = Atomic.make 0;
-        a_fallbacks = Atomic.make 0; a_faults = Atomic.make 0;
-        a_degraded = Atomic.make 0; a_quarantines = Atomic.make 0 };
     constraints;
     max_views;
     budget;
@@ -290,44 +282,23 @@ let create ?(cache_capacity = 128) ?(constraints = true) ?(max_views = 3)
     obs;
     m = register_metrics obs.Obs.metrics }
 
-let create_lazy ?(cache_capacity = 128) ?(constraints = true) ?(max_views = 3)
-    ?(budget = unlimited) ?(env_wrap = Fun.id) ?pool ?obs ?doc lc =
+let create ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?pool ?obs
+    ?doc catalog =
+  Option.iter (fun e -> raise (Xerror.Error e)) (catalog_error catalog);
+  make ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?pool ?obs ?doc
+    ~lazy_catalog:None ~base_env:(Store.env catalog) catalog
+
+let create_lazy ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?pool
+    ?obs ?doc lc =
   (* The resident part is the skeleton — summary and xams, empty extents;
      everything that scans goes through [Store.lazy_env], which pages
      extents in from the backing reader. Validation is structural and
      never forces a page. *)
-  (match validation_error (Store.validate_lazy lc) with
-  | Some e -> raise (Xerror.Error e)
-  | None -> ());
-  let obs = match obs with Some o -> o | None -> Obs.create () in
-  let base_env = Store.lazy_env lc in
-  { catalog = Store.skeleton lc;
-    lazy_catalog = Some lc;
-    generation = Atomic.make 0;
-    base_env;
-    env = env_wrap base_env;
-    doc;
-    cache = Lru.create ~metrics:obs.Obs.metrics cache_capacity;
-    lock = Mutex.create ();
-    apply_lock = Mutex.create ();
-    lsn = 0;
-    snapshot_lsn = 0;
-    wal = None;
-    dormant = [];
-    reader_faults = (fun () -> []);
-    counters =
-      { a_queries = Atomic.make 0; a_hits = Atomic.make 0;
-        a_misses = Atomic.make 0; a_rewrites = Atomic.make 0;
-        a_fallbacks = Atomic.make 0; a_faults = Atomic.make 0;
-        a_degraded = Atomic.make 0; a_quarantines = Atomic.make 0 };
-    constraints;
-    max_views;
-    budget;
-    env_wrap;
-    quarantined = Hashtbl.create 8;
-    par = (match pool with Some p -> Pool.par p | None -> Xalgebra.Par.sequential);
-    obs;
-    m = register_metrics obs.Obs.metrics }
+  Option.iter
+    (fun e -> raise (Xerror.Error e))
+    (validation_error (Store.validate_lazy lc));
+  make ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?pool ?obs ?doc
+    ~lazy_catalog:(Some lc) ~base_env:(Store.lazy_env lc) (Store.skeleton lc)
 
 let of_doc ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?pool ?obs
     doc specs =
@@ -339,14 +310,15 @@ let catalog t = t.catalog
 let obs t = t.obs
 
 let counters t =
-  { queries = Atomic.get t.counters.a_queries;
-    hits = Atomic.get t.counters.a_hits;
-    misses = Atomic.get t.counters.a_misses;
-    rewrites = Atomic.get t.counters.a_rewrites;
-    fallbacks = Atomic.get t.counters.a_fallbacks;
-    faults = Atomic.get t.counters.a_faults;
-    degraded = Atomic.get t.counters.a_degraded;
-    quarantines = Atomic.get t.counters.a_quarantines }
+  let v = Metrics.counter_value in
+  { queries = v t.m.m_queries;
+    hits = v t.m.m_hits;
+    misses = v t.m.m_misses;
+    rewrites = v t.m.m_rewrites;
+    fallbacks = v t.m.m_fallbacks;
+    faults = v t.m.m_faults;
+    degraded = v t.m.m_degraded;
+    quarantines = v t.m.m_quarantines }
 
 let env t = t.env
 let summary t = t.catalog.Store.summary
@@ -359,38 +331,41 @@ let quarantined t =
 
 let quarantined_names t = List.map fst (quarantined t)
 
-let set_catalog_r t catalog =
+(* Install [catalog] as the engine's storage, with the declared module
+   list it came from and the dormant part of that list. Entries of
+   earlier generations become unreachable (the key embeds the
+   generation) and age out of the LRU. A catalog swap is a new storage
+   world: the quarantine set restarts from the dormant modules, and a
+   lazy engine becomes an ordinary resident one — the installed catalog
+   is what [env] scans from now on. *)
+let swap_catalog t ~declared ~dormant catalog =
   match catalog_error catalog with
   | Some e -> Error e
   | None ->
-      (* Entries of earlier generations become unreachable (the key embeds
-         the generation) and age out of the LRU. A catalog swap is a new
-         storage world: the quarantine set is cleared with it, and a lazy
-         engine becomes an ordinary resident one — the installed catalog
-         is what [env] scans from now on. *)
       with_lock t (fun () ->
           Hashtbl.reset t.quarantined;
+          List.iter (fun (n, r) -> Hashtbl.replace t.quarantined n r) dormant;
           t.catalog <- catalog;
           t.lazy_catalog <- None;
+          t.declared <- declared;
+          t.dormant <- dormant;
           Atomic.incr t.generation;
           t.base_env <- Store.env catalog;
           t.env <- t.env_wrap t.base_env);
-      Metrics.set_gauge t.m.m_quarantined_now 0.0;
+      Metrics.set_gauge t.m.m_quarantined_now
+        (float_of_int (List.length dormant));
       Ok ()
 
-let set_catalog t catalog =
-  match set_catalog_r t catalog with
-  | Ok () -> ()
-  | Error e -> raise (Xerror.Error e)
+let set_catalog_r t catalog =
+  swap_catalog t ~declared:(declared_of catalog) ~dormant:[] catalog
 
-(* The engine's full catalog, extents included. For a lazy engine
-   [t.catalog] is only the skeleton (empty extents), so anything that
-   needs real extents — snapshot saves, module appends — must page the
-   whole lazy catalog in first. A fault while paging surfaces as the
+(* The full catalog, extents included. For a lazy engine the resident
+   catalog is only the skeleton (empty extents), so anything that needs
+   real extents — snapshot saves, module appends, maintenance — must page
+   the whole lazy catalog in first. A fault while paging surfaces as the
    typed storage error. *)
-let materialized_catalog t =
-  match t.lazy_catalog with
-  | None -> t.catalog
+let full_catalog resident = function
+  | None -> resident
   | Some lc -> (
       match Store.materialize_lazy lc with
       | catalog -> catalog
@@ -398,36 +373,68 @@ let materialized_catalog t =
           raise
             (Xerror.Error (Xerror.Storage_fault { module_name = name; reason })))
 
-let add_module t m =
+let materialized_catalog t = full_catalog t.catalog t.lazy_catalog
+
+let add_module t (m : Store.module_) =
   let catalog = materialized_catalog t in
-  set_catalog t { catalog with Store.modules = catalog.Store.modules @ [ m ] }
+  Xerror.get_exn
+    (swap_catalog t
+       ~declared:(t.declared @ [ (m.Store.name, m.Store.xam) ])
+       ~dormant:t.dormant
+       { catalog with Store.modules = catalog.Store.modules @ [ m ] })
 
 (* --- Persistent snapshots ---------------------------------------------- *)
 
 let snapshot_error path reason = Xerror.Snapshot_error { path; reason }
 
-let save_snapshot_r t path =
-  (* [materialized_catalog], not [t.catalog]: a lazily-opened engine's
-     resident catalog is the skeleton, and serializing that would write a
-     checksum-valid snapshot full of empty extents over real data. *)
-  match
-    let catalog = materialized_catalog t in
-    Xpersist.Snapshot.save ?doc:t.doc ~lsn:t.lsn ~metrics:t.obs.Obs.metrics path
-      catalog
-  with
-  | Ok bytes ->
-      (* The saved state covers everything applied so far: recovery from
-         this file replays nothing older. *)
-      t.snapshot_lsn <- t.lsn;
-      Metrics.set_gauge t.m.g_wal_lag 0.0;
-      Ok bytes
-  | Error reason -> Error (snapshot_error path reason)
-  | exception Xerror.Error e -> Error e
+(* A freshly opened engine takes over its snapshot's LSN and declared
+   modules; the dormant ones stay quarantined, as they were in the
+   engine that saved them. *)
+let restore t ~lsn ~declared ~dormant =
+  t.lsn <- lsn;
+  t.snapshot_lsn <- lsn;
+  t.declared <- declared;
+  t.dormant <- dormant;
+  List.iter (fun (n, r) -> Hashtbl.replace t.quarantined n r) dormant;
+  t
 
-let save_snapshot t path =
-  match save_snapshot_r t path with
-  | Ok bytes -> bytes
-  | Error e -> raise (Xerror.Error e)
+(* Capture one consistent image under the state lock — installs swap
+   the document, catalog, LSN and dormant set together under it — and
+   write it with no engine lock held. [full_catalog], not the resident
+   one: a lazily-opened engine's resident catalog is the skeleton, and
+   serializing that would write a checksum-valid snapshot full of empty
+   extents over real data. Returns the bytes written and the LSN the
+   file covers. *)
+let write_snapshot t path =
+  let doc, resident, lazy_cat, lsn, declared, dormant =
+    with_lock t (fun () ->
+        (t.doc, t.catalog, t.lazy_catalog, t.lsn, t.declared, t.dormant))
+  in
+  match
+    Xpersist.Snapshot.write ~metrics:t.obs.Obs.metrics path
+      { Xpersist.Snapshot.doc;
+        catalog = full_catalog resident lazy_cat;
+        lsn;
+        declared;
+        dormant }
+  with
+  | exception Xerror.Error e -> Error e
+  | Error reason -> Error (snapshot_error path reason)
+  | Ok bytes -> Ok (bytes, lsn)
+
+(* A snapshot now covers [captured]: recovery from it replays nothing
+   older — unless a newer snapshot already covers more. Caller holds the
+   apply lock. *)
+let advance_snapshot_lsn t captured =
+  if captured > t.snapshot_lsn then t.snapshot_lsn <- captured;
+  Metrics.set_gauge t.m.g_wal_lag (float_of_int (t.lsn - t.snapshot_lsn))
+
+let save_snapshot_r t path =
+  Result.map
+    (fun (bytes, captured) ->
+      with_apply_lock t (fun () -> advance_snapshot_lsn t captured);
+      bytes)
+    (write_snapshot t path)
 
 let load_snapshot_r t path =
   (* Catalog hot-swap from disk: decode + verify the whole snapshot
@@ -436,83 +443,63 @@ let load_snapshot_r t path =
      verification or validation never installs anything — the running
      catalog stays. The snapshot's document, if any, is ignored: the
      engine's fallback document is fixed at creation. *)
-  match Xpersist.Snapshot.load ~metrics:t.obs.Obs.metrics path with
+  match Xpersist.Snapshot.read ~metrics:t.obs.Obs.metrics path with
   | Error reason -> Error (snapshot_error path reason)
-  | Ok (_doc, catalog) -> set_catalog_r t catalog
-
-let load_snapshot t path =
-  match load_snapshot_r t path with
-  | Ok () -> ()
-  | Error e -> raise (Xerror.Error e)
+  | Ok { catalog; declared; dormant; _ } ->
+      swap_catalog t ~declared ~dormant catalog
 
 let of_snapshot_r ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?pool
     ?obs ?(lazy_extents = false) ?extent_cache ?label path =
+  let module Reader = Xpersist.Snapshot.Reader in
   let obs = match obs with Some o -> o | None -> Obs.create () in
   try
     if lazy_extents then
       match
-        Xpersist.Snapshot.Reader.open_ ?cache_capacity:extent_cache
-          ~metrics:obs.Obs.metrics ?owner:label path
+        Reader.open_ ?cache_capacity:extent_cache ~metrics:obs.Obs.metrics
+          ?owner:label path
       with
       | Error reason -> Error (snapshot_error path reason)
       | Ok reader -> (
           match
             create_lazy ?cache_capacity ?constraints ?max_views ?budget
-              ?env_wrap ?pool ~obs
-              ?doc:(Xpersist.Snapshot.Reader.doc reader)
-              (Xpersist.Snapshot.Reader.lazy_catalog reader)
+              ?env_wrap ?pool ~obs ?doc:(Reader.doc reader)
+              (Reader.lazy_catalog reader)
           with
           | t ->
-              t.lsn <- Xpersist.Snapshot.Reader.lsn reader;
-              t.snapshot_lsn <- t.lsn;
-              t.reader_faults <-
-                (fun () -> Xpersist.Snapshot.Reader.partition_faults reader);
-              Ok t
+              t.reader_faults <- (fun () -> Reader.partition_faults reader);
+              Ok
+                (restore t ~lsn:(Reader.lsn reader)
+                   ~declared:(Reader.declared reader)
+                   ~dormant:(Reader.dormant reader))
           | exception e ->
               (* The engine never took ownership (catalog validation
                  failed, say); the caller has no handle, so close the
                  reader — and its file descriptor — here. *)
-              Xpersist.Snapshot.Reader.close reader;
+              Reader.close reader;
               raise e)
     else
-      match Xpersist.Snapshot.load_with_lsn ~metrics:obs.Obs.metrics path with
+      match Xpersist.Snapshot.read ~metrics:obs.Obs.metrics path with
       | Error reason -> Error (snapshot_error path reason)
-      | Ok (doc, catalog, lsn) ->
-          let t =
-            create ?cache_capacity ?constraints ?max_views ?budget ?env_wrap
-              ?pool ~obs ?doc catalog
-          in
-          t.lsn <- lsn;
-          t.snapshot_lsn <- lsn;
-          Ok t
+      | Ok { doc; catalog; lsn; declared; dormant } ->
+          Ok
+            (restore
+               (create ?cache_capacity ?constraints ?max_views ?budget
+                  ?env_wrap ?pool ~obs ?doc catalog)
+               ~lsn ~declared ~dormant)
   with Xerror.Error e -> Error e
-
-let of_snapshot ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?pool
-    ?obs ?lazy_extents ?extent_cache ?label path =
-  match
-    of_snapshot_r ?cache_capacity ?constraints ?max_views ?budget ?env_wrap
-      ?pool ?obs ?lazy_extents ?extent_cache ?label path
-  with
-  | Ok t -> t
-  | Error e -> raise (Xerror.Error e)
 
 (* A module faulted while being read: remember it, bump the generation so
    every cached plan that might mention it dies, and let the caller
    re-plan against the survivors. *)
 let quarantine t name reason =
-  let live =
+  let fresh, live =
     with_lock t (fun () ->
         let fresh = not (Hashtbl.mem t.quarantined name) in
         if fresh then Hashtbl.replace t.quarantined name reason;
         (fresh, Hashtbl.length t.quarantined))
   in
-  (match live with
-  | true, _ ->
-      Atomic.incr t.counters.a_quarantines;
-      Metrics.incr t.m.m_quarantines
-  | false, _ -> ());
-  Metrics.set_gauge t.m.m_quarantined_now (float_of_int (snd live));
-  Atomic.incr t.counters.a_faults;
+  if fresh then Metrics.incr t.m.m_quarantines;
+  Metrics.set_gauge t.m.m_quarantined_now (float_of_int live);
   Metrics.incr t.m.m_faults;
   Atomic.incr t.generation
 
@@ -543,7 +530,7 @@ type minfo = {
   mt_rebuilt : int;
   mt_dropped : (string * string) list;
   mt_resurrected : string list;
-  mt_dormant : (string * Pattern.t * string) list;
+  mt_dormant : (string * string) list;
   mt_paths_added : string list;
   mt_paths_removed : string list;
 }
@@ -572,52 +559,51 @@ let mutate_doc doc (op : mutation) =
 let summary_paths s =
   List.init (Summary.size s) (fun i -> Summary.path_string s i)
 
-(* Rebuild the catalog against the mutated document. Structural edits
-   shift every pre-order rank, so extents are re-materialized wholesale
-   and [Store.spliced] recovers the physical change-set: partitions whose
-   payload came out identical share the old record, so only partitions
-   the edit actually touched are fresh. Modules whose XAM no longer
-   validates against the new summary are dropped to the dormant list and
-   retried on every later apply — a module dropped because an edit
-   removed its last matching path resurrects the moment an edit brings
-   the path back. Deterministic (pure list folds), which is what makes
-   WAL replay reproduce the exact same catalog. *)
+(* Rebuild the catalog against the mutated document: every declared
+   module, in declared order. Structural edits shift every pre-order
+   rank, so extents are re-materialized wholesale and [Store.spliced]
+   recovers the physical change-set: partitions whose payload came out
+   identical share the old record, so only partitions the edit actually
+   touched are fresh. Modules that fail to build or no longer validate
+   against the new summary are dormant, and retried on every later apply
+   — a module dropped because an edit removed its last matching path
+   resurrects the moment an edit brings the path back, at its declared
+   position. The catalog is thus a function of the declared list and the
+   document alone, which is what lets a batch and the per-record replay
+   of its WAL records land on the same catalog. *)
 let maintain t doc =
   let prev = materialized_catalog t in
   let summary, phi = Summary.build doc in
   let old_paths = summary_paths prev.Store.summary in
   let new_paths = summary_paths summary in
-  let dormant_names = List.map (fun (n, _, _) -> n) t.dormant in
-  let candidates =
-    List.map (fun (m : Store.module_) -> (m.Store.name, m.Store.xam))
-      prev.Store.modules
-    @ List.map (fun (n, x, _) -> (n, x)) t.dormant
-  in
   let built =
     List.map
       (fun (name, xam) ->
         match Store.partitioned ~phi doc (Store.materialize doc name xam) with
         | m -> (name, Ok m)
         | exception e -> (name, Error (Printexc.to_string e)))
-      candidates
+      t.declared
   in
   let ok_modules =
-    List.filter_map (function _, Ok m -> Some m | _ -> None) built
+    List.filter_map (function _, Ok m -> Some m | _, Error _ -> None) built
   in
   let invalid =
     match Store.validate { Store.summary; modules = ok_modules } with
     | Ok () -> []
     | Error pairs -> pairs
   in
-  let failures =
-    List.filter_map (function n, Error r -> Some (n, r) | _ -> None) built
-    @ invalid
+  let dormant =
+    List.filter_map
+      (function
+        | name, Error reason -> Some (name, reason)
+        | name, Ok _ -> Option.map (fun r -> (name, r)) (List.assoc_opt name invalid))
+      built
   in
-  let failed_names = List.map fst failures in
+  let was_dormant name = List.mem_assoc name t.dormant in
   let kept = ref 0 and rebuilt = ref 0 in
   let modules =
     List.filter
-      (fun (m : Store.module_) -> not (List.mem m.Store.name failed_names))
+      (fun (m : Store.module_) -> not (List.mem_assoc m.Store.name dormant))
       ok_modules
     |> List.map (fun (m : Store.module_) ->
            match
@@ -632,36 +618,27 @@ let maintain t doc =
                m'
            | None -> m)
   in
-  let dropped =
-    List.filter (fun (n, _) -> not (List.mem n dormant_names)) failures
-  in
-  let resurrected =
-    List.filter_map
-      (fun (m : Store.module_) ->
-        if List.mem m.Store.name dormant_names then Some m.Store.name else None)
-      modules
-  in
-  let dormant =
-    List.filter_map
-      (fun (n, reason) ->
-        Option.map (fun xam -> (n, xam, reason)) (List.assoc_opt n candidates))
-      failures
-  in
   ( { Store.summary; modules },
     { mt_kept = !kept;
       mt_rebuilt = !rebuilt;
-      mt_dropped = dropped;
-      mt_resurrected = resurrected;
+      mt_dropped = List.filter (fun (n, _) -> not (was_dormant n)) dormant;
+      mt_resurrected =
+        List.filter_map
+          (fun (m : Store.module_) ->
+            if was_dormant m.Store.name then Some m.Store.name else None)
+          modules;
       mt_dormant = dormant;
       mt_paths_added =
         List.filter (fun p -> not (List.mem p old_paths)) new_paths;
       mt_paths_removed =
         List.filter (fun p -> not (List.mem p new_paths)) old_paths } )
 
-(* Swap the mutated world in. Unlike [set_catalog_r] this merges into the
-   quarantine table rather than resetting it: modules maintenance had to
-   drop stay visible as quarantined until an apply resurrects them. *)
-let install_update t doc catalog (info : minfo) =
+(* Swap the mutated world in, LSN included, under the state lock — a
+   snapshot capture never sees a document without its LSN. Unlike
+   [swap_catalog] this merges into the quarantine table rather than
+   resetting it: modules maintenance had to drop stay visible as
+   quarantined until an apply resurrects them. *)
+let install_update t doc catalog ~lsn (info : minfo) =
   with_lock t (fun () ->
       t.doc <- Some doc;
       t.catalog <- catalog;
@@ -669,88 +646,53 @@ let install_update t doc catalog (info : minfo) =
       t.base_env <- Store.env catalog;
       t.env <- t.env_wrap t.base_env;
       t.dormant <- info.mt_dormant;
+      t.lsn <- lsn;
       List.iter (fun (n, r) -> Hashtbl.replace t.quarantined n r) info.mt_dropped;
       List.iter (fun n -> Hashtbl.remove t.quarantined n) info.mt_resurrected;
       Atomic.incr t.generation;
       Metrics.set_gauge t.m.m_quarantined_now
         (float_of_int (Hashtbl.length t.quarantined)));
-  List.iter
-    (fun _ ->
-      Atomic.incr t.counters.a_quarantines;
-      Metrics.incr t.m.m_quarantines)
-    info.mt_dropped;
+  Metrics.add t.m.m_quarantines (List.length info.mt_dropped);
   Metrics.add t.m.m_parts_kept info.mt_kept;
   Metrics.add t.m.m_parts_rebuilt info.mt_rebuilt
 
-let prepare_apply t op =
+(* The one write path, for applies and recovery alike; caller holds the
+   apply lock. The write-ahead ordering: (1) mutate and maintain off to
+   the side — the new document and catalog exist only as local values,
+   a failure here changes nothing; (2) when a WAL is attached, make the
+   ops durable as one group-committed batch of ordinary records — an
+   [Error] leaves engine state untouched, an injected [Fsio.Crashed]
+   escapes as the exception it is; (3) install and advance the LSN. A
+   crash between (2) and (3) is exactly what replay absorbs: the WAL
+   holds records the state does not, and recovery re-applies them.
+   Recovery runs before the writer is attached, so replayed records are
+   never logged twice. Raises [Xerror.Error]. *)
+let write t ops =
   let doc =
     match t.doc with
-    | Some d -> d
+    | Some d -> List.fold_left mutate_doc d ops
     | None -> raise (update_invalid "engine holds no document to mutate")
   in
-  let doc = mutate_doc doc op in
   let t0 = clk t () in
   let catalog, info = maintain t doc in
   Metrics.observe t.m.h_splice (clk t () -. t0);
-  (doc, catalog, info)
+  (match t.wal with
+  | None -> ()
+  | Some w -> (
+      match Wal.Writer.append_batch w ops with
+      | Ok _ -> ()
+      | Error reason ->
+          raise
+            (Xerror.Error (Xerror.Wal_error { path = Wal.Writer.dir w; reason }))));
+  install_update t doc catalog ~lsn:(t.lsn + List.length ops) info;
+  info
 
-let with_apply_lock t f =
-  Mutex.lock t.apply_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.apply_lock) f
-
-(* The write-ahead ordering: (1) prepare off to the side — the mutated
-   document and maintained catalog exist only as local values, a failure
-   here changes nothing; (2) make the record durable — an [Error] from
-   the WAL leaves engine state untouched, an injected [Fsio.Crashed]
-   escapes as the exception it is; (3) install and advance the LSN. A
-   crash between (2) and (3) is exactly what replay absorbs: the WAL
-   holds one record the state does not, and recovery re-applies it. *)
-let apply_r t op =
-  with_apply_lock t (fun () ->
-      let t0 = clk t () in
-      match prepare_apply t op with
-      | exception Xerror.Error e -> Error e
-      | doc, catalog, info -> (
-          let appended =
-            match t.wal with
-            | None -> Ok ()
-            | Some w -> (
-                match Wal.Writer.append w op with
-                | Ok _ -> Ok ()
-                | Error reason ->
-                    Error (Xerror.Wal_error { path = Wal.Writer.dir w; reason }))
-          in
-          match appended with
-          | Error e -> Error e
-          | Ok () ->
-              install_update t doc catalog info;
-              t.lsn <- t.lsn + 1;
-              Metrics.incr t.m.m_applies;
-              Metrics.observe t.m.h_apply (clk t () -. t0);
-              Metrics.set_gauge t.m.g_wal_lag
-                (float_of_int (t.lsn - t.snapshot_lsn));
-              Ok
-                { ap_lsn = t.lsn;
-                  ap_parts_kept = info.mt_kept;
-                  ap_parts_rebuilt = info.mt_rebuilt;
-                  ap_paths_added = info.mt_paths_added;
-                  ap_paths_removed = info.mt_paths_removed;
-                  ap_dropped = info.mt_dropped;
-                  ap_resurrected = info.mt_resurrected }))
-
-let apply t op =
-  match apply_r t op with Ok r -> r | Error e -> raise (Xerror.Error e)
-
-(* [apply_r] amortized over a batch: one apply-lock acquisition, one
+(* N mutations as one write-path round: one apply-lock acquisition, one
    maintenance pass (splice cost per batch, not per op), one
-   group-committed WAL write covering all N records, one install. The
-   WAL still holds N individual records and recovery replays them
-   one-by-one; maintenance is a deterministic function of the final
-   document over (modules ∪ dormant), so per-record replay converges on
-   the catalog the batch installed. All-or-nothing: an invalid op
-   anywhere in the batch applies none of it, and a WAL failure leaves
-   engine state untouched. Op [k+1]'s handles resolve against the
-   document after op [k], exactly as under sequential [apply_r]. *)
+   group-committed WAL write covering all N records, one install.
+   All-or-nothing: an invalid op anywhere in the batch applies none of
+   it, and a WAL failure leaves engine state untouched. Op [k+1]'s
+   handles resolve against the document after op [k]. *)
 let apply_batch_r t ops =
   match ops with
   | [] ->
@@ -761,65 +703,23 @@ let apply_batch_r t ops =
   | _ ->
       with_apply_lock t (fun () ->
           let t0 = clk t () in
-          match
-            let doc0 =
-              match t.doc with
-              | Some d -> d
-              | None ->
-                  raise (update_invalid "engine holds no document to mutate")
-            in
-            List.fold_left mutate_doc doc0 ops
-          with
+          match write t ops with
           | exception Xerror.Error e -> Error e
-          | doc -> (
-              let st = clk t () in
-              let catalog, info = maintain t doc in
-              Metrics.observe t.m.h_splice (clk t () -. st);
-              let appended =
-                match t.wal with
-                | None -> Ok ()
-                | Some w -> (
-                    match Wal.Writer.append_batch w ops with
-                    | Ok _ -> Ok ()
-                    | Error reason ->
-                        Error
-                          (Xerror.Wal_error { path = Wal.Writer.dir w; reason }))
-              in
-              match appended with
-              | Error e -> Error e
-              | Ok () ->
-                  install_update t doc catalog info;
-                  t.lsn <- t.lsn + List.length ops;
-                  Metrics.add t.m.m_applies (List.length ops);
-                  Metrics.observe t.m.h_apply (clk t () -. t0);
-                  Metrics.set_gauge t.m.g_wal_lag
-                    (float_of_int (t.lsn - t.snapshot_lsn));
-                  Ok
-                    { ap_lsn = t.lsn;
-                      ap_parts_kept = info.mt_kept;
-                      ap_parts_rebuilt = info.mt_rebuilt;
-                      ap_paths_added = info.mt_paths_added;
-                      ap_paths_removed = info.mt_paths_removed;
-                      ap_dropped = info.mt_dropped;
-                      ap_resurrected = info.mt_resurrected }))
+          | info ->
+              Metrics.add t.m.m_applies (List.length ops);
+              Metrics.observe t.m.h_apply (clk t () -. t0);
+              Metrics.set_gauge t.m.g_wal_lag
+                (float_of_int (t.lsn - t.snapshot_lsn));
+              Ok
+                { ap_lsn = t.lsn;
+                  ap_parts_kept = info.mt_kept;
+                  ap_parts_rebuilt = info.mt_rebuilt;
+                  ap_paths_added = info.mt_paths_added;
+                  ap_paths_removed = info.mt_paths_removed;
+                  ap_dropped = info.mt_dropped;
+                  ap_resurrected = info.mt_resurrected })
 
-let apply_batch t ops =
-  match apply_batch_r t ops with
-  | Ok r -> r
-  | Error e -> raise (Xerror.Error e)
-
-(* Replay is [apply_r] minus the WAL append: the record is already
-   durable, so it goes straight through prepare + install. The LSN comes
-   from the record, not a local increment — replay lands the engine at
-   exactly the logged position. *)
-let replay_one t (r : Wal.record) =
-  match prepare_apply t r.Wal.op with
-  | exception Xerror.Error e -> Error e
-  | doc, catalog, info ->
-      install_update t doc catalog info;
-      t.lsn <- r.Wal.lsn;
-      Metrics.incr t.m.m_replayed;
-      Ok ()
+let apply_r t op = apply_batch_r t [ op ]
 
 let attach_wal_r ?fs ?sync ?segment_bytes ?commit_window ?max_batch t dir =
   let wal_err reason = Xerror.Wal_error { path = dir; reason } in
@@ -863,17 +763,19 @@ let attach_wal_r ?fs ?sync ?segment_bytes ?commit_window ?max_batch t dir =
                 match check (base + 1) todo with
                 | Error e -> Error e
                 | Ok () -> (
-                    let rec replay = function
-                      | [] -> Ok ()
-                      | r :: rest -> (
-                          match replay_one t r with
-                          | Ok () -> replay rest
-                          | Error e -> Error e)
-                    in
+                    (* One write-path round per record, unlogged: the
+                       contiguity check above makes each land at its
+                       record's LSN. *)
                     let rt0 = clk t () in
-                    match replay todo with
-                    | Error e -> Error e
-                    | Ok () -> (
+                    match
+                      List.iter
+                        (fun r ->
+                          ignore (write t [ r.Wal.op ]);
+                          Metrics.incr t.m.m_replayed)
+                        todo
+                    with
+                    | exception Xerror.Error e -> Error e
+                    | () -> (
                         Metrics.observe t.m.h_replay (clk t () -. rt0);
                         match
                           Wal.Writer.open_ ?fs ~metrics:t.obs.Obs.metrics
@@ -887,11 +789,6 @@ let attach_wal_r ?fs ?sync ?segment_bytes ?commit_window ?max_batch t dir =
                               (float_of_int (t.lsn - t.snapshot_lsn));
                             Ok (List.length todo))))))
 
-let attach_wal ?fs ?sync ?segment_bytes ?commit_window ?max_batch t dir =
-  match attach_wal_r ?fs ?sync ?segment_bytes ?commit_window ?max_batch t dir with
-  | Ok n -> n
-  | Error e -> raise (Xerror.Error e)
-
 let detach_wal t =
   with_apply_lock t (fun () ->
       match t.wal with
@@ -900,98 +797,46 @@ let detach_wal t =
           Wal.Writer.close w;
           t.wal <- None)
 
-(* Checkpoint protocol: snapshot first (stamped with the current LSN),
-   truncate second. A crash between the two only leaves extra segments
-   whose records the snapshot already covers — replay skips them. *)
-let checkpoint_r t path =
-  with_apply_lock t (fun () ->
-      let t0 = clk t () in
-      let res =
-        match save_snapshot_r t path with
-        | Error e -> Error e
-        | Ok bytes -> (
-            match t.wal with
-            | None -> Ok (bytes, 0)
-            | Some w -> (
-                match Wal.Writer.truncate_upto w t.snapshot_lsn with
-                | Ok removed -> Ok (bytes, removed)
-                | Error reason ->
-                    Error (Xerror.Wal_error { path = Wal.Writer.dir w; reason })))
-      in
-      (match res with
-      | Ok _ -> Metrics.observe t.m.h_checkpoint (clk t () -. t0)
-      | Error _ -> ());
-      res)
-
-let checkpoint t path =
-  match checkpoint_r t path with
-  | Ok r -> r
-  | Error e -> raise (Xerror.Error e)
-
-(* Background checkpoint: [checkpoint_r] holds the apply lock for the
-   whole snapshot write, stalling every writer; this variant serializes
-   with applies at exactly two points. (1) Capture: under the state
-   lock, read the current document, catalog and LSN — installs swap
-   whole immutable references, so the three read together are one
-   consistent generation. (2) Install/truncate: under the apply lock,
-   advance [snapshot_lsn] to the captured LSN (unless a newer checkpoint
-   already passed it) and drop covered segments. The snapshot itself is
-   materialized and written with no engine lock held, so concurrent
+(* Checkpoint protocol, serialized with applies at exactly two points.
+   (1) Capture + write ([write_snapshot]): the image is read under the
+   state lock and written with no engine lock held, so concurrent
    applies proceed; they simply are not covered by this checkpoint.
+   (2) Install/truncate: under the apply lock, advance [snapshot_lsn] to
+   the captured LSN (unless a newer checkpoint already passed it) and
+   drop the segments it covers. Snapshot first, truncate second: a crash
+   between the two only leaves segments whose records replay skips.
    Concurrent checkpoints to the same [path] must be serialized by the
    caller (the server runs at most one per tenant) — two interleaved
    writers could otherwise pair a stale file with a fresher
    [snapshot_lsn] and truncate history the file does not cover.
    [before_install] is a test seam between the write and step (2). *)
-let checkpoint_background_r ?(before_install = fun () -> ()) t path =
+let checkpoint_r ?(before_install = fun () -> ()) t path =
   let t0 = clk t () in
-  let doc, resident, lazy_cat, captured =
-    with_lock t (fun () -> (t.doc, t.catalog, t.lazy_catalog, t.lsn))
-  in
-  match
-    let catalog =
-      match lazy_cat with
-      | None -> resident
-      | Some lc -> (
-          match Store.materialize_lazy lc with
-          | catalog -> catalog
-          | exception Store.Module_fault { name; reason } ->
-              raise
-                (Xerror.Error
-                   (Xerror.Storage_fault { module_name = name; reason })))
-    in
-    Xpersist.Snapshot.save ?doc ~lsn:captured ~metrics:t.obs.Obs.metrics path
-      catalog
-  with
-  | exception Xerror.Error e -> Error e
-  | Error reason -> Error (snapshot_error path reason)
-  | Ok bytes ->
+  match write_snapshot t path with
+  | Error e -> Error e
+  | Ok (bytes, captured) ->
       before_install ();
       with_apply_lock t (fun () ->
-          if captured > t.snapshot_lsn then begin
-            t.snapshot_lsn <- captured;
-            Metrics.set_gauge t.m.g_wal_lag
-              (float_of_int (t.lsn - t.snapshot_lsn))
-          end;
-          let res =
+          advance_snapshot_lsn t captured;
+          let truncated =
             match t.wal with
-            | None -> Ok (bytes, 0)
-            | Some w -> (
-                match Wal.Writer.truncate_upto w t.snapshot_lsn with
-                | Ok removed -> Ok (bytes, removed)
-                | Error reason ->
-                    Error (Xerror.Wal_error { path = Wal.Writer.dir w; reason }))
+            | None -> Ok 0
+            | Some w ->
+                Result.map_error
+                  (fun reason -> Xerror.Wal_error { path = Wal.Writer.dir w; reason })
+                  (Wal.Writer.truncate_upto w t.snapshot_lsn)
           in
-          (match res with
-          | Ok _ -> Metrics.observe t.m.h_checkpoint (clk t () -. t0)
-          | Error _ -> ());
-          res)
+          Result.map
+            (fun removed ->
+              Metrics.observe t.m.h_checkpoint (clk t () -. t0);
+              (bytes, removed))
+            truncated)
 
 let lsn t = t.lsn
 let snapshot_lsn t = t.snapshot_lsn
 let wal_dir t = Option.map Wal.Writer.dir t.wal
 let document t = t.doc
-let dormant_modules t = List.map (fun (n, _, r) -> (n, r)) t.dormant
+let dormant_modules t = t.dormant
 let partition_faults t = t.reader_faults ()
 
 let cache_key t pattern =
@@ -1018,14 +863,11 @@ let plan_for t (trc : tr) pattern =
       let key = cache_key t pattern in
       match with_lock t (fun () -> Lru.find t.cache key) with
       | Some c ->
-          Atomic.incr t.counters.a_hits;
           Metrics.incr t.m.m_hits;
           tr_tag trc "cache" "hit";
           (c, true, 0.0)
       | None ->
-          Atomic.incr t.counters.a_misses;
           Metrics.incr t.m.m_misses;
-          Atomic.incr t.counters.a_rewrites;
           Metrics.incr t.m.m_rewrites;
           tr_tag trc "cache" "miss";
           let t0 = now_ms t in
@@ -1209,8 +1051,7 @@ let check_deadline t pb =
       | _ -> ())
   | None -> ()
 
-let no_rewriting_msg t pattern =
-  ignore t;
+let no_rewriting_msg pattern =
   Format.asprintf "no rewriting over the catalog for:@.%a" Pattern.pp pattern
 
 (* Plan then execute once, classifying internal failures. Module faults
@@ -1227,7 +1068,7 @@ let plan_and_execute t (trc : tr) pattern pb ~degraded =
   | Error e -> Error e
   | Ok (c, hit, rewrite_ms) -> (
       match c.rewriting with
-      | None -> Error (Xerror.No_rewriting (no_rewriting_msg t pattern))
+      | None -> Error (Xerror.No_rewriting (no_rewriting_msg pattern))
       | Some r -> (
           match execute t trc pattern c hit rewrite_ms pb ~degraded r with
           | res -> Ok res
@@ -1248,7 +1089,6 @@ let degraded_fallback t (trc : tr) pattern err =
       match in_span trc "fallback" (fun _ -> Xam.Embed.eval doc pattern) with
       | exception e -> Error (Xerror.Exec_error (Printexc.to_string e))
       | rel ->
-          Atomic.incr t.counters.a_fallbacks;
           Metrics.incr t.m.m_fallbacks;
           let card = Rel.cardinality rel in
           Ok
@@ -1288,7 +1128,6 @@ let rec attempt t (trc : tr) pattern pb ~faults_seen =
     match plan_and_execute t trc pattern pb ~degraded:(faults_seen > 0) with
     | Ok _ as ok ->
         if faults_seen > 0 then begin
-          Atomic.incr t.counters.a_degraded;
           Metrics.incr t.m.m_degraded;
           tr_tag trc "degraded" "true"
         end;
@@ -1299,7 +1138,6 @@ let rec attempt t (trc : tr) pattern pb ~faults_seen =
            one that quarantined a module. Degrade rather than refuse. *)
         match degraded_fallback t trc pattern err with
         | Ok _ as ok ->
-            Atomic.incr t.counters.a_degraded;
             Metrics.incr t.m.m_degraded;
             tr_tag trc "degraded" "true";
             ok
@@ -1321,7 +1159,6 @@ let budget_error t override (dimension : Physical.budget_dimension) limit =
   Xerror.Budget_exceeded { dimension = Xerror.of_dimension dimension; limit }
 
 let query_r ?budget t pattern =
-  Atomic.incr t.counters.a_queries;
   Metrics.incr t.m.m_queries;
   let trc = start_trace t "query" in
   tr_tag trc "query" (Format.asprintf "%a" Pattern.pp pattern);
@@ -1348,25 +1185,16 @@ let query_r ?budget t pattern =
   | Ok r -> Ok { r with trace = Option.map fst trc }
   | Error _ as e -> e
 
-let query t pattern =
-  match query_r t pattern with
-  | Ok r -> r
-  | Error (Xerror.No_rewriting m) -> raise (No_rewriting m)
-  | Error e -> raise (Xerror.Error e)
-
-let query_opt t pattern =
-  match query_r t pattern with Ok r -> Some r | Error _ -> None
-
 (* --- Inter-query parallelism ----------------------------------------------- *)
 
-(* Run independent patterns concurrently on a transient pool. Each query
-   keeps its own budget, fault recovery and degraded fallback; the
-   counters are atomics and the plan cache / quarantine table are behind
-   [t.lock], so the accounting matches the sequential run exactly. The
-   result list is in input order regardless of completion order. *)
-let query_batch ?budget ?(domains = 1) t patterns =
-  if domains <= 1 || List.length patterns <= 1 then
-    List.map (fun p -> query_r ?budget t p) patterns
+(* Run independent items concurrently on a transient pool of [domains]
+   domains. Each query keeps its own budget, fault recovery and degraded
+   fallback; the counters are atomics and the plan cache / quarantine
+   table are behind [t.lock], so the accounting matches the sequential
+   run exactly. The result list is in input order regardless of
+   completion order. *)
+let batch_over ?(domains = 1) t run items =
+  if domains <= 1 || List.length items <= 1 then List.map run items
   else begin
     (* The base document memoizes its label index on first use; build it
        before fanning out so no two domains race to install it. *)
@@ -1376,8 +1204,11 @@ let query_batch ?budget ?(domains = 1) t patterns =
     let pool = Pool.create ~domains () in
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> Pool.map_list pool (fun p -> query_r ?budget t p) patterns)
+      (fun () -> Pool.map_list pool run items)
   end
+
+let query_batch ?budget ?domains t patterns =
+  batch_over ?domains t (query_r ?budget t) patterns
 
 (* --- XQuery front door ----------------------------------------------------- *)
 
@@ -1396,7 +1227,6 @@ type xquery_result = {
    no-rewriting case — a budget stop or an unrecoverable fault must not
    silently turn into a full-document scan. *)
 let extent_for t (trc : tr) pat pb =
-  Atomic.incr t.counters.a_queries;
   Metrics.incr t.m.m_queries;
   let t0 = clk t () in
   Fun.protect ~finally:(fun () -> Metrics.observe t.m.h_query (clk t () -. t0))
@@ -1407,7 +1237,6 @@ let extent_for t (trc : tr) pat pb =
       match t.doc with
       | Some doc ->
           check_deadline t pb;
-          Atomic.incr t.counters.a_fallbacks;
           Metrics.incr t.m.m_fallbacks;
           Ok (in_span trc "fallback" (fun _ -> Xam.Embed.eval doc pat), None)
       | None ->
@@ -1508,51 +1337,20 @@ let query_string_r ?budget t src =
   let trc = start_trace t "xquery" in
   close_xquery t trc (query_string_in ?budget t trc src)
 
-let query_ast t ast =
-  match query_ast_r t ast with
-  | Ok r -> r
-  | Error (Xerror.No_rewriting m) -> raise (No_rewriting m)
-  | Error e -> raise (Xerror.Error e)
-
-let query_string t src = query_ast t (Xquery.Parse.query src)
-
-(* Inter-query parallelism for the XQuery front door — the serving
-   layer's execution path. Same machinery as [query_batch]: a transient
-   pool, atomics for the counters, the mutex-guarded plan cache and
-   quarantine table; each item carries its own budget (admission control
-   computes the remaining deadline per request). *)
-let batch_over ?(domains = 1) t run items =
-  if domains <= 1 || List.length items <= 1 then List.map run items
-  else begin
-    (* Pre-build the base document's label index so no two domains race
-       to install it (same warm-up as [query_batch]). *)
-    (match t.doc with
-    | Some d -> ignore (Xdm.Doc.nodes_with_label d "#warm")
-    | None -> ());
-    let pool = Pool.create ~domains () in
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> Pool.map_list pool run items)
-  end
-
-let query_string_batch ?domains t items =
-  batch_over ?domains t (fun (src, b) -> query_string_r ?budget:b t src) items
-
-(* The serving layer's span-joined variant: an item carrying a caller
-   span context runs inside an "execute" child of that span, so the
-   engine's own parse/extract/pattern-i/execute spans hang off the
-   request's root trace. The caller owns the trace — the engine neither
-   finishes nor slowlog-records it here (that would double-record), and
+(* The serving layer's execution path. An item carrying a caller span
+   context runs inside an "execute" child of that span, so the engine's
+   own parse/extract/pattern-i/execute spans hang off the request's root
+   trace. The caller owns such a trace — the engine neither finishes nor
+   slowlog-records it here (that would double-record), and
    [xquery_trace] stays [None] on such items. A trace is only ever
-   touched by the one domain running its item, so this composes with the
-   pool exactly like the unspanned batch. *)
-let query_string_batch_traced ?domains t items =
-  let run (src, b, ctx) =
-    match (ctx : (Trace.t * Trace.span) option) with
-    | None -> query_string_r ?budget:b t src
-    | Some _ as trc ->
-        in_span trc "execute" (fun trc ->
-            let res = query_string_in ?budget:b t trc src in
+   touched by the one domain running its item. *)
+let query_string_batch ?domains t items =
+  let run (src, budget, span) =
+    match (span : tr) with
+    | None -> query_string_r ?budget t src
+    | Some _ ->
+        in_span span "execute" (fun trc ->
+            let res = query_string_in ?budget t trc src in
             (match res with
             | Error e ->
                 Metrics.incr t.m.m_errors;

@@ -15,6 +15,8 @@ type t =
 
 exception Error of t
 
+let get_exn = function Ok v -> v | Error e -> raise (Error e)
+
 let of_dimension = function
   | Xalgebra.Physical.Deadline -> Deadline
   | Xalgebra.Physical.Tuples -> Tuples

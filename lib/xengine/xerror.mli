@@ -7,9 +7,7 @@
     ({!Engine.query_r}, {!Engine.query_string_r}) never raise: whatever
     happens below them comes back as a value of this type.
 
-    The raising engine entry points remain thin wrappers: they raise the
-    historical {!Engine.No_rewriting} for that case and {!Error} carrying
-    the classified value for everything else. *)
+    A caller that wants an exception instead unwraps with {!get_exn}. *)
 
 type dimension = Deadline | Tuples | Steps
 
@@ -39,9 +37,12 @@ type t =
           gaps discovered during recovery *)
 
 exception Error of t
-(** Raised by the raising engine wrappers for every classified failure
-    except [No_rewriting] (which keeps its historical exception). A
-    printer is registered, so uncaught escapes remain readable. *)
+(** Raised by {!get_exn} and by the engine constructors that cannot
+    return a result. A printer is registered, so uncaught escapes remain
+    readable. *)
+
+val get_exn : ('a, t) result -> 'a
+(** The [Ok] value; raises {!Error} on [Error]. *)
 
 val of_dimension : Xalgebra.Physical.budget_dimension -> dimension
 val dimension_string : dimension -> string

@@ -114,14 +114,33 @@ let stored_parts (m : Store.module_) =
   | Some p when p.Store.pt_parts <> [] -> Some p
   | _ -> None
 
-let build ?doc ?(lsn = 0) (catalog : Store.catalog) =
+type image = {
+  doc : Doc.t option;
+  catalog : Store.catalog;
+  lsn : int;
+  declared : (string * Xam.Pattern.t) list;
+  dormant : (string * string) list;
+}
+
+let build { doc; catalog; lsn; declared; dormant } =
+  (* The dormant section places each dormant module at its position in
+     the declared list; the catalog holds the others in order. *)
+  let entries =
+    List.concat
+      (List.mapi
+         (fun i (name, xam) ->
+           match List.assoc_opt name dormant with
+           | Some reason -> [ (i, name, xam, reason) ]
+           | None -> [])
+         declared)
+  in
   let seen = Hashtbl.create 16 in
   List.iter
-    (fun (m : Store.module_) ->
-      if Hashtbl.mem seen m.Store.name then
-        corrupt "duplicate module name %S" m.Store.name
-      else Hashtbl.add seen m.Store.name ())
-    catalog.Store.modules;
+    (fun name ->
+      if Hashtbl.mem seen name then corrupt "duplicate module name %S" name
+      else Hashtbl.add seen name ())
+    (List.map (fun (m : Store.module_) -> m.Store.name) catalog.Store.modules
+    @ List.map (fun (_, name, _, _) -> name) entries);
   let sections =
     (section "meta" (fun b ->
          Binio.w_bool b (doc <> None);
@@ -140,7 +159,21 @@ let build ?doc ?(lsn = 0) (catalog : Store.catalog) =
              catalog.Store.modules)
     :: (match doc with
        | None -> []
-       | Some d -> [ section "doc" (fun b -> Codec.w_doc b d) ]))
+       | Some d -> [ section "doc" (fun b -> Codec.w_doc b d) ])
+    @ (* Written only when a module is dormant, so every other snapshot
+         keeps the bytes it had before the section existed. *)
+    (match entries with
+    | [] -> []
+    | _ ->
+        [ section "dormant" (fun b ->
+              Binio.w_int b (List.length entries);
+              List.iter
+                (fun (i, name, xam, reason) ->
+                  Binio.w_int b i;
+                  Binio.w_str b name;
+                  Codec.w_pattern b xam;
+                  Binio.w_str b reason)
+                entries) ]))
     @ List.concat_map
         (fun (m : Store.module_) ->
           match stored_parts m with
@@ -234,10 +267,10 @@ let fsync_dir path =
    each other's temp file — pid alone collides, the nonce does not. *)
 let tmp_nonce = Atomic.make 0
 
-let save ?doc ?lsn ?metrics path catalog =
+let write ?metrics path image =
   let m = meters metrics in
   guard (fun () ->
-      let bytes = build ?doc ?lsn catalog in
+      let bytes = build image in
       let tmp =
         Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
           (Atomic.fetch_and_add tmp_nonce 1)
@@ -256,6 +289,14 @@ let save ?doc ?lsn ?metrics path catalog =
       fsync_dir path;
       meter m (fun m -> Metrics.add m.mt_written (String.length bytes));
       String.length bytes)
+
+let save ?doc ?(lsn = 0) ?metrics path catalog =
+  let declared =
+    List.map
+      (fun (m : Store.module_) -> (m.Store.name, m.Store.xam))
+      catalog.Store.modules
+  in
+  write ?metrics path { doc; catalog; lsn; declared; dormant = [] }
 
 (* --- TOC parsing --------------------------------------------------------- *)
 
@@ -352,7 +393,48 @@ let decode_catalog_section r mcount =
   Binio.expect_end r;
   mods
 
-let load_with_lsn ?metrics path =
+(* The optional "dormant" section, turned back into the declared list
+   (the live modules [mods] with the dormant entries re-inserted at
+   their positions) and the dormant (name, reason) pairs. Positions must
+   ascend strictly within the declared list and names must differ from
+   the live modules'. *)
+let decode_dormant r mods =
+  let n = Binio.r_int r in
+  (* Every entry encodes at least 32 bytes (position, two string
+     lengths, a pattern header). *)
+  if n < 0 || n > Binio.remaining r / 32 then
+    corrupt "dormant count %d exceeds the section" n;
+  let last = ref (-1) in
+  let entries =
+    List.init n (fun _ ->
+        let i = Binio.r_int r in
+        if i <= !last || i >= List.length mods + n then
+          corrupt "dormant position %d out of order" i;
+        last := i;
+        let name = Binio.r_str r in
+        if List.mem_assoc name mods then
+          corrupt "dormant module %S is also live" name;
+        let xam = Codec.r_pattern r in
+        (i, name, xam, Binio.r_str r))
+  in
+  Binio.expect_end r;
+  (* Checked positions leave no gap: each entry is met exactly at its
+     own index. *)
+  let rec declare i live = function
+    | (j, name, xam, _) :: rest when j = i ->
+        (name, xam) :: declare (i + 1) live rest
+    | entries -> (
+        match live with l :: ls -> l :: declare (i + 1) ls entries | [] -> [])
+  in
+  ( declare 0 mods entries,
+    List.map (fun (_, name, _, reason) -> (name, reason)) entries )
+
+let declared_of entries rd mods =
+  match find_entry_opt entries "dormant" with
+  | None -> (mods, [])
+  | Some _ -> decode_dormant (rd "dormant") mods
+
+let read ?metrics path =
   let m = meters metrics in
   guard (fun () ->
       let data = read_file path in
@@ -381,6 +463,7 @@ let load_with_lsn ?metrics path =
         s
       in
       let mods = decode_catalog_section (rd "catalog") mcount in
+      let declared, dormant = declared_of entries rd mods in
       let doc =
         if has_doc then (
           let r = rd "doc" in
@@ -427,12 +510,10 @@ let load_with_lsn ?metrics path =
                   parts = Some { Store.pt_nid; pt_col; pt_parts } })
           mods
       in
-      (doc, { Store.summary; modules }, lsn))
+      { doc; catalog = { Store.summary; modules }; lsn; declared; dormant })
 
-let load ?metrics path =
-  match load_with_lsn ?metrics path with
-  | Ok (doc, catalog, _lsn) -> Ok (doc, catalog)
-  | Error _ as e -> e
+let load_with_lsn ?metrics path =
+  Result.map (fun i -> (i.doc, i.catalog, i.lsn)) (read ?metrics path)
 
 (* --- Paging reader ------------------------------------------------------- *)
 
@@ -451,6 +532,8 @@ module Reader = struct
     rd_summary : Xsummary.Summary.t;
     rd_mods : (string * Xam.Pattern.t * pdir option) list;
     rd_lsn : int;
+    rd_declared : (string * Xam.Pattern.t) list;
+    rd_dormant : (string * string) list;
     rd_cache : Xalgebra.Rel.t Lru.t;
     mutable rd_part_faults : (string * int * string) list;
     mutable rd_closed : bool;
@@ -533,6 +616,9 @@ module Reader = struct
             s
           in
           let mods = decode_catalog_section (verified_section fd m entries "catalog") mcount in
+          let declared, dormant =
+            declared_of entries (verified_section fd m entries) mods
+          in
           (* Partition directories are small and drive every subsequent
              page-in, so they are decoded (and CRC-verified) up front.
              Extent/partition payloads are only checked as they page in;
@@ -570,6 +656,8 @@ module Reader = struct
             rd_summary = summary;
             rd_mods = mods;
             rd_lsn = lsn;
+            rd_declared = declared;
+            rd_dormant = dormant;
             rd_cache =
               Lru.create ?metrics ~metric_prefix:"persist_extent_cache" cache_capacity;
             rd_part_faults = [];
@@ -589,6 +677,8 @@ module Reader = struct
   let path t = t.rd_path
   let doc t = t.rd_doc
   let lsn t = t.rd_lsn
+  let declared t = t.rd_declared
+  let dormant t = t.rd_dormant
 
   (* Page one rel-bearing section through the buffer cache, keyed and
      byte-costed by its section name/length. Caller holds [rd_lock].

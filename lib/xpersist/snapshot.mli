@@ -17,10 +17,13 @@
     payload           section bytes, one section per TOC entry
     v}
 
-    Sections are ["meta"], ["summary"], ["catalog"], optionally ["doc"],
-    and per storage module either one ["extent:<module>"] (monolithic)
-    or — for a path-partitioned module — a ["pdir:<module>"] partition
-    directory plus one ["part:<module>:<i>"] per partition. Every
+    Sections are ["meta"], ["summary"], ["catalog"], optionally ["doc"]
+    and ["dormant"] (each dormant module with its position in the
+    declared list, written only when a module is dormant — see
+    {!type:image}), and per storage module either one
+    ["extent:<module>"] (monolithic) or — for a path-partitioned module —
+    a ["pdir:<module>"] partition directory plus one
+    ["part:<module>:<i>"] per partition. Every
     section is independently checksummed, so the paging reader fetches
     and verifies {e partitions}, not whole extents.
 
@@ -42,6 +45,29 @@
       {!Xstorage.Store.Module_fault} the engine's quarantine machinery
       absorbs). It never crashes and never yields a partial catalog. *)
 
+type image = {
+  doc : Xdm.Doc.t option;
+  catalog : Xstorage.Store.catalog;
+  lsn : int;  (** the WAL position this state covers *)
+  declared : (string * Xam.Pattern.t) list;
+      (** every module the catalog was declared with, in order: the
+          catalog's modules plus the dormant ones *)
+  dormant : (string * string) list;
+      (** the declared modules maintenance dropped from the catalog
+          (name, reason) *)
+}
+(** Everything one snapshot file holds. *)
+
+val write :
+  ?metrics:Xobs.Metrics.registry -> string -> image -> (int, string) result
+(** Write the image crash-safely and return the bytes written; {!save}
+    is [write] with no dormant modules, and with none a file holds the
+    same bytes. *)
+
+val read : ?metrics:Xobs.Metrics.registry -> string -> (image, string) result
+(** Eager open: verify and decode every section, extents included. The
+    returned catalog is fully resident. *)
+
 val save :
   ?doc:Xdm.Doc.t ->
   ?lsn:int ->
@@ -56,18 +82,11 @@ val save :
     process cannot clobber each other's temp file (last rename wins).
     [metrics] feeds [persist_bytes_written_total]. *)
 
-val load :
-  ?metrics:Xobs.Metrics.registry ->
-  string ->
-  (Xdm.Doc.t option * Xstorage.Store.catalog, string) result
-(** Eager open: verify and decode every section, extents included. The
-    returned catalog is fully resident. *)
-
 val load_with_lsn :
   ?metrics:Xobs.Metrics.registry ->
   string ->
   (Xdm.Doc.t option * Xstorage.Store.catalog * int, string) result
-(** {!load} plus the WAL position stored at save time (0 for snapshots
+(** {!read}'s document, catalog and WAL position (0 for snapshots
     written before the write path existed). *)
 
 (** Paging open: the summary and catalog (names + xams) load eagerly —
@@ -103,6 +122,10 @@ module Reader : sig
 
   val lsn : t -> int
   (** WAL position stored at save time; see {!val:save}. *)
+
+  val declared : t -> (string * Xam.Pattern.t) list
+  val dormant : t -> (string * string) list
+  (** {!image}'s [declared] and [dormant]. *)
 
   val lazy_catalog : t -> Xstorage.Store.lazy_catalog
   (** Extent and partition thunks page through the reader. A thunk

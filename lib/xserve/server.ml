@@ -523,7 +523,7 @@ let maybe_checkpoint t tn engine =
               Fun.protect
                 ~finally:(fun () -> tn.tn_checkpointing <- false)
                 (fun () ->
-                  match Engine.checkpoint_background_r engine path with
+                  match Engine.checkpoint_r engine path with
                   | Ok _ -> Metrics.incr t.m_checkpoints
                   | Error e ->
                       Printf.eprintf
@@ -622,7 +622,7 @@ let run_batch t jobs =
         in
         let results =
           try
-            Engine.query_string_batch_traced ~domains:t.cfg.domains engine
+            Engine.query_string_batch ~domains:t.cfg.domains engine
               items
           with e ->
             List.map

@@ -32,7 +32,7 @@
     snapshot), created lazily on the tenant's first write otherwise.
     Engines injected with {!add_engine} keep whatever WAL (or none)
     they came with. When [checkpoint_every > 0], the dispatcher spawns
-    a {e background} checkpoint ({!Xengine.Engine.checkpoint_background_r})
+    a {e background} checkpoint thread ({!Xengine.Engine.checkpoint_r})
     once a tenant's replay debt ([lsn - snapshot_lsn]) reaches the
     threshold — at most one in flight per tenant, writes and reads keep
     flowing while it runs, and {!stop} joins any in-flight checkpoint
@@ -49,7 +49,7 @@
     [request_id], [tenant], and at close [outcome]/[status]) with
     explicit [queue_wait] and [dispatch] child spans stamped by the
     dispatcher and an [execute] span wrapping the engine's own span
-    tree ({!Xengine.Engine.query_string_batch_traced}); finished traces
+    tree ({!Xengine.Engine.query_string_batch}); finished traces
     land in the slowlog ring. When [access_log] is set, every answered
     request — admitted or refused — appends one JSON line
     ({!Accesslog.entry}) to a rotating log.

@@ -7,6 +7,7 @@ module Rel = Xalgebra.Rel
 module Ph = Xalgebra.Physical
 module Engine = Xengine.Engine
 module Explain = Xengine.Explain
+module Xerror = Xengine.Xerror
 
 let doc = Xworkload.Gen_bib.generate_doc ~seed:5 ~books:20 ~theses:8 ()
 
@@ -30,7 +31,7 @@ let contains hay needle =
 
 let test_end_to_end () =
   let e = fresh () in
-  let r = Engine.query e query in
+  let r = Xerror.get_exn (Engine.query_r e query) in
   let direct = Xam.Embed.eval doc query in
   Alcotest.(check int) "engine result matches direct embedding"
     (Rel.cardinality direct)
@@ -42,10 +43,10 @@ let test_end_to_end () =
 
 let test_cache_hit () =
   let e = fresh () in
-  let r1 = Engine.query e query in
+  let r1 = Xerror.get_exn (Engine.query_r e query) in
   Alcotest.(check int) "one rewrite after the first query" 1
     (Engine.counters e).Engine.rewrites;
-  let r2 = Engine.query e query in
+  let r2 = Xerror.get_exn (Engine.query_r e query) in
   (* [counters] is a snapshot — re-fetch after the second query. *)
   let c = Engine.counters e in
   Alcotest.(check bool) "second query hits the cache" true
@@ -58,10 +59,10 @@ let test_cache_hit () =
 
 let test_cache_invalidation () =
   let e = fresh () in
-  ignore (Engine.query e query);
+  ignore (Xerror.get_exn (Engine.query_r e query));
   (* Any catalog swap bumps the generation; the old entry is unreachable. *)
-  Engine.set_catalog e (Engine.catalog e);
-  let r = Engine.query e query in
+  Xerror.get_exn (Engine.set_catalog_r e (Engine.catalog e));
+  let r = Xerror.get_exn (Engine.query_r e query) in
   Alcotest.(check bool) "catalog swap invalidates the cache" false
     r.Engine.explain.Explain.cache_hit;
   Alcotest.(check int) "rewrite ran again" 2 (Engine.counters e).Engine.rewrites
@@ -69,15 +70,16 @@ let test_cache_invalidation () =
 let test_negative_caching () =
   let e = Engine.of_doc doc [] in
   Alcotest.(check bool) "no views, no rewriting" true
-    (Engine.query_opt e query = None);
-  Alcotest.(check bool) "still none" true (Engine.query_opt e query = None);
+    (Result.is_error (Engine.query_r e query));
+  Alcotest.(check bool) "still none" true
+    (Result.is_error (Engine.query_r e query));
   let c = Engine.counters e in
   Alcotest.(check int) "the negative outcome was cached" 1 c.Engine.rewrites;
   Alcotest.(check int) "second probe was a hit" 1 c.Engine.hits
 
 let test_explain_output () =
   let e = fresh () in
-  let r = Engine.query e query in
+  let r = Xerror.get_exn (Engine.query_r e query) in
   let s = Explain.to_string r.Engine.explain in
   List.iter
     (fun needle ->
@@ -97,10 +99,10 @@ let test_explain_from_cache () =
      JSON round-trip — it used to be absent, so a recalled plan was
      indistinguishable from a fresh one in exported EXPLAINs. *)
   let e = fresh () in
-  let r1 = Engine.query e query in
+  let r1 = Xerror.get_exn (Engine.query_r e query) in
   Alcotest.(check bool) "fresh plan is not from cache" false
     r1.Engine.explain.Explain.from_cache;
-  let r2 = Engine.query e query in
+  let r2 = Xerror.get_exn (Engine.query_r e query) in
   Alcotest.(check bool) "recalled plan is from cache" true
     r2.Engine.explain.Explain.from_cache;
   let roundtrip (x : Explain.t) =
@@ -138,7 +140,6 @@ let test_explain_from_cache () =
 
 (* --- Robustness: typed errors, budgets, quarantine ----------------------- *)
 
-module Xerror = Xengine.Xerror
 module Store = Xstorage.Store
 module Faultstore = Xstorage.Faultstore
 
@@ -156,10 +157,10 @@ let test_query_r_classification () =
   | Error (Xerror.Parse_error _) -> ()
   | Error err -> Alcotest.failf "wrong class: %s" (Xerror.to_string err)
   | Ok _ -> Alcotest.fail "expected a parse error");
-  (* The raising wrapper still raises the historical exception. *)
+  (* [Xerror.get_exn] raises the classified failure as [Xerror.Error]. *)
   let e = Engine.of_doc doc [] in
-  (match Engine.query e query with
-  | exception Engine.No_rewriting _ -> ()
+  (match Xerror.get_exn (Engine.query_r e query) with
+  | exception Xerror.Error (Xerror.No_rewriting _) -> ()
   | exception ex -> Alcotest.failf "wrong exception: %s" (Printexc.to_string ex)
   | _ -> Alcotest.fail "expected No_rewriting")
 
@@ -184,9 +185,9 @@ let test_budget_tuples_steps () =
         (Rel.cardinality (Xam.Embed.eval doc query))
         (Rel.cardinality r.Engine.rel)
   | Error err -> Alcotest.failf "unexpected: %s" (Xerror.to_string err));
-  (* query_opt maps any classified failure to None. *)
-  Alcotest.(check bool) "query_opt still answers" true
-    (Engine.query_opt e query <> None)
+  (* The budget stops left the engine answering. *)
+  Alcotest.(check bool) "query_r still answers" true
+    (Result.is_ok (Engine.query_r e query))
 
 let test_budget_deadline () =
   let e = fresh () in
@@ -219,7 +220,7 @@ let test_catalog_validation () =
   | Ok () -> Alcotest.fail "expected rejection");
   (* The engine kept its previous catalog and still answers. *)
   Alcotest.(check bool) "engine still answers after rejected swap" true
-    (Engine.query_opt e query <> None)
+    (Result.is_ok (Engine.query_r e query))
 
 let test_quarantine_and_degraded () =
   let fs = Faultstore.create ~broken:[ "V1" ] () in
@@ -247,14 +248,15 @@ let test_quarantine_and_degraded () =
     c.Engine.faults;
   (* A catalog swap clears the quarantine; with a healthy wrap the
      engine rewrites normally again. *)
-  Engine.set_catalog e (Store.catalog_of doc [ ("V1", v1); ("V2", v2) ]);
+  Xerror.get_exn
+    (Engine.set_catalog_r e (Store.catalog_of doc [ ("V1", v1); ("V2", v2) ]));
   Alcotest.(check (list string)) "swap clears quarantine" []
     (List.map fst (Engine.quarantined e))
 
 let test_xquery_front_door () =
   let e = fresh () in
   let src = {|for $b in doc("bib")//book return <t>{$b/title/text()}</t>|} in
-  let r = Engine.query_string e src in
+  let r = Xerror.get_exn (Engine.query_string_r e src) in
   let direct = Xquery.Translate.eval_string doc src in
   Alcotest.(check string) "front door matches direct evaluation" direct
     r.Engine.output;

@@ -256,8 +256,8 @@ let test_trace_covers_pipeline () =
 
 let test_cache_hit_timings () =
   let e = Engine.of_doc ~max_views:4 doc specs in
-  let cold = Engine.query e book_title_query in
-  let warm = Engine.query e book_title_query in
+  let cold = Xerror.get_exn (Engine.query_r e book_title_query) in
+  let warm = Xerror.get_exn (Engine.query_r e book_title_query) in
   let cx = cold.Engine.explain and wx = warm.Engine.explain in
   Alcotest.(check bool) "cold misses" false cx.Explain.cache_hit;
   Alcotest.(check bool) "warm hits" true wx.Explain.cache_hit;
@@ -269,8 +269,8 @@ let test_cache_hit_timings () =
 
 let test_explain_json_roundtrip () =
   let e = Engine.of_doc ~max_views:4 doc specs in
-  let cold = Engine.query e book_title_query in
-  let warm = Engine.query e book_title_query in
+  let cold = Xerror.get_exn (Engine.query_r e book_title_query) in
+  let warm = Xerror.get_exn (Engine.query_r e book_title_query) in
   List.iter
     (fun (what, (r : Engine.result)) ->
       let ex = r.Engine.explain in

@@ -92,7 +92,7 @@ let identical_answers ~seed ~domains =
     let e = Engine.create ?pool ~doc cat in
     List.map
       (fun p ->
-        match Engine.query_opt e p with
+        match Result.to_option (Engine.query_r e p) with
         | Some r -> Some (r.Engine.rel, r.Engine.explain)
         | None -> None)
       pats
@@ -130,7 +130,7 @@ let test_pruning_surfaces_in_explain () =
   let scanned = ref 0 and pruned = ref 0 in
   List.iter
     (fun p ->
-      match Engine.query_opt e p with
+      match Result.to_option (Engine.query_r e p) with
       | None -> ()
       | Some r ->
           let ex = r.Engine.explain in
@@ -281,9 +281,9 @@ let test_v1_snapshot_loads () =
       Alcotest.(check int) "writer emits version 2" 2 (get_int data 8);
       Bytes.set b 8 '\001';
       write_file path (Bytes.to_string b);
-      (match Snapshot.load path with
+      (match Snapshot.load_with_lsn path with
       | Error e -> Alcotest.failf "v1 load failed: %s" e
-      | Ok (_, cat) ->
+      | Ok (_, cat, _) ->
           Alcotest.(check bool) "v1 eager load round-trips" true
             (List.for_all2
                (fun (a : Store.module_) (b : Store.module_) ->

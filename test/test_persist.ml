@@ -185,9 +185,9 @@ let test_save_load_eager () =
   let doc = bib () in
   let cat = bib_catalog doc in
   with_snapshot ~doc cat (fun path ->
-      match Snapshot.load path with
+      match Snapshot.load_with_lsn path with
       | Error e -> Alcotest.failf "load failed: %s" e
-      | Ok (d, cat') ->
+      | Ok (d, cat', _) ->
           Alcotest.(check bool) "document survives" true
             (match d with Some d -> doc_equal d doc | None -> false);
           Alcotest.(check bool) "catalog is lossless" true (catalog_equal cat cat'))
@@ -196,9 +196,9 @@ let test_save_load_no_doc () =
   let doc = bib () in
   let cat = bib_catalog doc in
   with_snapshot cat (fun path ->
-      match Snapshot.load path with
+      match Snapshot.load_with_lsn path with
       | Error e -> Alcotest.failf "load failed: %s" e
-      | Ok (d, cat') ->
+      | Ok (d, cat', _) ->
           Alcotest.(check bool) "no document section" true (d = None);
           Alcotest.(check bool) "catalog is lossless" true (catalog_equal cat cat'))
 
@@ -271,7 +271,7 @@ let test_save_concurrent_same_path () =
         (match (a, b) with
         | Ok _, Ok _ -> ()
         | Error e, _ | _, Error e -> Alcotest.failf "racing save failed: %s" e);
-        match Snapshot.load path with
+        match Snapshot.load_with_lsn path with
         | Ok _ -> ()
         | Error e -> Alcotest.failf "snapshot after racing saves: %s" e
       done)
@@ -318,9 +318,9 @@ let test_reader_closed () =
    but we assert rather than assume — the result is byte-for-byte the
    original catalog. No partial catalogs, ever. *)
 let load_is_fail_closed original path =
-  match Snapshot.load path with
+  match Snapshot.load_with_lsn path with
   | Error _ -> true
-  | Ok (_, cat) -> catalog_equal original cat
+  | Ok (_, cat, _) -> catalog_equal original cat
   | exception e ->
       Alcotest.failf "load raised %s on corrupt input" (Printexc.to_string e)
 
@@ -357,7 +357,7 @@ let test_truncation () =
               Alcotest.(check bool)
                 (Printf.sprintf "truncation to %d bytes rejected" keep)
                 true
-                (match Snapshot.load p with
+                (match Snapshot.load_with_lsn p with
                 | Error _ -> true
                 | Ok _ -> false
                 | exception e ->
@@ -404,7 +404,7 @@ let test_foreign_files () =
       ~finally:(fun () -> Sys.remove p)
       (fun () ->
         Alcotest.(check bool) (name ^ " rejected by load") true
-          (match Snapshot.load p with Error _ -> true | Ok _ -> false);
+          (match Snapshot.load_with_lsn p with Error _ -> true | Ok _ -> false);
         Alcotest.(check bool) (name ^ " rejected by reader") true
           (match Snapshot.Reader.open_ p with
           | Error _ -> true
@@ -424,7 +424,7 @@ let test_foreign_files () =
 
 let test_missing_file () =
   Alcotest.(check bool) "missing file is an error, not an exception" true
-    (match Snapshot.load "/nonexistent/dir/nothing.snap" with
+    (match Snapshot.load_with_lsn "/nonexistent/dir/nothing.snap" with
     | Error _ -> true
     | Ok _ -> false);
   match Engine.of_snapshot_r "/nonexistent/dir/nothing.snap" with
@@ -478,7 +478,8 @@ let test_lazy_corrupt_extent_quarantined () =
               | Ok e -> (
                   let healthy = Engine.of_doc doc (Models.path_partitioned (S.of_doc doc)) in
                   match
-                    (Engine.query_opt healthy corrupt_xam, Engine.query_opt e corrupt_xam)
+                    ( Result.to_option (Engine.query_r healthy corrupt_xam),
+                      Result.to_option (Engine.query_r e corrupt_xam) )
                   with
                   | Some want, Some got ->
                       Alcotest.(check bool)
@@ -510,6 +511,29 @@ let put_int b off v =
       (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL)))
   done
 
+(* [data] with section [name]'s payload replaced by [f payload] (same
+   length), its CRC and the TOC CRC fixed up: a CRC-valid forgery. *)
+let forge_section data name f =
+  let toc_start = 32 in
+  let toc_len = get_int data 16 in
+  (* TOC: entry count, then per entry name length, name, off, len, crc. *)
+  let rec find k pos =
+    if k = get_int data toc_start then Alcotest.failf "no %s section" name
+    else
+      let name_len = get_int data pos in
+      let fields = pos + 8 + name_len in
+      if String.sub data (pos + 8) name_len = name then fields
+      else find (k + 1) (fields + 24)
+  in
+  let fields = find 0 (toc_start + 8) in
+  let off = get_int data fields and len = get_int data (fields + 8) in
+  let section = f (String.sub data off len) in
+  let b = Bytes.of_string data in
+  Bytes.blit_string section 0 b off len;
+  put_int b (fields + 16) (Binio.crc32 section);
+  put_int b 24 (Binio.crc32 ~pos:toc_start ~len:toc_len (Bytes.to_string b));
+  Bytes.to_string b
+
 let test_hostile_toc_geometry () =
   let doc = bib () in
   let cat = bib_catalog doc in
@@ -535,7 +559,7 @@ let test_hostile_toc_geometry () =
           ~finally:(fun () -> Sys.remove p)
           (fun () ->
             Alcotest.(check bool) (what ^ " rejected by load") true
-              (match Snapshot.load p with
+              (match Snapshot.load_with_lsn p with
               | Error _ -> true
               | Ok _ -> false
               | exception e ->
@@ -623,37 +647,22 @@ let test_hostile_doc_section () =
     Binio.contents w
   in
   with_snapshot ~doc cat (fun path ->
-      let data = read_file path in
-      let toc_start = 32 in
-      let toc_len = get_int data 16 in
-      (* TOC: entry count, then per entry name length, name, off, len, crc. *)
-      let rec find k pos =
-        if k = get_int data toc_start then Alcotest.fail "no doc section"
-        else
-          let name_len = get_int data pos in
-          let fields = pos + 8 + name_len in
-          if String.sub data (pos + 8) name_len = "doc" then fields
-          else find (k + 1) (fields + 24)
+      let forged =
+        forge_section (read_file path) "doc" (fun section ->
+            let packed = Doc.pack doc in
+            Alcotest.(check string) "re-encoding matches the codec" section
+              (encode packed);
+            (* handles: a = 0, b = 1, c = 2, d = 3; give d the post of c *)
+            packed.(3) <- { (packed.(3)) with Doc.p_post = 1 };
+            encode packed)
       in
-      let fields = find 0 (toc_start + 8) in
-      let off = get_int data fields and len = get_int data (fields + 8) in
-      let packed = Doc.pack doc in
-      Alcotest.(check string) "re-encoding matches the codec" (String.sub data off len)
-        (encode packed);
-      (* handles: a = 0, b = 1, c = 2, d = 3; give d the post of c *)
-      packed.(3) <- { (packed.(3)) with Doc.p_post = 1 };
-      let section = encode packed in
-      let b = Bytes.of_string data in
-      Bytes.blit_string section 0 b off len;
-      put_int b (fields + 16) (Binio.crc32 section);
-      put_int b 24 (Binio.crc32 ~pos:toc_start ~len:toc_len (Bytes.to_string b));
       let p = tmp_path "hostile_doc" in
-      write_file p (Bytes.to_string b);
+      write_file p forged;
       Fun.protect
         ~finally:(fun () -> Sys.remove p)
         (fun () ->
           Alcotest.(check bool) "rejected by load" true
-            (match Snapshot.load p with Error _ -> true | Ok _ -> false);
+            (match Snapshot.load_with_lsn p with Error _ -> true | Ok _ -> false);
           Alcotest.(check bool) "rejected by the paging reader" true
             (match Snapshot.Reader.open_ p with
             | Error _ -> true
@@ -665,6 +674,75 @@ let test_hostile_doc_section () =
           | Error e -> Alcotest.failf "wrong error class: %s" (Xerror.to_string e)
           | Ok _ -> Alcotest.fail "opened a snapshot with an inconsistent document"))
 
+(* The optional dormant section: absent when there is nothing dormant
+   (so [write] with none is byte-identical to [save]), read back exactly
+   by both open paths, and positions that cannot describe a declared
+   list fail closed. *)
+let test_dormant_section () =
+  let doc = bib () in
+  let cat = bib_catalog doc in
+  let xam = (List.hd cat.Store.modules).Store.xam in
+  let path = tmp_path "dormant" and plain = tmp_path "plain" in
+  let live =
+    List.map (fun (m : Store.module_) -> (m.Store.name, m.Store.xam)) cat.Store.modules
+  in
+  let write declared dormant =
+    Snapshot.write path
+      { Snapshot.doc = Some doc; catalog = cat; lsn = 7; declared; dormant }
+  in
+  let declared =
+    (("gone:first", xam) :: List.filteri (fun i _ -> i < 2) live)
+    @ (("gone:later", xam) :: List.filteri (fun i _ -> i >= 2) live)
+  in
+  let dormant = [ ("gone:first", "path vanished"); ("gone:later", "r") ] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ path; plain ])
+    (fun () ->
+      ignore (write live []);
+      ignore (Snapshot.save ~doc ~lsn:7 plain cat);
+      Alcotest.(check bool) "no dormant modules: the bytes save writes" true
+        (read_file path = read_file plain);
+      ignore (write declared dormant);
+      (match Snapshot.read path with
+      | Ok img ->
+          Alcotest.(check bool) "eager read: declared list" true
+            (img.Snapshot.declared = declared);
+          Alcotest.(check bool) "eager read: dormant" true
+            (img.Snapshot.dormant = dormant)
+      | Error e -> Alcotest.failf "read failed: %s" e);
+      (match Snapshot.Reader.open_ path with
+      | Error e -> Alcotest.failf "reader open failed: %s" e
+      | Ok r ->
+          Fun.protect
+            ~finally:(fun () -> Snapshot.Reader.close r)
+            (fun () ->
+              Alcotest.(check bool) "paging reader: declared list" true
+                (Snapshot.Reader.declared r = declared);
+              Alcotest.(check bool) "paging reader: dormant" true
+                (Snapshot.Reader.dormant r = dormant)));
+      let fails_closed what =
+        Alcotest.(check bool) (what ^ ": eager read fails closed") true
+          (Result.is_error (Snapshot.read path));
+        Alcotest.(check bool) (what ^ ": paging reader fails closed") true
+          (Result.is_error (Snapshot.Reader.open_ path))
+      in
+      (* the second entry's position (3) forged onto the first: positions
+         no longer ascend *)
+      write_file path
+        (forge_section (read_file path) "dormant" (fun section ->
+             let b = Bytes.of_string section in
+             put_int b 8 3;
+             Bytes.to_string b));
+      fails_closed "repeated position";
+      (* a declared list the catalog does not fit: a dormant module past
+         the end *)
+      ignore (write (live @ [ ("x", xam); ("gone", xam) ]) [ ("gone", "r") ]);
+      fails_closed "position past the declared list";
+      Alcotest.(check bool) "a dormant name shadowing a live module is refused"
+        true
+        (Result.is_error (write live [ (fst (List.hd live), "r") ])))
+
 (* --- Engine entry points ------------------------------------------------- *)
 
 let specs_of doc =
@@ -675,15 +753,18 @@ let test_engine_roundtrip () =
   let doc = bib () in
   let base = Engine.of_doc doc (specs_of doc) in
   let path = tmp_path "engine" in
-  let bytes = Engine.save_snapshot base path in
+  let bytes = Xerror.get_exn (Engine.save_snapshot_r base path) in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Alcotest.(check bool) "snapshot has substance" true (bytes > 64);
-      let eager = Engine.of_snapshot path in
+      let eager = Xerror.get_exn (Engine.of_snapshot_r path) in
       (* A deliberately tight byte budget: partitions thrash in and out,
          which must stay correctness-neutral. *)
-      let lazy_ = Engine.of_snapshot ~lazy_extents:true ~extent_cache:256 path in
+      let lazy_ =
+        Xerror.get_exn
+          (Engine.of_snapshot_r ~lazy_extents:true ~extent_cache:256 path)
+      in
       let s = S.of_doc doc in
       let patterns =
         Xworkload.Pattern_gen.generate_many ~seed:17 s
@@ -703,10 +784,11 @@ let test_engine_roundtrip () =
       in
       List.iter
         (fun pat ->
-          let r0 = Engine.query_opt base pat in
+          let answer e = Result.to_option (Engine.query_r e pat) in
+          let r0 = answer base in
           if r0 <> None then incr answered;
-          agree "eager snapshot answers match" r0 (Engine.query_opt eager pat);
-          agree "lazy snapshot answers match" r0 (Engine.query_opt lazy_ pat))
+          agree "eager snapshot answers match" r0 (answer eager);
+          agree "lazy snapshot answers match" r0 (answer lazy_))
         patterns;
       Alcotest.(check bool) "some patterns were answerable" true (!answered > 0))
 
@@ -718,17 +800,17 @@ let test_engine_hot_swap () =
       [ P.v "book" ~node:(P.mk_node ~id:Xdm.Nid.Structural "book")
           [ P.v ~axis:P.Child "title" ~node:(P.mk_node ~value:true "title") [] ] ]
   in
-  let expected = (Engine.query base pat).Engine.rel in
+  let expected = (Xerror.get_exn (Engine.query_r base pat)).Engine.rel in
   let path = tmp_path "swap" in
-  ignore (Engine.save_snapshot base path);
+  ignore (Xerror.get_exn (Engine.save_snapshot_r base path));
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       (* A fresh engine over just the document, then hot-swap the snapshot
          catalog in. *)
       let e = Engine.of_doc doc [] in
-      Engine.load_snapshot e path;
-      let r = Engine.query e pat in
+      Xerror.get_exn (Engine.load_snapshot_r e path);
+      let r = Xerror.get_exn (Engine.query_r e pat) in
       Alcotest.(check bool) "swapped-in catalog answers" true
         (Rel.equal_unordered expected r.Engine.rel);
       (* A failing load must leave the running catalog untouched. *)
@@ -741,7 +823,7 @@ let test_engine_hot_swap () =
           | Error (Xerror.Snapshot_error _) -> ()
           | Error err -> Alcotest.failf "wrong error: %s" (Xerror.to_string err)
           | Ok () -> Alcotest.fail "loaded garbage");
-          let r' = Engine.query e pat in
+          let r' = Xerror.get_exn (Engine.query_r e pat) in
           Alcotest.(check bool) "catalog survived the failed load" true
             (Rel.equal_unordered expected r'.Engine.rel)))
 
@@ -779,7 +861,7 @@ let test_spliced_snapshot_bytes () =
     ~finally:(fun () ->
       List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ spliced_path; rebuilt_path ])
     (fun () ->
-      ignore (Engine.save_snapshot e spliced_path);
+      ignore (Xerror.get_exn (Engine.save_snapshot_r e spliced_path));
       (match Snapshot.save ~doc:rebuilt ~lsn:(Engine.lsn e) rebuilt_path (Engine.catalog e) with
       | Ok _ -> ()
       | Error msg -> Alcotest.failf "save failed: %s" msg);
@@ -795,17 +877,17 @@ let test_lazy_engine_save () =
   let cat = bib_catalog doc in
   with_snapshot ~doc cat (fun path ->
       let lazy_ =
-        Engine.of_snapshot ~lazy_extents:true ~extent_cache:4096 path
+        Xerror.get_exn (Engine.of_snapshot_r ~lazy_extents:true ~extent_cache:4096 path)
       in
       let resaved = tmp_path "lazysave" in
-      let bytes = Engine.save_snapshot lazy_ resaved in
+      let bytes = Xerror.get_exn (Engine.save_snapshot_r lazy_ resaved) in
       Fun.protect
         ~finally:(fun () -> Sys.remove resaved)
         (fun () ->
           Alcotest.(check bool) "resaved snapshot has substance" true (bytes > 64);
-          match Snapshot.load resaved with
+          match Snapshot.load_with_lsn resaved with
           | Error e -> Alcotest.failf "reopening the lazy save failed: %s" e
-          | Ok (d, cat') ->
+          | Ok (d, cat', _) ->
               Alcotest.(check bool) "document survives a lazy save" true
                 (match d with Some d -> doc_equal d doc | None -> false);
               Alcotest.(check bool) "lazy save keeps the real extents" true
@@ -824,24 +906,24 @@ let test_lazy_engine_add_module () =
           [ P.v ~axis:P.Child "title" ~node:(P.mk_node ~value:true "title") [] ] ]
   in
   let base = Engine.of_doc doc (specs_of doc) in
-  let expected = (Engine.query base pat).Engine.rel in
+  let expected = (Xerror.get_exn (Engine.query_r base pat)).Engine.rel in
   Alcotest.(check bool) "the workload answer is non-empty" true
     (Rel.cardinality expected > 0);
   with_snapshot ~doc cat (fun path ->
-      let e = Engine.of_snapshot ~lazy_extents:true path in
+      let e = Xerror.get_exn (Engine.of_snapshot_r ~lazy_extents:true path) in
       Engine.add_module e (Store.materialize doc "extra_book_title" pat);
-      let r = Engine.query e pat in
+      let r = Xerror.get_exn (Engine.query_r e pat) in
       Alcotest.(check bool) "queries scan real extents after the swap" true
         (Rel.equal_unordered expected r.Engine.rel);
       (* And a save after the swap still carries every original extent. *)
       let resaved = tmp_path "swapsave" in
-      ignore (Engine.save_snapshot e resaved);
+      ignore (Xerror.get_exn (Engine.save_snapshot_r e resaved));
       Fun.protect
         ~finally:(fun () -> Sys.remove resaved)
         (fun () ->
-          match Snapshot.load resaved with
+          match Snapshot.load_with_lsn resaved with
           | Error err -> Alcotest.failf "reopen failed: %s" err
-          | Ok (_, cat') ->
+          | Ok (_, cat', _) ->
               Alcotest.(check int) "all modules present plus the new one"
                 (List.length cat.Store.modules + 1)
                 (List.length cat'.Store.modules);
@@ -917,6 +999,8 @@ let () =
             test_save_atomic;
           Alcotest.test_case "lsn round-trips through the meta section" `Quick
             test_lsn_roundtrip;
+          Alcotest.test_case "dormant modules round-trip" `Quick
+            test_dormant_section;
           Alcotest.test_case "concurrent saves to one path" `Quick
             test_save_concurrent_same_path;
           Alcotest.test_case "paging reader is lossless" `Quick test_reader_lazy;

@@ -229,7 +229,7 @@ let test_hot_swap () =
         (Printf.sprintf "xam_serve_swap_%d_%s.snap" (Unix.getpid ()) tag)
     in
     let e = Engine.of_doc d (Models.path_partitioned (S.of_doc d)) in
-    ignore (Engine.save_snapshot e path);
+    ignore (Xengine.Xerror.get_exn (Engine.save_snapshot_r e path));
     path
   in
   let doc2 = Xworkload.Gen_bib.generate_doc ~seed:52 ~books:7 ~theses:2 () in
@@ -260,7 +260,7 @@ let test_hot_swap () =
           Alcotest.(check int) "post-swap 200" 200 after.Client.status;
           let expect =
             local_output
-              (Engine.of_snapshot snap2)
+              (Xengine.Xerror.get_exn (Engine.of_snapshot_r snap2))
               q_titles
           in
           Alcotest.(check (option string))
@@ -596,7 +596,7 @@ let test_apply_round_trip () =
   with_scratch @@ fun dir ->
   let snap = Filename.concat dir "t.snap" in
   let e0 = Engine.of_doc doc specs in
-  ignore (Engine.save_snapshot e0 snap);
+  ignore (Xengine.Xerror.get_exn (Engine.save_snapshot_r e0 snap));
   let root = Xdm.Doc.root doc in
   let ins i =
     Engine.Insert_subtree
@@ -645,7 +645,9 @@ let test_apply_round_trip () =
       (* Served answers now reflect every applied write. *)
       let expect =
         let e = Engine.of_doc doc specs in
-        List.iter (fun i -> ignore (Engine.apply e (ins i))) [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12; 13 ];
+        List.iter
+          (fun i -> ignore (Xengine.Xerror.get_exn (Engine.apply_r e (ins i))))
+          [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12; 13 ];
         local_output e q_titles
       in
       let reply = query_ok c ~tenant:"t" q_titles in

@@ -159,12 +159,12 @@ let test_replay_equality () =
           | Ok _ -> ()
           | Error e -> Alcotest.failf "save: %s" (Xerror.to_string e));
           Alcotest.(check int) "attach on fresh dir replays nothing" 0
-            (Engine.attach_wal writer wal);
+            (Xerror.get_exn (Engine.attach_wal_r writer wal));
           churn writer ~seed:5 12;
           Engine.detach_wal writer;
-          let recovered = Engine.of_snapshot snap in
+          let recovered = Xerror.get_exn (Engine.of_snapshot_r snap) in
           Alcotest.(check int) "all records replay" 12
-            (Engine.attach_wal recovered wal);
+            (Xerror.get_exn (Engine.attach_wal_r recovered wal));
           Alcotest.(check int) "lsn restored" 12 (Engine.lsn recovered);
           Alcotest.(check string) "byte-identical state"
             (snapshot_bytes writer) (snapshot_bytes recovered)))
@@ -176,67 +176,103 @@ let test_replay_idempotent () =
       with_scratch "mid" (fun mid ->
           with_scratch "wal" (fun wal ->
               let writer = engine_of (bib ()) in
-              ignore (Engine.save_snapshot writer snap);
-              ignore (Engine.attach_wal writer wal);
+              ignore (Xerror.get_exn (Engine.save_snapshot_r writer snap));
+              ignore (Xerror.get_exn (Engine.attach_wal_r writer wal));
               churn writer ~seed:6 7;
-              ignore (Engine.save_snapshot writer mid);
+              ignore (Xerror.get_exn (Engine.save_snapshot_r writer mid));
               for i = 8 to 11 do
                 let doc = Option.get (Engine.document writer) in
                 ignore (apply_ok writer (gen_op doc ~seed:6 i))
               done;
               Engine.detach_wal writer;
-              let recovered = Engine.of_snapshot mid in
+              let recovered = Xerror.get_exn (Engine.of_snapshot_r mid) in
               Alcotest.(check int) "snapshot lsn carried" 7 (Engine.lsn recovered);
               Alcotest.(check int) "only the suffix replays" 4
-                (Engine.attach_wal recovered wal);
+                (Xerror.get_exn (Engine.attach_wal_r recovered wal));
               Alcotest.(check string) "byte-identical state"
                 (snapshot_bytes writer) (snapshot_bytes recovered))))
 
 (* --- crash injection ---------------------------------------------------- *)
 
-(* Kill the writer at the [kill]-th mutating filesystem operation and
-   recover. The WAL may hold at most one record the engine never
-   acknowledged (a crash between fsync and install); after replay the
-   recovered engine must be byte-identical to a never-crashed engine
-   that applied exactly the replayed prefix. *)
-let run_crash_point ~seed ~kill =
+(* The engine's mutation on a bare document: lets a batch generate op
+   [k+1] against the document after op [k] before any of it applies. *)
+let doc_apply doc = function
+  | Engine.Insert_subtree { parent; before; xml } ->
+      Doc.insert_subtree doc ~parent ?before (T.parse xml)
+  | Engine.Delete_subtree { node } -> Doc.delete_subtree doc node
+  | Engine.Update_value { node; value } -> Doc.update_value doc node value
+
+(* Kill the writer at the [kill]-th mutating filesystem operation while
+   it applies the [gen_op] stream in batches of [sizes], and recover.
+   The WAL may hold at most the one batch the engine never acknowledged
+   (a crash between fsync and install, or a prefix of it when the write
+   tore); replay goes record by record, so the recovered engine must be
+   byte-identical to a never-crashed engine that applied exactly the
+   replayed prefix one op at a time — and, when no crash hit, so must
+   the batched engine itself. *)
+let run_crash_point ~seed ~kill ~sizes =
   with_scratch "snap" (fun snap ->
       with_scratch "wal" (fun wal ->
           let base = engine_of (bib ()) in
-          ignore (Engine.save_snapshot base snap);
+          ignore (Xerror.get_exn (Engine.save_snapshot_r base snap));
           let harness = Fsio.Crash.create ~seed ~crash_after:kill () in
-          let crashing = Engine.of_snapshot snap in
-          let applied = ref 0 in
+          let crashing = Xerror.get_exn (Engine.of_snapshot_r snap) in
+          let applied = ref 0 and in_flight = ref 0 and crashed = ref false in
           (try
-             ignore (Engine.attach_wal ~fs:(Fsio.Crash.ops harness) crashing wal);
-             for i = 1 to 20 do
-               let doc = Option.get (Engine.document crashing) in
-               match Engine.apply_r crashing (gen_op doc ~seed i) with
-               | Ok _ -> incr applied
-               | Error e -> Alcotest.failf "apply: %s" (Xerror.to_string e)
-             done
-           with Fsio.Crashed _ -> ());
-          let recovered = Engine.of_snapshot snap in
-          let replayed = Engine.attach_wal recovered wal in
+             ignore
+               (Xerror.get_exn
+                  (Engine.attach_wal_r ~fs:(Fsio.Crash.ops harness) crashing wal));
+             let doc = ref (Option.get (Engine.document crashing)) and i = ref 0 in
+             List.iter
+               (fun n ->
+                 let ops =
+                   List.init n (fun _ ->
+                       incr i;
+                       let op = gen_op !doc ~seed !i in
+                       doc := doc_apply !doc op;
+                       op)
+                 in
+                 in_flight := n;
+                 match Engine.apply_batch_r crashing ops with
+                 | Ok _ ->
+                     applied := !applied + n;
+                     in_flight := 0
+                 | Error e -> Alcotest.failf "apply_batch: %s" (Xerror.to_string e))
+               sizes
+           with Fsio.Crashed _ -> crashed := true);
+          let recovered = Xerror.get_exn (Engine.of_snapshot_r snap) in
+          let replayed = Xerror.get_exn (Engine.attach_wal_r recovered wal) in
           Engine.detach_wal recovered;
-          if replayed < !applied || replayed > !applied + 1 then
-            Alcotest.failf
-              "kill=%d seed=%d: %d acknowledged but %d replayed" kill seed
-              !applied replayed;
-          let reference = Engine.of_snapshot snap in
+          if replayed < !applied || replayed > !applied + !in_flight then
+            Alcotest.failf "kill=%d seed=%d: %d acknowledged but %d replayed"
+              kill seed !applied replayed;
+          let reference = Xerror.get_exn (Engine.of_snapshot_r snap) in
           for i = 1 to replayed do
             let doc = Option.get (Engine.document reference) in
             ignore (apply_ok reference (gen_op doc ~seed i))
           done;
-          if snapshot_bytes recovered <> snapshot_bytes reference then
+          let expected = snapshot_bytes reference in
+          if snapshot_bytes recovered <> expected then
             Alcotest.failf "kill=%d seed=%d: recovered state diverges" kill seed;
+          if (not !crashed) && snapshot_bytes crashing <> expected then
+            Alcotest.failf "kill=%d seed=%d: batched state diverges" kill seed;
           true))
 
+(* Batches of one: what [apply_r] does. *)
 let crash_equiv_prop =
   QCheck2.Test.make ~name:"recovery is crash-equivalent at random kill points"
     ~count:25
     QCheck2.Gen.(pair (int_range 1 60) (int_range 0 1000))
-    (fun (kill, seed) -> run_crash_point ~seed ~kill)
+    (fun (kill, seed) ->
+      run_crash_point ~seed ~kill ~sizes:(List.init 20 (fun _ -> 1)))
+
+let batched_crash_equiv_prop =
+  QCheck2.Test.make
+    ~name:"batched applies recover to the per-record reference" ~count:25
+    QCheck2.Gen.(
+      triple (int_range 1 60) (int_range 0 1000)
+        (list_size (int_range 1 8) (int_range 1 5)))
+    (fun (kill, seed, sizes) -> run_crash_point ~seed ~kill ~sizes)
 
 (* --- corruption taxonomy ------------------------------------------------ *)
 
@@ -396,12 +432,12 @@ let test_checkpoint () =
   with_scratch "snap" (fun snap ->
       with_scratch "wal" (fun wal ->
           let e = engine_of (bib ()) in
-          ignore (Engine.save_snapshot e snap);
+          ignore (Xerror.get_exn (Engine.save_snapshot_r e snap));
           (* tiny segments so the log rotates and truncation has prefix
              segments to remove *)
-          ignore (Engine.attach_wal ~segment_bytes:120 e wal);
+          ignore (Xerror.get_exn (Engine.attach_wal_r ~segment_bytes:120 e wal));
           churn e ~seed:9 10;
-          let _, removed = Engine.checkpoint e snap in
+          let _, removed = Xerror.get_exn (Engine.checkpoint_r e snap) in
           Alcotest.(check bool) "covered segments truncated" true (removed > 0);
           Alcotest.(check int) "no replay debt" (Engine.lsn e)
             (Engine.snapshot_lsn e);
@@ -410,9 +446,9 @@ let test_checkpoint () =
             ignore (apply_ok e (gen_op doc ~seed:9 i))
           done;
           Engine.detach_wal e;
-          let recovered = Engine.of_snapshot snap in
+          let recovered = Xerror.get_exn (Engine.of_snapshot_r snap) in
           Alcotest.(check int) "replay resumes past the checkpoint" 2
-            (Engine.attach_wal recovered wal);
+            (Xerror.get_exn (Engine.attach_wal_r recovered wal));
           let reference = engine_of (bib ()) in
           churn reference ~seed:9 12;
           Alcotest.(check string) "same document" (doc_string reference)
@@ -478,7 +514,7 @@ let test_quarantine_and_resurrection () =
 let test_maintained_matches_scratch () =
   let e = engine_of (bib ()) in
   with_scratch "wal" (fun wal ->
-      ignore (Engine.attach_wal e wal);
+      ignore (Xerror.get_exn (Engine.attach_wal_r e wal));
       churn e ~seed:13 15;
       let doc = Option.get (Engine.document e) in
       let scratch = engine_of doc in
@@ -500,8 +536,8 @@ let test_reader_writer_chaos () =
   with_scratch "snap" (fun snap ->
       with_scratch "wal" (fun wal ->
           let e = engine_of (bib ()) in
-          ignore (Engine.save_snapshot e snap);
-          ignore (Engine.attach_wal e wal);
+          ignore (Xerror.get_exn (Engine.save_snapshot_r e snap));
+          ignore (Xerror.get_exn (Engine.attach_wal_r e wal));
           let stop = Atomic.make false in
           let probes =
             [ "for $t in doc(\"d\")//title return $t";
@@ -526,9 +562,9 @@ let test_reader_writer_chaos () =
           Alcotest.(check bool) "readers made progress" true
             (List.for_all (fun n -> n > 0) answered);
           (* recovery still lands on the writer's exact state *)
-          let recovered = Engine.of_snapshot snap in
+          let recovered = Xerror.get_exn (Engine.of_snapshot_r snap) in
           Alcotest.(check int) "all records replay" 25
-            (Engine.attach_wal recovered wal);
+            (Xerror.get_exn (Engine.attach_wal_r recovered wal));
           Alcotest.(check string) "byte-identical state" (snapshot_bytes e)
             (snapshot_bytes recovered)))
 
@@ -757,8 +793,8 @@ let test_batch_apply_equivalence () =
   with_scratch "snap" (fun snap ->
       with_scratch "wal" (fun wal ->
           let batched = engine_of doc in
-          ignore (Engine.save_snapshot batched snap);
-          ignore (Engine.attach_wal batched wal);
+          ignore (Xerror.get_exn (Engine.save_snapshot_r batched snap));
+          ignore (Xerror.get_exn (Engine.attach_wal_r batched wal));
           let rec chunks = function
             | [] -> []
             | l ->
@@ -779,9 +815,9 @@ let test_batch_apply_equivalence () =
           Alcotest.(check string) "batched = one-by-one"
             (doc_string one_by_one) (doc_string batched);
           Alcotest.(check int) "one WAL record per op" 9 (Engine.lsn batched);
-          let recovered = Engine.of_snapshot snap in
+          let recovered = Xerror.get_exn (Engine.of_snapshot_r snap) in
           Alcotest.(check int) "batch records replay one-by-one" 9
-            (Engine.attach_wal recovered wal);
+            (Xerror.get_exn (Engine.attach_wal_r recovered wal));
           Alcotest.(check string) "recovery lands on the batched state"
             (snapshot_bytes batched) (snapshot_bytes recovered)))
 
@@ -803,6 +839,85 @@ let test_batch_apply_atomic () =
   Alcotest.(check int) "no LSN consumed" 0 (Engine.lsn e);
   Alcotest.(check string) "state unchanged" before (snapshot_bytes e)
 
+(* --- recovered catalog = live catalog ------------------------------------- *)
+
+let module_names e =
+  List.map (fun (m : Store.module_) -> m.Store.name) (Engine.catalog e).Store.modules
+
+(* Delete every node labelled [label], highest handle first so the
+   handles still to delete stay valid. *)
+let delete_all_ops e label =
+  let doc = Option.get (Engine.document e) in
+  List.map
+    (fun h -> Engine.Delete_subtree { node = h })
+    (List.sort (fun a b -> compare b a) (Doc.nodes_with_label doc label))
+
+let insert_under_root e xml =
+  let doc = Option.get (Engine.document e) in
+  Engine.Insert_subtree { parent = Doc.root doc; before = None; xml }
+
+(* Run [before] on a logged bib engine, checkpoint, run [after], then
+   recover snapshot + WAL eagerly and lazily: each recovered engine
+   must hold the live catalog (same modules in the same order, same
+   dormant set) and snapshot to the live bytes. *)
+let check_recovery_after_checkpoint ~before ~after ~replays =
+  with_scratch "snap" (fun snap ->
+      with_scratch "wal" (fun wal ->
+          let e = engine_of (bib ()) in
+          ignore (Xerror.get_exn (Engine.attach_wal_r e wal));
+          before e;
+          ignore (Xerror.get_exn (Engine.checkpoint_r e snap));
+          after e;
+          Engine.detach_wal e;
+          List.iter
+            (fun lazy_extents ->
+              let what = if lazy_extents then "lazy" else "eager" in
+              let r = Xerror.get_exn (Engine.of_snapshot_r ~lazy_extents snap) in
+              Alcotest.(check int) (what ^ ": records replayed") replays
+                (Xerror.get_exn (Engine.attach_wal_r r wal));
+              Engine.detach_wal r;
+              Alcotest.(check (list string)) (what ^ ": modules") (module_names e)
+                (module_names r);
+              Alcotest.(check (list (pair string string))) (what ^ ": dormant")
+                (Engine.dormant_modules e) (Engine.dormant_modules r);
+              Alcotest.(check bool) (what ^ ": byte-identical state") true
+                (snapshot_bytes e = snapshot_bytes r))
+            [ false; true ]))
+
+(* A checkpoint taken while modules are dormant must carry them: an
+   insert after it resurrects them live, and recovery must too. *)
+let test_checkpoint_keeps_dormant () =
+  check_recovery_after_checkpoint ~replays:1
+    ~before:(fun e ->
+      Alcotest.(check int) "declared modules" 9 (List.length (module_names e));
+      ignore
+        (Xerror.get_exn (Engine.apply_batch_r e (delete_all_ops e "phdthesis")));
+      Alcotest.(check int) "live after the deletes" 5
+        (List.length (module_names e));
+      Alcotest.(check int) "dormant after the deletes" 4
+        (List.length (Engine.dormant_modules e)))
+    ~after:(fun e ->
+      ignore
+        (Xerror.get_exn
+           (Engine.apply_r e
+              (insert_under_root e
+                 "<phdthesis><author>A</author><title>T</title></phdthesis>")));
+      Alcotest.(check int) "live after the insert" 8
+        (List.length (module_names e)))
+
+(* One batch drops the book modules (last book deleted) and brings them
+   back (a book inserted). Replay sees the drop and the resurrection as
+   separate records; both must leave the modules in declared order. *)
+let test_batch_drop_and_resurrect () =
+  check_recovery_after_checkpoint ~replays:9 ~before:ignore ~after:(fun e ->
+      let ops =
+        delete_all_ops e "book"
+        @ [ insert_under_root e
+              "<book year=\"1\"><title>T</title><author>A</author></book>" ]
+      in
+      Alcotest.(check int) "eight deletes and an insert" 9 (List.length ops);
+      ignore (Xerror.get_exn (Engine.apply_batch_r e ops)))
+
 (* --- background checkpoint ------------------------------------------------ *)
 
 (* Park a background checkpoint between its snapshot write and its
@@ -814,8 +929,8 @@ let test_background_checkpoint_nonblocking () =
   with_scratch "snap" (fun snap ->
       with_scratch "wal" (fun wal ->
           let e = engine_of (bib ()) in
-          ignore (Engine.save_snapshot e snap);
-          ignore (Engine.attach_wal ~segment_bytes:120 e wal);
+          ignore (Xerror.get_exn (Engine.save_snapshot_r e snap));
+          ignore (Xerror.get_exn (Engine.attach_wal_r ~segment_bytes:120 e wal));
           churn e ~seed:21 8;
           let m = Mutex.create () and c = Condition.create () in
           let parked = ref false and release = ref false in
@@ -834,7 +949,7 @@ let test_background_checkpoint_nonblocking () =
           let ckpt =
             Thread.create
               (fun () ->
-                result := Engine.checkpoint_background_r ~before_install e snap)
+                result := Engine.checkpoint_r ~before_install e snap)
               ()
           in
           Mutex.lock m;
@@ -864,11 +979,11 @@ let test_background_checkpoint_nonblocking () =
           Engine.detach_wal e;
           (* recovery: the checkpointed snapshot plus the uncovered WAL
              suffix is exactly the live state *)
-          let recovered = Engine.of_snapshot snap in
+          let recovered = Xerror.get_exn (Engine.of_snapshot_r snap) in
           Alcotest.(check int) "snapshot resumes at the captured lsn" 8
             (Engine.lsn recovered);
           Alcotest.(check int) "only the uncovered suffix replays" 2
-            (Engine.attach_wal recovered wal);
+            (Xerror.get_exn (Engine.attach_wal_r recovered wal));
           Engine.detach_wal recovered;
           Alcotest.(check string) "byte-identical state" (snapshot_bytes e)
             (snapshot_bytes recovered)))
@@ -883,7 +998,8 @@ let () =
           Alcotest.test_case "replay skips snapshot-covered records" `Quick
             test_replay_idempotent ] );
       ( "crash",
-        [ QCheck_alcotest.to_alcotest crash_equiv_prop ] );
+        [ QCheck_alcotest.to_alcotest crash_equiv_prop;
+          QCheck_alcotest.to_alcotest batched_crash_equiv_prop ] );
       ( "corruption",
         [ Alcotest.test_case "truncated final frame" `Quick
             test_torn_truncated_frame;
@@ -916,7 +1032,11 @@ let () =
         [ Alcotest.test_case "snapshot-then-truncate round-trip" `Quick
             test_checkpoint;
           Alcotest.test_case "background checkpoint never blocks applies"
-            `Quick test_background_checkpoint_nonblocking ] );
+            `Quick test_background_checkpoint_nonblocking;
+          Alcotest.test_case "a checkpoint keeps dormant modules" `Quick
+            test_checkpoint_keeps_dormant;
+          Alcotest.test_case "drop and resurrect in one batch recovers" `Quick
+            test_batch_drop_and_resurrect ] );
       ( "maintenance",
         [ Alcotest.test_case "tail edit keeps untouched partitions" `Quick
             test_splice_keeps_partitions;
