@@ -583,6 +583,23 @@ let micro () =
   let new_book =
     Xdm.Xml_tree.parse "<book year=\"2005\"><title>T</title><author>A</author></book>"
   in
+  (* The read-path patterns: the eight XQuery templates of the perfbench
+     workloads (one constant each), extracted the way a fallback read
+     extracts them; and the maintenance path: every path-partitioned
+     module materialized, as an apply does after each edit. *)
+  let template_patterns =
+    List.concat_map
+      (fun q -> (Xquery.Extract.extract (Xquery.Parse.query q)).Xquery.Extract.patterns)
+      [ {|for $b in doc("bib")//book where $b/@year != 1999 return <t>{$b/title/text()}</t>|};
+        {|for $b in doc("bib")//book where $b/@year = 2001 return <y>{$b/title/text()}</y>|};
+        {|for $b in doc("bib")//book where $b/@year != 1995 return <b>{$b/title/text()}{for $a in $b/author return <a>{$a/text()}</a>}</b>|};
+        {|for $b in doc("bib")/library/book where $b/author = "Suciu" return <s>{$b/title/text()}</s>|};
+        {|for $p in doc("bib")//phdthesis where $p/@year != 2003 return <p>{$p/@year}{$p/title/text()}</p>|};
+        {|for $b in doc("bib")//book[author = "Widom"] return <w>{$b/title/text()}</w>|};
+        {|for $p in doc("bib")//phdthesis where $p/author != "Arion" return <a>{$p/author/text()}</a>|};
+        {|for $p in doc("bib")//phdthesis where $p/@year != 2007 return <p>{$p/title/text()}{for $a in $p/author return <a>{$a/text()}</a>}</p>|} ]
+  in
+  let path_modules = Xstorage.Models.path_partitioned bib_s in
   let tests =
     Test.make_grouped ~name:"xam"
       [ Test.make ~name:"summary-build" (Staged.stage (fun () -> Sum.of_doc doc));
@@ -597,6 +614,11 @@ let micro () =
         Test.make ~name:"rewrite-edge-store"
           (Staged.stage (fun () ->
                Xam.Rewrite.rewrite bib_s ~query:bib_query ~views:edge_views));
+        Test.make ~name:"embed-read-templates"
+          (Staged.stage (fun () -> List.map (Xam.Embed.eval doc) template_patterns));
+        Test.make ~name:"materialize-path-partitioned"
+          (Staged.stage (fun () ->
+               List.map (fun (name, xam) -> Xstorage.Store.materialize doc name xam) path_modules));
         Test.make ~name:"doc-of-tree" (Staged.stage (fun () -> Xdm.Doc.of_tree bib_tree));
         Test.make ~name:"doc-update-value"
           (Staged.stage (fun () -> Xdm.Doc.update_value doc mid_text "v"));

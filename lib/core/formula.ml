@@ -152,6 +152,9 @@ let implies a b = not (is_sat (conj a (neg b)))
 
 let equal a b = implies a b && implies b a
 
+(* Membership in the union of the intervals: normalizing first would not
+   change it (it only drops empty intervals and merges touching ones), so
+   the list is read as it is. *)
 let holds f v =
   List.exists
     (fun { lo; hi } ->
@@ -166,7 +169,7 @@ let holds f v =
       | Neg_inf -> false
       | Incl x -> Value.compare v x <= 0
       | Excl x -> Value.compare v x < 0)
-    (normalize f)
+    f
 
 let to_pred path f =
   let interval_pred { lo; hi } =

@@ -114,16 +114,32 @@ and compare_tuple a b =
   in
   go 0
 
-let dedup_tuples tuples =
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun t ->
-      let key = Marshal.to_string t [] in
-      if Hashtbl.mem seen key then false
-      else (
-        Hashtbl.add seen key ();
-        true))
-    tuples
+(* A structural hash, consistent with [equal_tuple]: equal fields hash
+   alike whatever their physical sharing. *)
+let rec hash_field = function
+  | A v -> Value.hash v
+  | N l -> List.fold_left (fun h t -> (h * 31) + hash_tuple t) 7 l
+
+and hash_tuple t = Array.fold_left (fun h f -> (h * 31) + hash_field f) (Array.length t) t
+
+module Tuple_table = Hashtbl.Make (struct
+  type t = tuple
+
+  let equal = equal_tuple
+  let hash = hash_tuple
+end)
+
+let dedup_tuples = function
+  | ([] | [ _ ]) as tuples -> tuples
+  | tuples ->
+      let seen = Tuple_table.create 64 in
+      List.filter
+        (fun t ->
+          if Tuple_table.mem seen t then false
+          else (
+            Tuple_table.add seen t ();
+            true))
+        tuples
 
 (* Projection: every output path becomes a column named by its last
    component; paths entering the same nested column are grouped so the

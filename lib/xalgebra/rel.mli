@@ -55,7 +55,9 @@ val project : schema -> path list -> dedup:bool -> tuple list -> t
     the output column name. *)
 
 val dedup_tuples : tuple list -> tuple list
-(** Order-preserving duplicate elimination (structural equality). *)
+(** Order-preserving duplicate elimination: keeps the first of every group
+    of tuples equal under {!equal_tuple}, however their fields are shared
+    physically. *)
 
 val equal_tuple : tuple -> tuple -> bool
 val compare_tuple : tuple -> tuple -> int

@@ -37,8 +37,15 @@ let compare_typed a b =
 
 let is_null = function Null -> true | Bool _ | Int _ | Str _ | Id _ -> false
 
+(* [int_of_string] accepts only a sign or a digit first; checking that
+   spares most text the raised-and-caught parse failure. *)
 let of_string_literal s =
-  match int_of_string_opt s with Some i -> Int i | None -> Str s
+  let numeric_start =
+    String.length s > 0 && match s.[0] with '0' .. '9' | '-' | '+' -> true | _ -> false
+  in
+  match if numeric_start then int_of_string_opt s else None with
+  | Some i -> Int i
+  | None -> Str s
 
 let to_display = function
   | Null -> "⊥"

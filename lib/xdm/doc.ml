@@ -18,7 +18,10 @@ type t = {
   parents : int array;
   ordinals : int array;
   ends : int array;  (* subtree ends *)
-  mutable label_index : (string, int list) Hashtbl.t option;
+  label_index : (string, int list) Hashtbl.t option Atomic.t;
+      (* built on first use; published atomically, so domains reading one
+         version concurrently may each build it but never see it half
+         built *)
 }
 
 let name d = d.name
@@ -65,7 +68,7 @@ let rec fill d at tree ~depth ~parent ~ordinal =
 let create name n =
   { name; kinds = Array.make n Text; labels = Array.make n ""; values = Array.make n "";
     depths = Array.make n 0; parents = Array.make n 0; ordinals = Array.make n 0;
-    ends = Array.make n 0; label_index = None }
+    ends = Array.make n 0; label_index = Atomic.make None }
 
 let of_tree ?(name = "doc") tree =
   let d = create name (Xml_tree.node_count tree) in
@@ -107,7 +110,7 @@ let descendants_with_label d i lbl =
   go (i + 1) []
 
 let build_label_index d =
-  match d.label_index with
+  match Atomic.get d.label_index with
   | Some idx -> idx
   | None ->
       let idx = Hashtbl.create 64 in
@@ -116,7 +119,7 @@ let build_label_index d =
         let prev = try Hashtbl.find idx lbl with Not_found -> [] in
         Hashtbl.replace idx lbl (i :: prev)
       done;
-      d.label_index <- Some idx;
+      Atomic.set d.label_index (Some idx);
       idx
 
 let nodes_with_label d lbl =
@@ -143,12 +146,22 @@ let iter f d =
 let value d i =
   match d.kinds.(i) with
   | Text | Attribute -> d.values.(i)
-  | Element ->
-      let buf = Buffer.create 32 in
-      for j = i + 1 to d.ends.(i) - 1 do
-        if d.kinds.(j) = Text then Buffer.add_string buf d.values.(j)
-      done;
-      Buffer.contents buf
+  | Element -> (
+      (* Most elements hold at most one text node: return its string as
+         it is, and concatenate only when there are several. *)
+      let stop = d.ends.(i) in
+      let rec first j = if j >= stop || d.kinds.(j) = Text then j else first (j + 1) in
+      let t = first (i + 1) in
+      if t >= stop then ""
+      else
+        match first (t + 1) with
+        | u when u >= stop -> d.values.(t)
+        | _ ->
+            let buf = Buffer.create 32 in
+            for j = t to stop - 1 do
+              if d.kinds.(j) = Text then Buffer.add_string buf d.values.(j)
+            done;
+            Buffer.contents buf)
 
 let attr_name d i =
   let l = d.labels.(i) in
@@ -255,7 +268,7 @@ let unpack ~name packed =
   { name; kinds = column (fun p -> p.p_kind); labels = column (fun p -> p.p_label);
     values = column (fun p -> p.p_value); depths = column (fun p -> p.p_depth);
     parents = column (fun p -> p.p_parent); ordinals = column (fun p -> p.p_ordinal);
-    ends = column (fun p -> p.p_subtree_end); label_index = None }
+    ends = column (fun p -> p.p_subtree_end); label_index = Atomic.make None }
 
 (* --- Mutations ---------------------------------------------------------
    Functional updates by column splice; the source is never written. An
@@ -297,7 +310,7 @@ let reshape d ~at ~drop ~room ~up =
       labels = splice d.labels ~at ~drop ~room ""; values = splice d.values ~at ~drop ~room "";
       depths = splice d.depths ~at ~drop ~room 0; parents = splice d.parents ~at ~drop ~room 0;
       ordinals = splice d.ordinals ~at ~drop ~room 0; ends = splice d.ends ~at ~drop ~room 0;
-      label_index = None }
+      label_index = Atomic.make None }
   in
   let rec widen i = if i >= 0 then (r.ends.(i) <- r.ends.(i) + delta; widen r.parents.(i)) in
   widen up;
@@ -342,7 +355,8 @@ let update_value d i v =
     invalid_arg "Doc.update_value: values live on text and attribute nodes";
   let values = Array.copy d.values in
   values.(i) <- v;
-  (* Labels and handles are unchanged, so the label index carries over. *)
+  (* Labels and handles are unchanged, so the label index carries over:
+     both versions share its cell, whichever builds it first. *)
   { d with values }
 
 let handle_of_id d nid =

@@ -1193,22 +1193,16 @@ let query_r ?budget t pattern =
    table are behind [t.lock], so the accounting matches the sequential
    run exactly. The result list is in input order regardless of
    completion order. *)
-let batch_over ?(domains = 1) t run items =
+let batch_over ?(domains = 1) run items =
   if domains <= 1 || List.length items <= 1 then List.map run items
-  else begin
-    (* The base document memoizes its label index on first use; build it
-       before fanning out so no two domains race to install it. *)
-    (match t.doc with
-    | Some d -> ignore (Xdm.Doc.nodes_with_label d "#warm")
-    | None -> ());
+  else
     let pool = Pool.create ~domains () in
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)
       (fun () -> Pool.map_list pool run items)
-  end
 
 let query_batch ?budget ?domains t patterns =
-  batch_over ?domains t (query_r ?budget t) patterns
+  batch_over ?domains (query_r ?budget t) patterns
 
 (* --- XQuery front door ----------------------------------------------------- *)
 
@@ -1358,7 +1352,7 @@ let query_string_batch ?domains t items =
             | Ok _ -> ());
             res)
   in
-  batch_over ?domains t run items
+  batch_over ?domains run items
 
 let pp_counters ppf c =
   Format.fprintf ppf

@@ -111,9 +111,16 @@ let histogram r ?help name =
       (h, Histogram h))
     (function Histogram h -> Some h | _ -> None)
 
+(* The finite bounds, computed once: a float array is stored unboxed, so
+   the search below reads them without allocating. *)
+let bounds = Array.init (bucket_count - 1) bucket_upper
+
 let bucket_of v =
-  let rec go i = if i >= bucket_count - 1 || v <= bucket_upper i then i else go (i + 1) in
-  go 0
+  let i = ref 0 in
+  while !i < bucket_count - 1 && not (v <= bounds.(!i)) do
+    i := !i + 1
+  done;
+  !i
 
 let observe h v =
   if Float.is_finite v && v >= 0.0 then begin

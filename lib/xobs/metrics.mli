@@ -56,6 +56,11 @@ val bucket_upper : int -> float
 (** Upper bound (seconds) of bucket [i]; [infinity] for the overflow
     bucket [bucket_count - 1]. *)
 
+val bucket_of : float -> int
+(** The bucket an observation of [v] seconds lands in: the first whose
+    upper bound is [>= v] (the overflow bucket for NaN). Allocates
+    nothing, so neither does {!observe}. *)
+
 type snapshot = {
   counts : int array;  (** per-bucket observation counts, length {!bucket_count} *)
   count : int;  (** total observations *)

@@ -370,6 +370,23 @@ let splice_prop =
       ignore (List.fold_left step (d, d) steps);
       true)
 
+(* An element's value is the concatenation of its text descendants, in
+   document order, however many there are. *)
+let value_prop =
+  QCheck2.Test.make ~name:"element value = its texts concatenated" ~count:200
+    ~print:T.serialize doc_tree_gen
+    (fun tree ->
+      let d = Doc.of_tree tree in
+      List.for_all
+        (fun i ->
+          Doc.kind d i <> Doc.Element
+          || String.equal (Doc.value d i)
+               (String.concat ""
+                  (List.filter_map
+                     (fun j -> if Doc.kind d j = Doc.Text then Some (Doc.value d j) else None)
+                     (Doc.descendants d i))))
+        (List.init (Doc.size d) Fun.id))
+
 let () =
   Alcotest.run "doc"
     [ ( "doc",
@@ -391,4 +408,5 @@ let () =
       ( "props",
         [ QCheck_alcotest.to_alcotest rebuild_prop;
           QCheck_alcotest.to_alcotest children_prop;
-          QCheck_alcotest.to_alcotest splice_prop ] ) ]
+          QCheck_alcotest.to_alcotest splice_prop;
+          QCheck_alcotest.to_alcotest value_prop ] ) ]

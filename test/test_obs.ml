@@ -68,6 +68,44 @@ let merge_assoc_prop =
       let all = snapshot_of (a @ b @ c) in
       l = r && l = all)
 
+(* The bucket search as it was before the bounds were precomputed: the
+   first bucket whose upper bound is >= v. Values range over every bucket,
+   exact bounds and their neighbours, zero, negatives, infinities and NaN. *)
+let reference_bucket v =
+  let rec go i =
+    if i >= Metrics.bucket_count - 1 || v <= Metrics.bucket_upper i then i else go (i + 1)
+  in
+  go 0
+
+let bucket_of_prop =
+  QCheck2.Test.make ~name:"bucket_of lands where the linear search does" ~count:1000
+    QCheck2.Gen.(
+      oneof
+        [ float_range 0.0 200.0;
+          map (fun e -> 10.0 ** e) (float_range (-9.0) 3.0);
+          map2
+            (fun i d -> Metrics.bucket_upper i +. d)
+            (int_bound (Metrics.bucket_count - 2))
+            (oneofl [ 0.0; -1e-12; 1e-12 ]);
+          oneofl [ 0.0; -1.0; Float.infinity; Float.neg_infinity; Float.nan ] ])
+    (fun v -> Metrics.bucket_of v = reference_bucket v)
+
+(* Observing is on every read and apply path: it must not allocate. *)
+let test_observe_allocates_nothing () =
+  let h = Metrics.histogram (Metrics.create ()) "alloc" in
+  (* A list holds its floats boxed already, so the loop boxes nothing. *)
+  let values = [ 3e-7; 2.5e-3; 0.4; 90.0 ] in
+  let observe = Metrics.observe h in
+  List.iter observe values;
+  let before = Gc.minor_words () in
+  for _ = 1 to 2_500 do
+    List.iter observe values
+  done;
+  let words = Gc.minor_words () -. before in
+  (* Allocating even one word per call would show as 10k words; the
+     margin covers boxing the counter readings themselves. *)
+  if words > 16.0 then Alcotest.failf "observe allocated %.0f words over 10k calls" words
+
 let test_histogram_basics () =
   let snap = snapshot_of [ 0.5e-6; 1e-6; 3e-6; 100.0 ] in
   Alcotest.(check int) "count" 4 snap.Metrics.count;
@@ -673,7 +711,10 @@ let () =
         [ Alcotest.test_case "histogram basics" `Quick test_histogram_basics;
           Alcotest.test_case "counters and gauges" `Quick test_counter_gauge;
           QCheck_alcotest.to_alcotest percentile_bounds_prop;
-          QCheck_alcotest.to_alcotest merge_assoc_prop ] );
+          QCheck_alcotest.to_alcotest merge_assoc_prop;
+          QCheck_alcotest.to_alcotest bucket_of_prop;
+          Alcotest.test_case "observe allocates nothing" `Quick
+            test_observe_allocates_nothing ] );
       ( "slowlog",
         [ Alcotest.test_case "ring eviction order" `Quick test_ring_eviction;
           Alcotest.test_case "slow threshold" `Quick test_slow_threshold ] );

@@ -63,6 +63,36 @@ let test_sort () =
   Alcotest.(check bool) "sorted" true
     (List.map (fun t -> Rel.atom_field t 0) sorted.Rel.tuples = [ i 1; i 2; i 3 ])
 
+(* Deduplication is structural: a tuple that repeats one shared field
+   equals a tuple built from two copies of it, and only the first of the
+   two survives, in place. *)
+let test_dedup_ignores_sharing () =
+  let fresh () = a (s (String.concat "" [ "sha"; "red" ])) in
+  let v = fresh () in
+  let shared = [| v; v |] and copies = [| fresh (); fresh () |] in
+  Alcotest.(check bool) "equal tuples" true (Rel.equal_tuple shared copies);
+  (match Rel.dedup_tuples [ shared; t2; copies ] with
+  | [ first; second ] ->
+      Alcotest.(check bool) "first occurrence kept" true (first == shared);
+      Alcotest.(check bool) "order kept" true (second == t2)
+  | l -> Alcotest.failf "expected 2 tuples, got %d" (List.length l));
+  Alcotest.(check int) "nested sharing" 1
+    (List.length (Rel.dedup_tuples [ [| n [ shared; shared ] |]; [| n [ copies; copies ] |] ]))
+
+(* Atomic values of document text: an integer exactly when
+   [int_of_string] accepts the text. *)
+let literal_prop =
+  QCheck2.Test.make ~name:"of_string_literal parses what int_of_string parses" ~count:500
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(
+      oneof
+        [ string_small;
+          map string_of_int int;
+          map2 ( ^ ) (oneofl [ "+"; "-"; " "; "0x"; "0b"; "_"; "" ]) (map string_of_int nat) ])
+    (fun s ->
+      V.equal (V.of_string_literal s)
+        (match int_of_string_opt s with Some i -> V.Int i | None -> V.Str s))
+
 let () =
   Alcotest.run "rel"
     [ ( "rel",
@@ -71,4 +101,7 @@ let () =
           Alcotest.test_case "projection" `Quick test_project;
           Alcotest.test_case "nulls and concatenation" `Quick test_null_and_concat;
           Alcotest.test_case "set operations" `Quick test_set_ops;
-          Alcotest.test_case "sorting" `Quick test_sort ] ) ]
+          Alcotest.test_case "sorting" `Quick test_sort;
+          Alcotest.test_case "dedup ignores physical sharing" `Quick
+            test_dedup_ignores_sharing;
+          QCheck_alcotest.to_alcotest literal_prop ] ) ]

@@ -125,6 +125,246 @@ let agreement_prop =
       let compiled = Xam.Compile.eval summary_doc p in
       Rel.equal_unordered embed compiled)
 
+(* --- The compiled evaluator against the reference ---------------------
+   [Embed.eval] must return exactly what [Embed_oracle.eval] returns: the
+   same schema, the same tuples, in the same order. *)
+
+module Doc = Xdm.Doc
+module T = Xdm.Xml_tree
+
+let same_rel (a : Rel.t) (b : Rel.t) =
+  a.Rel.schema = b.Rel.schema
+  && List.length a.Rel.tuples = List.length b.Rel.tuples
+  && List.for_all2 Rel.equal_tuple a.Rel.tuples b.Rel.tuples
+
+let agree_on d p =
+  let got = Xam.Embed.eval d p and want = Embed_oracle.eval d p in
+  if same_rel got want then None
+  else
+    Some
+      (Format.asprintf "pattern %s@.on %s@.compiled:@.%a@.reference:@.%a" (P.to_string p)
+         (T.serialize (Doc.to_tree d (Doc.root d)))
+         Rel.pp got Rel.pp want)
+
+(* Small random documents: few labels, repeated at every depth so that
+   elements nest in themselves, with attributes and texts some of which
+   parse as integers. *)
+let random_tree rng =
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let rec go depth =
+    if depth = 0 || Random.State.int rng 4 = 0 then
+      if Random.State.bool rng then T.text (pick [ "1"; "2"; "x"; "" ])
+      else T.elt (pick [ "a"; "b"; "c" ]) []
+    else
+      let attrs =
+        List.filter_map
+          (fun n ->
+            if Random.State.int rng 3 = 0 then Some (n, pick [ "1"; "2"; "x" ]) else None)
+          [ "p"; "q" ]
+      in
+      T.elt ~attrs (pick [ "a"; "b"; "c" ])
+        (List.init (Random.State.int rng 4) (fun _ -> go (depth - 1)))
+  in
+  T.elt "r" (List.init (1 + Random.State.int rng 3) (fun _ -> go 3))
+
+let random_doc rng =
+  let seed = Random.State.bits rng in
+  let module W = Xworkload in
+  match Random.State.int rng 5 with
+  | 0 -> Doc.of_tree (W.Gen_bib.generate ~seed ~books:3 ~theses:2 ())
+  | 1 -> Doc.of_tree (W.Gen_dblp.generate ~seed ~entries:4 ())
+  | 2 -> Doc.of_tree (W.Gen_sci.nasa ~seed ~datasets:1 ())
+  | 3 -> Doc.of_tree (W.Gen_sci.swissprot ~seed ~entries:1 ())
+  | _ -> Doc.of_tree (random_tree rng)
+
+(* One random edit through the library's column splice. *)
+let random_edit rng d =
+  let n = Doc.size d in
+  let handles k = List.filter (fun h -> Doc.kind d h = k) (List.init n Fun.id) in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  match Random.State.int rng 3 with
+  | 0 when n > 1 -> Doc.delete_subtree d (1 + Random.State.int rng (n - 1))
+  | 1 -> (
+      match List.filter (fun h -> Doc.kind d h <> Doc.Element) (List.init n Fun.id) with
+      | [] -> d
+      | leaves -> Doc.update_value d (pick leaves) (pick [ "1"; "2"; "x"; "" ]))
+  | _ ->
+      let parent = pick (handles Doc.Element) in
+      let kids = List.filter (fun c -> Doc.kind d c <> Doc.Attribute) (Doc.children d parent) in
+      let before = if kids = [] || Random.State.bool rng then None else Some (pick kids) in
+      Doc.insert_subtree d ~parent ?before (random_tree rng)
+
+(* Redecorate a pattern: random edge semantics (every kind), ID schemes
+   (all four), stored attributes, wildcards of each kind, root axes and
+   the ordered flag. Stored attributes come in three modes: an ID on every
+   node; an ID or nothing (the nodes the elision may key by a descendant);
+   or any mix. *)
+let decorate rng (roots : P.tree list) =
+  let chance k = Random.State.int rng k = 0 in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let mode = pick [ `All_ids; `Id_or_nothing; `Mixed ] in
+  let schemes = [ Nid.Simple; Nid.Ordinal; Nid.Structural; Nid.Parental ] in
+  let rec go ~top (t : P.tree) : P.tree =
+    let n = t.node in
+    let label =
+      if not (chance 6) then n.label
+      else if P.label_is_attribute n.label then "@*"
+      else if String.equal n.label "#text" then n.label
+      else "*"
+    in
+    let id_scheme = if mode = `All_ids || chance 2 then Some (pick schemes) else None in
+    let others = mode = `Mixed in
+    let node =
+      { n with label; id_scheme; tag_stored = others && chance 4;
+        val_stored = others && chance 3; cont_stored = others && chance 12 }
+    in
+    let edge =
+      { P.axis = (if chance (if top then 4 else 5) then P.Child else t.edge.axis);
+        sem =
+          (if top then P.Join
+           else pick [ P.Join; P.Join; P.Outer; P.Semi; P.Nest_join; P.Nest_outer ]) }
+    in
+    { P.node; edge; children = List.map (go ~top:false) t.children }
+  in
+  P.make ~ordered:(not (chance 4)) (List.map (go ~top:true) roots)
+
+let generated_roots rng d =
+  let s = Xsummary.Summary.of_doc d in
+  let labels = List.filter (fun l -> l <> "#text") (Doc.labels d) in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let params =
+    { Xworkload.Pattern_gen.default with
+      size = 1 + Random.State.int rng 5;
+      return_labels =
+        List.sort_uniq compare (List.init (1 + Random.State.int rng 2) (fun _ -> pick labels));
+      wildcard_p = 0.2;
+      value_pred_p = 0.2;
+      distinct_values = 3 }
+  in
+  match Xworkload.Pattern_gen.generate rng s params with
+  | Some p -> p.P.roots
+  | None -> []
+
+let pattern_of rng d =
+  let roots =
+    List.concat (List.init (1 + Random.State.int rng 2) (fun _ -> generated_roots rng d))
+  in
+  decorate rng (if roots = [] then [ P.v "*" [] ] else roots)
+
+let oracle_prop =
+  QCheck2.Test.make ~name:"Embed = reference, before and after edits" ~count:300
+    ~long_factor:20 QCheck2.Gen.int
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let d = random_doc rng in
+      let patterns = List.init 4 (fun _ -> pattern_of rng d) in
+      let versions =
+        List.rev
+          (List.fold_left
+             (fun acc _ -> random_edit rng (List.hd acc) :: acc)
+             [ d ]
+             (List.init (Random.State.int rng 4) Fun.id))
+      in
+      List.iter
+        (fun v ->
+          List.iter
+            (fun p ->
+              match agree_on v p with
+              | None -> ()
+              | Some msg -> QCheck2.Test.fail_reportf "seed %d: %s" seed msg)
+            patterns)
+        versions;
+      true)
+
+(* The boundary of the dedup/sort elision, case by case, each on a
+   document before and after one edit of each kind. *)
+let elision_doc () =
+  Doc.of_string
+    "<r><x p=\"1\"><y>1</y><x q=\"2\"><y>2</y><y>2</y></x><y>3</y></x>\
+     <x><z>x</z><y>1</y></x><w>t</w><x><y>5</y></x></r>"
+
+let elision_versions () =
+  let d = elision_doc () in
+  ignore (Doc.nodes_with_label d "y");
+  let inner_x = List.nth (Doc.nodes_with_label d "x") 1 in
+  let inner_y = List.find (fun c -> Doc.kind d c = Doc.Element) (Doc.children d inner_x) in
+  [ ("unedited", d);
+    ( "insert",
+      Doc.insert_subtree d ~parent:inner_x ~before:inner_y (T.parse "<x><y>4</y><y>1</y></x>") );
+    ("delete", Doc.delete_subtree d inner_x);
+    ("update", Doc.update_value d (List.hd (Doc.nodes_with_label d "#text")) "9") ]
+
+let id ?(scheme = sid) ?value label = P.mk_node ~id:scheme ?value label
+
+let elision_cases () =
+  [ ("//* root", P.make [ P.v "*" ~node:(id "*") [] ]);
+    ("//@* root", P.make [ P.v "@*" ~node:(P.mk_node ~id:Nid.Simple ~value:true "@*") [] ]);
+    ("//#text root", P.make [ P.v "#text" ~node:(P.mk_node ~value:true "#text") [] ]);
+    ( "descendant sub-edges",
+      P.make [ P.v "x" ~node:(id "x") [ P.v "y" ~node:(id ~scheme:Nid.Parental "y") [] ] ] );
+    ( "outer edge without a match",
+      P.make
+        [ P.v "x" ~node:(id "x") [ P.v ~axis:P.Child ~sem:P.Outer "z" ~node:(id "z") [] ] ] );
+    ( "nest-outer edge without a match",
+      P.make
+        [ P.v "x" ~node:(id "x")
+            [ P.v ~axis:P.Child ~sem:P.Nest_outer "z" ~node:(id ~value:true "z") [] ] ] );
+    ( "multi-root product",
+      P.make [ P.v "w" ~node:(id "w") []; P.v "y" ~node:(id ~scheme:Nid.Ordinal "y") [] ] );
+    ( "unordered",
+      P.make ~ordered:false
+        [ P.v "r" ~axis:P.Child ~node:(P.mk_node "r")
+            [ P.v "x" [ P.v ~axis:P.Child "y" ~node:(P.mk_node ~value:true "y") [] ] ] ] );
+    ( "dedup needed: a non-ID node, two embeddings, one tuple",
+      P.make [ P.v "x" [ P.v ~axis:P.Child "y" ~node:(P.mk_node ~value:true "y") [] ] ] );
+    ( "sort needed: /r//x/y{ID} over nested x",
+      P.make
+        [ P.v ~axis:P.Child "r" ~node:(P.mk_node "r")
+            [ P.v "x" [ P.v ~axis:P.Child "y" ~node:(id "y") [] ] ] ] );
+    ( "sort needed: a value before the leading ID",
+      P.make
+        [ P.v ~axis:P.Child "r" ~node:(P.mk_node "r")
+            [ P.v ~axis:P.Child "x" ~node:(P.mk_node ~value:true "x")
+                [ P.v ~axis:P.Child "y" ~node:(id "y") [] ] ] ] );
+    ( "dedup and sort needed: an optional leading ID",
+      P.make
+        [ P.v ~axis:P.Child "r" ~node:(P.mk_node "r")
+            [ P.v ~axis:P.Child "x"
+                [ P.v ~axis:P.Child ~sem:P.Outer "z" ~node:(id "z") [] ] ] ] );
+    ( "keyed by a child: /r/x/y{ID}",
+      P.make
+        [ P.v ~axis:P.Child "r" ~node:(P.mk_node "r")
+            [ P.v ~axis:P.Child "x" [ P.v ~axis:P.Child "y" ~node:(id "y") [] ] ] ] );
+    ( "nested level without IDs",
+      P.make
+        [ P.v "x" ~node:(id "x")
+            [ P.v "y" ~sem:P.Nest_join ~node:(P.mk_node ~value:true "y") [] ] ] ) ]
+
+let test_elision_boundary () =
+  List.iter
+    (fun (version, d) ->
+      List.iter
+        (fun (case, p) ->
+          match agree_on d p with
+          | None -> ()
+          | Some msg -> Alcotest.failf "%s, %s: %s" case version msg)
+        (elision_cases ()))
+    (elision_versions ())
+
+(* The two cases the elision must not take: their reference results are
+   deduplicated and re-sorted, visibly. *)
+let test_elision_needed () =
+  let d = elision_doc () in
+  let cases = elision_cases () in
+  let case name = List.assoc name cases in
+  let dedup = Xam.Embed.eval d (case "dedup needed: a non-ID node, two embeddings, one tuple") in
+  Alcotest.(check int) "values y under x, deduplicated" 4 (Rel.cardinality dedup);
+  let sorted = Xam.Embed.eval d (case "sort needed: /r//x/y{ID} over nested x") in
+  let ids = List.map (fun t -> Rel.atom_field t 0) sorted.Rel.tuples in
+  Alcotest.(check bool) "y IDs in document order" true (List.sort V.compare ids = ids);
+  Alcotest.(check int) "every y once" 6 (List.length ids);
+  Option.iter Alcotest.fail (agree_on d (case "sort needed: /r//x/y{ID} over nested x"))
+
 let () =
   Alcotest.run "semantics"
     [ ( "semantics",
@@ -132,5 +372,11 @@ let () =
           Alcotest.test_case "optional edges" `Quick test_optional_edges;
           Alcotest.test_case "value formulas" `Quick test_formulas;
           Alcotest.test_case "multiple roots" `Quick test_multi_root;
-          Alcotest.test_case "child vs descendant root edges" `Quick test_child_vs_descendant ] );
-      ("props", [ QCheck_alcotest.to_alcotest agreement_prop ]) ]
+          Alcotest.test_case "child vs descendant root edges" `Quick test_child_vs_descendant;
+          Alcotest.test_case "elision boundary agrees with the reference" `Quick
+            test_elision_boundary;
+          Alcotest.test_case "dedup and sort where they are needed" `Quick
+            test_elision_needed ] );
+      ( "props",
+        [ QCheck_alcotest.to_alcotest agreement_prop;
+          QCheck_alcotest.to_alcotest oracle_prop ] ) ]
