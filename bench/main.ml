@@ -538,6 +538,47 @@ let e10 () =
 
 (* ------------------------------------------------------------------ micro *)
 
+let rec rm_rf path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+(* The persistence fixture of the micro: [doc] under the path-partitioned
+   model, snapshotted, then twelve logged applies (one record each) past
+   the snapshot: two value updates, a delete of the middle entry and an
+   insert before it, three times over. Returns the snapshot path and the
+   WAL directory. *)
+let recovery_fixture doc ~dir =
+  let module Engine = Xengine.Engine in
+  let snap = Filename.concat dir "state.snap" and wal = Filename.concat dir "state.wal" in
+  let e = Engine.of_doc doc (Xstorage.Models.path_partitioned (S.of_doc doc)) in
+  ignore (Xengine.Xerror.get_exn (Engine.save_snapshot_r e snap));
+  ignore (Xengine.Xerror.get_exn (Engine.attach_wal_r e wal));
+  for i = 0 to 11 do
+    let d = Option.get (Engine.document e) in
+    let middle l = List.nth l (List.length l / 2) in
+    let entry = middle (Doc.children d (Doc.root d)) in
+    let op =
+      match i mod 4 with
+      | 0 | 1 ->
+          let texts = Doc.nodes_with_label d "#text" in
+          Engine.Update_value
+            { node = List.nth texts (i * 97 mod List.length texts);
+              value = Printf.sprintf "v%d" i }
+      | 2 -> Engine.Delete_subtree { node = entry }
+      | _ ->
+          Engine.Insert_subtree
+            { parent = Doc.root d; before = Some entry;
+              xml = "<book year=\"2005\"><title>T</title><author>A</author></book>" }
+    in
+    ignore (Xengine.Xerror.get_exn (Engine.apply_r e op))
+  done;
+  Engine.detach_wal e;
+  (snap, wal)
+
 let micro () =
   header "micro (Bechamel): core operation latencies";
   let open Bechamel in
@@ -600,6 +641,17 @@ let micro () =
         {|for $p in doc("bib")//phdthesis where $p/@year != 2007 return <p>{$p/title/text()}{for $a in $p/author return <a>{$a/text()}</a>}</p>|} ]
   in
   let path_modules = Xstorage.Models.path_partitioned bib_s in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "bench_micro_%d" (Unix.getpid ()))
+  in
+  rm_rf dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> try rm_rf dir with _ -> ()) @@ fun () ->
+  let snap, wal = recovery_fixture doc ~dir in
+  let snap_bytes = In_channel.with_open_bin snap In_channel.input_all in
+  let image = Result.get_ok (Xpersist.Snapshot.read snap) in
+  let written_snap = Filename.concat dir "written.snap" in
   let tests =
     Test.make_grouped ~name:"xam"
       [ Test.make ~name:"summary-build" (Staged.stage (fun () -> Sum.of_doc doc));
@@ -642,7 +694,22 @@ let micro () =
                  ~budget:
                    { Xengine.Engine.deadline_ms = Some 10_000.0;
                      max_tuples = Some max_int; max_steps = Some max_int }
-                 warm_engine bib_query)) ]
+                 warm_engine bib_query));
+        (* The checkpoint and recovery path on the same document: the
+           integrity check over a whole snapshot file, a snapshot written
+           (fsync'd) and read back, and recovery of a twelve-record WAL
+           tail on top of it. *)
+        Test.make ~name:"crc32-snapshot"
+          (Staged.stage (fun () -> Xpersist.Binio.crc32 snap_bytes));
+        Test.make ~name:"snapshot-write"
+          (Staged.stage (fun () -> Xpersist.Snapshot.write written_snap image));
+        Test.make ~name:"snapshot-read" (Staged.stage (fun () -> Xpersist.Snapshot.read snap));
+        Test.make ~name:"recover-12-records"
+          (Staged.stage (fun () ->
+               let r = Xengine.Xerror.get_exn (Xengine.Engine.of_snapshot_r snap) in
+               let n = Xengine.Xerror.get_exn (Xengine.Engine.attach_wal_r r wal) in
+               Xengine.Engine.detach_wal r;
+               assert (n = 12))) ]
   in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:false () in
   let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
@@ -1034,14 +1101,6 @@ let wal_exp () =
   let module Engine = Xengine.Engine in
   let module Wal = Xwal.Wal in
   let module Metrics = Xobs.Metrics in
-  let rec rm_rf path =
-    match Unix.lstat path with
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-        Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-        Unix.rmdir path
-    | _ -> Sys.remove path
-    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-  in
   let with_dir tag f =
     let dir =
       Filename.concat (Filename.get_temp_dir_name ())

@@ -8,9 +8,13 @@ type kind = Element | Attribute | Text
    columns are a few flat arrays that live and die together.
    The post-order rank is not stored: the nodes closed by the time a node
    closes are those before its subtree end except its [depth - 1]
-   ancestors, so post = subtree_end - depth + 1. *)
+   ancestors, so post = subtree_end - depth + 1.
+   The columns hold at least [len] entries, and only the first [len] are
+   the document: a batch of edits leaves its working copy's spare room
+   at the end rather than copying every column once more to cut it. *)
 type t = {
   name : string;
+  len : int;
   kinds : kind array;
   labels : string array;
   values : string array;
@@ -25,7 +29,7 @@ type t = {
 }
 
 let name d = d.name
-let size d = Array.length d.kinds
+let size d = d.len
 let root _ = 0
 
 let post_of d i = d.ends.(i) - d.depths.(i) + 1
@@ -66,7 +70,7 @@ let rec fill d at tree ~depth ~parent ~ordinal =
       !next
 
 let create name n =
-  { name; kinds = Array.make n Text; labels = Array.make n ""; values = Array.make n "";
+  { name; len = n; kinds = Array.make n Text; labels = Array.make n ""; values = Array.make n "";
     depths = Array.make n 0; parents = Array.make n 0; ordinals = Array.make n 0;
     ends = Array.make n 0; label_index = Atomic.make None }
 
@@ -78,7 +82,11 @@ let of_tree ?(name = "doc") tree =
 let of_string ?name s = of_tree ?name (Xml_tree.parse s)
 
 let element_size d =
-  Array.fold_left (fun acc k -> if k = Element then acc + 1 else acc) 0 d.kinds
+  let n = ref 0 in
+  for i = 0 to size d - 1 do
+    if d.kinds.(i) = Element then incr n
+  done;
+  !n
 
 let kind d i = d.kinds.(i)
 let label d i = d.labels.(i)
@@ -130,12 +138,12 @@ let nodes_with_label d lbl =
 let labels d =
   let seen = Hashtbl.create 64 in
   let acc = ref [] in
-  Array.iter
-    (fun lbl ->
-      if not (Hashtbl.mem seen lbl) then (
-        Hashtbl.add seen lbl ();
-        acc := lbl :: !acc))
-    d.labels;
+  for i = 0 to size d - 1 do
+    let lbl = d.labels.(i) in
+    if not (Hashtbl.mem seen lbl) then (
+      Hashtbl.add seen lbl ();
+      acc := lbl :: !acc)
+  done;
   List.rev !acc
 
 let iter f d =
@@ -201,74 +209,62 @@ let id scheme d i =
       let rec path i acc = if i < 0 then acc else path d.parents.(i) (d.ordinals.(i) :: acc) in
       Nid.Dewey (path i [])
 
-type packed_node = {
-  p_post : int;
-  p_depth : int;
-  p_parent : int;
-  p_ordinal : int;
-  p_kind : kind;
-  p_label : string;
-  p_value : string;
-  p_subtree_end : int;
-}
-
-let pack d =
-  Array.init (size d) (fun i ->
-      { p_post = post_of d i; p_depth = d.depths.(i); p_parent = d.parents.(i);
-        p_ordinal = d.ordinals.(i); p_kind = d.kinds.(i); p_label = d.labels.(i);
-        p_value = d.values.(i); p_subtree_end = d.ends.(i) })
-
 (* One pre-order pass. The nodes still open at [i] are the parent chain
    of the node checked before it, so closing every node whose subtree
    ended is a walk up that chain; the last node it closes is [i]'s
    previous sibling. *)
-let unpack ~name packed =
-  let n = Array.length packed in
-  let fail fmt = Printf.ksprintf (fun msg -> invalid_arg ("Doc.unpack: " ^ msg)) fmt in
+let of_columns ~name ~kinds ~labels ~values ~depths ~parents ~ordinals ~ends ?posts () =
+  let n = Array.length kinds in
+  let fail fmt = Printf.ksprintf (fun msg -> invalid_arg ("Doc.of_columns: " ^ msg)) fmt in
   if n = 0 then fail "empty node array";
-  if packed.(0).p_subtree_end <> n then fail "root subtree does not span the array";
+  let same a what = if Array.length a <> n then fail "%s column holds %d of %d nodes" what (Array.length a) n in
+  same labels "label";
+  same values "value";
+  same depths "depth";
+  same parents "parent";
+  same ordinals "ordinal";
+  same ends "subtree end";
+  Option.iter (fun p -> same p "post") posts;
+  if ends.(0) <> n then fail "root subtree does not span the array";
   let open_ = ref (-1) in
   for i = 0 to n - 1 do
-    let p = packed.(i) in
     let prev = ref (-1) in
-    while !open_ >= 0 && packed.(!open_).p_subtree_end <= i do
+    while !open_ >= 0 && ends.(!open_) <= i do
       prev := !open_;
-      open_ := packed.(!open_).p_parent
+      open_ := parents.(!open_)
     done;
     (* The root spans the array, so it stays open: [up] is [-1] only at 0. *)
     let up = !open_ in
-    if p.p_parent <> up then
-      fail "node %d: parent %d is not the innermost open node %d" i p.p_parent up;
+    if parents.(i) <> up then
+      fail "node %d: parent %d is not the innermost open node %d" i parents.(i) up;
     let depth, limit, ordinal =
       if up < 0 then (1, n, 1)
-      else
-        let q = packed.(up) in
-        (q.p_depth + 1, q.p_subtree_end,
-         if !prev < 0 then 1 else packed.(!prev).p_ordinal + 1)
+      else (depths.(up) + 1, ends.(up), if !prev < 0 then 1 else ordinals.(!prev) + 1)
     in
-    if p.p_depth <> depth then fail "node %d: depth %d inconsistent with parent" i p.p_depth;
-    if p.p_subtree_end <= i || p.p_subtree_end > limit then
-      fail "node %d: subtree end %d outside (%d, %d]" i p.p_subtree_end i limit;
-    if p.p_post <> p.p_subtree_end - p.p_depth + 1 then
-      fail "node %d: post %d inconsistent with subtree end and depth" i p.p_post;
-    if p.p_kind <> Element && p.p_subtree_end <> i + 1 then
+    if depths.(i) <> depth then fail "node %d: depth %d inconsistent with parent" i depths.(i);
+    if ends.(i) <= i || ends.(i) > limit then
+      fail "node %d: subtree end %d outside (%d, %d]" i ends.(i) i limit;
+    (match posts with
+    | Some p when p.(i) <> ends.(i) - depths.(i) + 1 ->
+        fail "node %d: post %d inconsistent with subtree end and depth" i p.(i)
+    | _ -> ());
+    if kinds.(i) <> Element && ends.(i) <> i + 1 then
       fail "node %d: text or attribute node has descendants" i;
-    if p.p_ordinal <> ordinal then
-      fail "node %d: ordinal %d is not its rank %d among siblings" i p.p_ordinal ordinal;
-    if p.p_kind = Attribute then begin
-      if not (String.length p.p_label > 1 && p.p_label.[0] = '@') then
-        fail "node %d: attribute label %S lacks '@'" i p.p_label;
+    if ordinals.(i) <> ordinal then
+      fail "node %d: ordinal %d is not its rank %d among siblings" i ordinals.(i) ordinal;
+    if kinds.(i) = Attribute then begin
+      let l = labels.(i) in
+      if not (String.length l > 1 && l.[0] = '@') then
+        fail "node %d: attribute label %S lacks '@'" i l;
       if up < 0 then fail "the root is an attribute";
-      if !prev >= 0 && packed.(!prev).p_kind <> Attribute then
+      if !prev >= 0 && kinds.(!prev) <> Attribute then
         fail "node %d: attribute after a non-attribute sibling" i
     end;
+    if kinds.(i) = Element && values.(i) <> "" then fail "node %d: element carries a value" i;
     open_ := i
   done;
-  let column f = Array.map f packed in
-  { name; kinds = column (fun p -> p.p_kind); labels = column (fun p -> p.p_label);
-    values = column (fun p -> p.p_value); depths = column (fun p -> p.p_depth);
-    parents = column (fun p -> p.p_parent); ordinals = column (fun p -> p.p_ordinal);
-    ends = column (fun p -> p.p_subtree_end); label_index = Atomic.make None }
+  { name; len = n; kinds; labels; values; depths; parents; ordinals; ends;
+    label_index = Atomic.make None }
 
 (* --- Mutations ---------------------------------------------------------
    Functional updates by column splice; the source is never written. An
@@ -282,82 +278,168 @@ let unpack ~name packed =
    shifts the handle of every node at or after the edit point; callers
    must re-resolve handles against the returned document. *)
 
-let check_handle d i ctx =
-  if i < 0 || i >= size d then
+(* Edits are checked against the first [n] nodes of a document: all of
+   it for a single edit, the nodes in use for a batch's working copy. *)
+let check_handle n i ctx =
+  if i < 0 || i >= n then
     invalid_arg
-      (Printf.sprintf "Doc.%s: handle %d out of range (document has %d nodes)"
-         ctx i (size d))
+      (Printf.sprintf "Doc.%s: handle %d out of range (document has %d nodes)" ctx i n)
 
-(* [a] with [drop] entries removed at [at] and [room] unset entries
-   (holding [x]) opened there. *)
-let splice a ~at ~drop ~room x =
-  let n = Array.length a in
+(* Where an insert under [parent] lands: its handle and ordinal. *)
+let insert_point d n ~parent ?before () =
+  check_handle n parent "insert_subtree";
+  if d.kinds.(parent) <> Element then
+    invalid_arg "Doc.insert_subtree: parent is not an element";
+  match before with
+  | Some b ->
+      check_handle n b "insert_subtree";
+      if d.parents.(b) <> parent then
+        invalid_arg "Doc.insert_subtree: ~before is not a child of ~parent";
+      if d.kinds.(b) = Attribute then
+        invalid_arg "Doc.insert_subtree: cannot insert before an attribute";
+      (b, d.ordinals.(b))
+  | None -> (d.ends.(parent), List.length (children d parent) + 1)
+
+let check_delete n i =
+  check_handle n i "delete_subtree";
+  if i = 0 then invalid_arg "Doc.delete_subtree: cannot delete the root"
+
+let check_update d n i =
+  check_handle n i "update_value";
+  if d.kinds.(i) = Element then
+    invalid_arg "Doc.update_value: values live on text and attribute nodes"
+
+(* The first [n] entries of [a] with [drop] entries removed at [at] and
+   [room] unset entries (holding [x]) opened there. *)
+let splice a ~n ~at ~drop ~room x =
   let b = Array.make (n - drop + room) x in
   Array.blit a 0 b 0 at;
   Array.blit a (at + drop) b (at + room) (n - at - drop);
   b
 
-(* The columns of [d] with [drop] nodes removed and [room] opened at [at],
-   then moved into place: the subtree ends of [up] (the edit point's
-   parent) and its ancestors move by [delta] = [room - drop], and so do
-   the suffix's subtree ends and its parents that lay in it; the suffix's
-   children of [up] (the following siblings) move one ordinal the same
-   way. *)
-let reshape d ~at ~drop ~room ~up =
+(* Move what an edit shifted into place, in columns whose first [stop]
+   nodes are the edited document: the subtree ends of [up] (the edit
+   point's parent) and its ancestors move by [delta] = [room - drop], and
+   so do the suffix's subtree ends and its parents that lay in it; the
+   suffix's children of [up] (the following siblings) move one ordinal
+   the same way. *)
+let adjust r ~at ~drop ~room ~up ~stop =
   let delta = room - drop in
-  let r =
-    { name = d.name; kinds = splice d.kinds ~at ~drop ~room Text;
-      labels = splice d.labels ~at ~drop ~room ""; values = splice d.values ~at ~drop ~room "";
-      depths = splice d.depths ~at ~drop ~room 0; parents = splice d.parents ~at ~drop ~room 0;
-      ordinals = splice d.ordinals ~at ~drop ~room 0; ends = splice d.ends ~at ~drop ~room 0;
-      label_index = Atomic.make None }
-  in
   let rec widen i = if i >= 0 then (r.ends.(i) <- r.ends.(i) + delta; widen r.parents.(i)) in
   widen up;
   let step = if delta > 0 then 1 else -1 in
-  for j = at + room to size r - 1 do
+  for j = at + room to stop - 1 do
     r.ends.(j) <- r.ends.(j) + delta;
     let p = r.parents.(j) in
     if p >= at + drop then r.parents.(j) <- p + delta
     else if p = up then r.ordinals.(j) <- r.ordinals.(j) + step
-  done;
+  done
+
+(* The columns of [d] with [drop] nodes removed and [room] opened at [at],
+   then adjusted. *)
+let reshape d ~at ~drop ~room ~up =
+  let n = size d in
+  let r =
+    { name = d.name; len = n - drop + room; kinds = splice d.kinds ~n ~at ~drop ~room Text;
+      labels = splice d.labels ~n ~at ~drop ~room "";
+      values = splice d.values ~n ~at ~drop ~room "";
+      depths = splice d.depths ~n ~at ~drop ~room 0;
+      parents = splice d.parents ~n ~at ~drop ~room 0;
+      ordinals = splice d.ordinals ~n ~at ~drop ~room 0;
+      ends = splice d.ends ~n ~at ~drop ~room 0; label_index = Atomic.make None }
+  in
+  adjust r ~at ~drop ~room ~up ~stop:(size r);
   r
 
 let insert_subtree d ~parent ?before tree =
-  check_handle d parent "insert_subtree";
-  if d.kinds.(parent) <> Element then
-    invalid_arg "Doc.insert_subtree: parent is not an element";
-  (match before with
-  | None -> ()
-  | Some b ->
-      check_handle d b "insert_subtree";
-      if d.parents.(b) <> parent then
-        invalid_arg "Doc.insert_subtree: ~before is not a child of ~parent";
-      if d.kinds.(b) = Attribute then
-        invalid_arg "Doc.insert_subtree: cannot insert before an attribute");
-  let at, ordinal =
-    match before with
-    | Some b -> (b, d.ordinals.(b))
-    | None -> (d.ends.(parent), List.length (children d parent) + 1)
-  in
+  let at, ordinal = insert_point d (size d) ~parent ?before () in
   let r = reshape d ~at ~drop:0 ~room:(Xml_tree.node_count tree) ~up:parent in
   ignore (fill r at tree ~depth:(d.depths.(parent) + 1) ~parent ~ordinal);
   r
 
 let delete_subtree d i =
-  check_handle d i "delete_subtree";
-  if i = 0 then invalid_arg "Doc.delete_subtree: cannot delete the root";
+  check_delete (size d) i;
   reshape d ~at:i ~drop:(d.ends.(i) - i) ~room:0 ~up:d.parents.(i)
 
 let update_value d i v =
-  check_handle d i "update_value";
-  if d.kinds.(i) = Element then
-    invalid_arg "Doc.update_value: values live on text and attribute nodes";
+  check_update d (size d) i;
   let values = Array.copy d.values in
   values.(i) <- v;
   (* Labels and handles are unchanged, so the label index carries over:
      both versions share its cell, whichever builds it first. *)
   { d with values }
+
+type edit =
+  | Insert of { parent : int; before : int option; tree : Xml_tree.t }
+  | Delete of int
+  | Update of int * string
+
+(* A batch edits one private working copy in place instead of copying
+   every column per edit. The copy has room for every node the batch
+   inserts, so an edit only shifts the nodes in use ([len] of them)
+   within the same arrays, and the result keeps whatever room is left.
+   A batch of updates alone copies the value column once. *)
+let apply_edits d edits =
+  let n = size d in
+  match edits with
+  | [] -> d
+  | [ Insert { parent; before; tree } ] -> insert_subtree d ~parent ?before tree
+  | [ Delete i ] -> delete_subtree d i
+  | _ when List.for_all (function Update _ -> true | Insert _ | Delete _ -> false) edits ->
+      let values = Array.copy d.values in
+      List.iter
+        (function
+          | Update (i, v) -> check_update d n i; values.(i) <- v
+          | Insert _ | Delete _ -> ())
+        edits;
+      { d with values }
+  | _ ->
+      let cap =
+        List.fold_left
+          (fun acc -> function Insert { tree; _ } -> acc + Xml_tree.node_count tree | _ -> acc)
+          n edits
+      in
+      let grow a x =
+        let b = Array.make cap x in
+        Array.blit a 0 b 0 n;
+        b
+      in
+      let r =
+        { name = d.name; len = n; kinds = grow d.kinds Text; labels = grow d.labels "";
+          values = grow d.values ""; depths = grow d.depths 0; parents = grow d.parents 0;
+          ordinals = grow d.ordinals 0; ends = grow d.ends 0; label_index = Atomic.make None }
+      in
+      (* [drop] nodes out and [room] in at [at], within the first [len] *)
+      let shift ~len ~at ~drop ~room ~up =
+        let move a = Array.blit a (at + drop) a (at + room) (len - at - drop) in
+        move r.kinds; move r.labels; move r.values; move r.depths; move r.parents;
+        move r.ordinals; move r.ends;
+        adjust r ~at ~drop ~room ~up ~stop:(len + room - drop)
+      in
+      let len =
+        List.fold_left
+          (fun len -> function
+            | Update (i, v) ->
+                check_update r len i;
+                r.values.(i) <- v;
+                len
+            | Delete i ->
+                check_delete len i;
+                let drop = r.ends.(i) - i in
+                shift ~len ~at:i ~drop ~room:0 ~up:r.parents.(i);
+                len - drop
+            | Insert { parent; before; tree } ->
+                let at, ordinal = insert_point r len ~parent ?before () in
+                let room = Xml_tree.node_count tree in
+                shift ~len ~at ~drop:0 ~room ~up:parent;
+                ignore (fill r at tree ~depth:(r.depths.(parent) + 1) ~parent ~ordinal);
+                len + room)
+          n edits
+      in
+      (* the spare room keeps no strings alive *)
+      Array.fill r.labels len (cap - len) "";
+      Array.fill r.values len (cap - len) "";
+      { r with len }
 
 let handle_of_id d nid =
   let check i = if i >= 0 && i < size d then Some i else None in

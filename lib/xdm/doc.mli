@@ -118,6 +118,24 @@ val update_value : t -> int -> string -> t
 (** Replace the value of a text or attribute node (elements have no
     stored value of their own). *)
 
+(** One edit of a batch ({!apply_edits}). *)
+type edit =
+  | Insert of { parent : int; before : int option; tree : Xml_tree.t }
+      (** {!insert_subtree} *)
+  | Delete of int  (** {!delete_subtree} *)
+  | Update of int * string  (** {!update_value} *)
+
+val apply_edits : t -> edit list -> t
+(** The edits applied in order, each one's handles resolved against the
+    document the previous ones produced: the document
+    [List.fold_left] of the single-edit functions would return, raising
+    the same [Invalid_argument] on the first edit that does not apply.
+    The batch edits one working copy of the columns, sized for every
+    node it inserts, and shifts nodes within it, so it copies each
+    column once however many edits it holds (a batch of updates alone
+    copies the value column once and keeps the label index), where the
+    fold copies every column per structural edit. *)
+
 (** {1 Identifiers} *)
 
 val id : Nid.scheme -> t -> int -> Nid.t
@@ -127,34 +145,40 @@ val handle_of_id : t -> Nid.t -> int option
 (** Inverse of {!id}; [None] if the identifier does not denote a node of
     this document. *)
 
-(** {1 Raw node access}
+(** {1 Columns}
 
-    The flattened node array, exposed for binary persistence
-    ([lib/xpersist]): a snapshot stores the array verbatim so node
-    handles (pre-order ranks) and every (pre, post, depth) label survive
-    a save/reopen byte-identically — no re-parse, no re-flattening. *)
+    A document is stored by column; {!of_columns} rebuilds one from its
+    columns, which is how binary persistence ([lib/xpersist]) reopens a
+    snapshot: node handles (pre-order ranks) and every (pre, post, depth)
+    label survive a save/reopen byte-identically — no re-parse, no
+    re-flattening. The per-node accessors above read the columns back
+    ({!value} of a text or attribute node is its stored value; elements
+    store none). *)
 
-type packed_node = {
-  p_post : int;
-  p_depth : int;
-  p_parent : int;  (** [-1] on the root *)
-  p_ordinal : int;
-  p_kind : kind;
-  p_label : string;
-  p_value : string;
-  p_subtree_end : int;
-}
-
-val pack : t -> packed_node array
-(** The node array in handle order; entry [i] describes handle [i]. *)
-
-val unpack : name:string -> packed_node array -> t
-(** Rebuild a document from {!pack} output. Checks, in one pass, the
-    structural invariants the accessors rely on: each node's parent is
+val of_columns :
+  name:string ->
+  kinds:kind array ->
+  labels:string array ->
+  values:string array ->
+  depths:int array ->
+  parents:int array ->
+  ordinals:int array ->
+  ends:int array ->
+  ?posts:int array ->
+  unit ->
+  t
+(** The document whose handle [i] has kind [kinds.(i)], label
+    [labels.(i)], stored value [values.(i)], and so on; [parents.(0)] is
+    [-1] and [ends] holds the subtree ends. The arrays become the
+    document's own and must not be written afterwards. [posts], when a
+    caller stores post-order ranks, is checked and dropped (they are
+    derived). Checks, in one pass, the structural invariants the
+    accessors rely on: the columns have one length, each node's parent is
     the innermost node still open at it, subtree ends are nested within
-    the parent's, depths follow the parent chain, [p_post] is
-    [p_subtree_end - p_depth + 1], text and attribute nodes are leaves,
-    attributes precede their element's other children, and ordinals are
-    the 1-based rank among siblings. Raises [Invalid_argument] when one
-    does not hold — corrupted input never produces a document whose
-    structural predicates disagree or that crashes later. *)
+    the parent's, depths follow the parent chain, each post is
+    [subtree_end - depth + 1], text and attribute nodes are leaves,
+    attributes are labelled [@name] and precede their element's other
+    children, elements store no value, and ordinals are the 1-based rank
+    among siblings. Raises [Invalid_argument] when one does not hold —
+    corrupted input never produces a document whose structural
+    predicates disagree or that crashes later. *)

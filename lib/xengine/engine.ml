@@ -537,24 +537,21 @@ type minfo = {
 
 let update_invalid msg = Xerror.Error (Xerror.Update_invalid msg)
 
-let mutate_doc doc (op : mutation) =
-  match op with
-  | Insert_subtree { parent; before; xml } -> (
-      match Xdm.Xml_tree.parse_result xml with
-      | Error msg ->
-          raise (update_invalid ("inserted XML does not parse: " ^ msg))
-      | Ok tree -> (
-          match Xdm.Doc.insert_subtree doc ~parent ?before tree with
-          | d -> d
-          | exception Invalid_argument msg -> raise (update_invalid msg)))
-  | Delete_subtree { node } -> (
-      match Xdm.Doc.delete_subtree doc node with
-      | d -> d
-      | exception Invalid_argument msg -> raise (update_invalid msg))
-  | Update_value { node; value } -> (
-      match Xdm.Doc.update_value doc node value with
-      | d -> d
-      | exception Invalid_argument msg -> raise (update_invalid msg))
+(* The ops as one batch of document edits: each op's handles resolve
+   against the document the previous ops produced. *)
+let mutate_doc doc ops =
+  let edit (op : mutation) =
+    match op with
+    | Insert_subtree { parent; before; xml } -> (
+        match Xdm.Xml_tree.parse_result xml with
+        | Ok tree -> Xdm.Doc.Insert { parent; before; tree }
+        | Error msg -> raise (update_invalid ("inserted XML does not parse: " ^ msg)))
+    | Delete_subtree { node } -> Xdm.Doc.Delete node
+    | Update_value { node; value } -> Xdm.Doc.Update (node, value)
+  in
+  match Xdm.Doc.apply_edits doc (List.map edit ops) with
+  | d -> d
+  | exception Invalid_argument msg -> raise (update_invalid msg)
 
 let summary_paths s =
   List.init (Summary.size s) (fun i -> Summary.path_string s i)
@@ -569,8 +566,9 @@ let summary_paths s =
    — a module dropped because an edit removed its last matching path
    resurrects the moment an edit brings the path back, at its declared
    position. The catalog is thus a function of the declared list and the
-   document alone, which is what lets a batch and the per-record replay
-   of its WAL records land on the same catalog. *)
+   document alone: maintaining once after a whole batch, or after a
+   whole recovered WAL tail, lands on the catalog that maintaining after
+   every op would have. *)
 let maintain t doc =
   let prev = materialized_catalog t in
   let summary, phi = Summary.build doc in
@@ -670,7 +668,7 @@ let install_update t doc catalog ~lsn (info : minfo) =
 let write t ops =
   let doc =
     match t.doc with
-    | Some d -> List.fold_left mutate_doc d ops
+    | Some d -> mutate_doc d ops
     | None -> raise (update_invalid "engine holds no document to mutate")
   in
   let t0 = clk t () in
@@ -763,19 +761,20 @@ let attach_wal_r ?fs ?sync ?segment_bytes ?commit_window ?max_batch t dir =
                 match check (base + 1) todo with
                 | Error e -> Error e
                 | Ok () -> (
-                    (* One write-path round per record, unlogged: the
-                       contiguity check above makes each land at its
-                       record's LSN. *)
+                    (* The whole tail as one write-path round, unlogged:
+                       every record's edit folds over the document, the
+                       catalog is maintained once against the result, and
+                       the contiguity check above makes it land at
+                       [base + n]. An invalid record fails the round, so
+                       nothing past the snapshot installs. *)
                     let rt0 = clk t () in
                     match
-                      List.iter
-                        (fun r ->
-                          ignore (write t [ r.Wal.op ]);
-                          Metrics.incr t.m.m_replayed)
-                        todo
+                      if todo <> [] then
+                        ignore (write t (List.map (fun r -> r.Wal.op) todo))
                     with
                     | exception Xerror.Error e -> Error e
                     | () -> (
+                        Metrics.add t.m.m_replayed (List.length todo);
                         Metrics.observe t.m.h_replay (clk t () -. rt0);
                         match
                           Wal.Writer.open_ ?fs ~metrics:t.obs.Obs.metrics

@@ -204,10 +204,14 @@ val load_snapshot_r : t -> string -> (unit, Xerror.t) Stdlib.result
     Recovery is [snapshot + replay]: open the engine from its latest
     snapshot (which carries the LSN it covers), then {!attach_wal_r} —
     the log's tail is repaired if torn, records at or below the snapshot
-    LSN are skipped (idempotence), the rest run through the write core
-    one record at a time, unlogged. Mid-log corruption and LSN gaps fail
-    closed with [Wal_error]. {!checkpoint_r} bounds replay work: fresh
-    snapshot first, then covered segments truncate.
+    LSN are skipped (idempotence), and the rest go through the write
+    core as one unlogged round: every record's operation folds over the
+    document, the catalog is maintained once against the result, and
+    the engine installs at the last record's LSN. Recovery thus costs one
+    snapshot decode plus one maintenance pass, however long the tail.
+    Mid-log corruption and LSN gaps fail closed with [Wal_error].
+    {!checkpoint_r} bounds replay work: fresh snapshot first, then
+    covered segments truncate.
 
     Maintenance is wholesale-with-splicing over the {e declared} module
     list — the catalog's modules in the order {!create},
@@ -219,9 +223,12 @@ val load_snapshot_r : t -> string -> (unit, Xerror.t) Stdlib.result
     modules whose XAM stops validating against the new summary are
     quarantined as dormant and retried on every later apply, rejoining
     at their declared position. The catalog after a write is thus a
-    function of the declared list and the document alone: a batch and
-    the record-by-record replay of its WAL land on the same catalog, and
-    snapshots carry the dormant modules so recovery keeps them. *)
+    function of the declared list and the document alone. That is what
+    lets recovery maintain once: an engine that maintained after every
+    record and one that maintains after the last land on the same
+    catalog, a module dropped by one record and resurrected by a later
+    one included; and snapshots carry the dormant modules so recovery
+    keeps them. *)
 
 type mutation = Xwal.Wal.op =
   | Insert_subtree of { parent : int; before : int option; xml : string }
@@ -273,10 +280,15 @@ val attach_wal_r :
   string ->
   (int, Xerror.t) Stdlib.result
 (** Attach (and recover from) the WAL directory: read it back, repair a
-    torn tail, replay every record above the engine's LSN, then open the
-    writer so subsequent applies append. Returns how many records were
-    replayed. Fails closed with [Wal_error] on mid-log corruption, an LSN
-    gap above the snapshot base, or a record that no longer applies.
+    torn tail, replay every record above the engine's LSN in one
+    write-core round, then open the writer so subsequent applies append.
+    Returns how many records were replayed. Fails closed with
+    [Wal_error] on mid-log corruption or an LSN gap above the snapshot
+    base, and with [Update_invalid] on a record that passes its CRC but
+    does not apply to the document (an out-of-range handle, say). The
+    tail replays all or nothing: on any failure the engine stays at its
+    snapshot LSN with no writer attached — the valid records before a
+    bad one do not install either.
     [fs] injects a filesystem (crash harness);
     [sync]/[segment_bytes]/[commit_window]/[max_batch] as in
     {!Xwal.Wal.Writer.open_}. *)

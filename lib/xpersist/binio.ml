@@ -4,25 +4,63 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
 (* --- Writing ------------------------------------------------------------- *)
 
-type writer = Buffer.t
+(* [len] bytes pending in [buf]; [spilled] bytes already handed to
+   [sink], which a spilling writer calls whenever [buf] fills and on
+   [flush]. Integers go in as whole 64-bit words. *)
+type writer = {
+  mutable buf : Bytes.t;
+  mutable len : int;
+  mutable spilled : int;
+  sink : (Bytes.t -> int -> unit) option;
+}
 
-let writer () = Buffer.create 4096
-let contents = Buffer.contents
-let size = Buffer.length
+let writer () = { buf = Bytes.create 256; len = 0; spilled = 0; sink = None }
 
-let w_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
-let w_bool b v = w_u8 b (if v then 1 else 0)
+let spilling ?(chunk = 65536) sink =
+  { buf = Bytes.create chunk; len = 0; spilled = 0; sink = Some sink }
 
-let w_int b v =
-  let v = Int64.of_int v in
-  for shift = 0 to 7 do
-    Buffer.add_char b
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * shift)) 0xffL)))
-  done
+let flush w =
+  match w.sink with
+  | Some f when w.len > 0 ->
+      f w.buf w.len;
+      w.spilled <- w.spilled + w.len;
+      w.len <- 0
+  | _ -> ()
 
-let w_str b s =
-  w_int b (String.length s);
-  Buffer.add_string b s
+let reserve w k =
+  if w.len + k > Bytes.length w.buf then begin
+    flush w;
+    if w.len + k > Bytes.length w.buf then begin
+      let b = Bytes.create (max (w.len + k) (2 * Bytes.length w.buf)) in
+      Bytes.blit w.buf 0 b 0 w.len;
+      w.buf <- b
+    end
+  end
+
+let contents w =
+  if w.sink <> None then invalid_arg "Binio.contents: a spilling writer keeps no contents";
+  Bytes.sub_string w.buf 0 w.len
+
+let size w = w.spilled + w.len
+
+let w_u8 w v =
+  reserve w 1;
+  Bytes.unsafe_set w.buf w.len (Char.unsafe_chr (v land 0xff));
+  w.len <- w.len + 1
+
+let w_bool w v = w_u8 w (if v then 1 else 0)
+
+let w_int w v =
+  reserve w 8;
+  Bytes.set_int64_le w.buf w.len (Int64.of_int v);
+  w.len <- w.len + 8
+
+let w_str w s =
+  let n = String.length s in
+  w_int w n;
+  reserve w n;
+  Bytes.blit_string s 0 w.buf w.len n;
+  w.len <- w.len + n
 
 (* --- Reading ------------------------------------------------------------- *)
 
@@ -52,13 +90,9 @@ let r_bool r =
 
 let r_int r =
   need r 8 "int";
-  let v = ref 0L in
-  for shift = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8)
-           (Int64.of_int (Char.code r.data.[r.pos + shift]))
-  done;
+  let v = Int64.to_int (String.get_int64_le r.data r.pos) in
   r.pos <- r.pos + 8;
-  Int64.to_int !v
+  v
 
 let r_str r =
   let n = r_int r in
@@ -73,28 +107,50 @@ let expect_end r =
 
 (* --- CRC-32 -------------------------------------------------------------- *)
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+(* Slicing-by-8: table [k] advances the register over a byte followed by
+   [k] zero bytes, so eight table lookups fold eight bytes at once. The
+   eight tables live in one array, [k * 256 + byte], holding 32-bit
+   values in native ints. *)
+let crc_tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for i = 256 to (8 * 256) - 1 do
+    let prev = t.(i - 256) in
+    t.(i) <- (prev lsr 8) lxor t.(prev land 0xff)
+  done;
+  t
 
-let crc32 ?(pos = 0) ?len data =
+(* [k * 256 + byte]: every index below stays under 2048. *)
+let[@inline] tb k i = Array.unsafe_get crc_tables ((k lsl 8) lor i)
+let[@inline] word data i = Int32.to_int (String.get_int32_le data i) land 0xFFFFFFFF
+
+let crc32 ?(crc = 0) ?(pos = 0) ?len data =
   let len = match len with Some l -> l | None -> String.length data - pos in
   if pos < 0 || len < 0 || pos + len > String.length data then
     corrupt "crc32 slice [%d, +%d) outside %d bytes" pos len (String.length data);
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  for i = pos to pos + len - 1 do
+  let stop = pos + len in
+  let c = ref (crc lxor 0xFFFFFFFF) and i = ref pos in
+  while !i + 8 <= stop do
+    let lo = !c lxor word data !i and hi = word data (!i + 4) in
     c :=
-      Int32.logxor
-        table.(Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code data.[i]))) 0xffl))
-        (Int32.shift_right_logical !c 8)
+      tb 7 (lo land 0xff)
+      lxor tb 6 ((lo lsr 8) land 0xff)
+      lxor tb 5 ((lo lsr 16) land 0xff)
+      lxor tb 4 (lo lsr 24)
+      lxor tb 3 (hi land 0xff)
+      lxor tb 2 ((hi lsr 8) land 0xff)
+      lxor tb 1 ((hi lsr 16) land 0xff)
+      lxor tb 0 (hi lsr 24);
+    i := !i + 8
   done;
-  Int32.to_int (Int32.logxor !c 0xFFFFFFFFl) land 0xFFFFFFFF
+  while !i < stop do
+    c := tb 0 ((!c lxor Char.code (String.unsafe_get data !i)) land 0xff) lxor (!c lsr 8);
+    incr i
+  done;
+  !c lxor 0xFFFFFFFF

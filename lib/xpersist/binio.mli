@@ -23,8 +23,25 @@ exception Corrupt of string
 type writer
 
 val writer : unit -> writer
+(** A writer that keeps everything written, for {!contents}. *)
+
+val spilling : ?chunk:int -> (Bytes.t -> int -> unit) -> writer
+(** A writer that keeps at most about [chunk] bytes (default 64 KiB):
+    whenever they would overflow, and on {!flush}, it hands the pending
+    bytes to the sink ([sink buf n]: the first [n] bytes of [buf], valid
+    only during the call) and starts over. Streams a large payload to a
+    file without holding it. *)
+
+val flush : writer -> unit
+(** Hand the pending bytes of a spilling writer to its sink now (no-op
+    on a plain writer). *)
+
 val contents : writer -> string
+(** Everything written; raises [Invalid_argument] on a spilling
+    writer. *)
+
 val size : writer -> int
+(** Bytes written so far, spilled ones included. *)
 
 val w_u8 : writer -> int -> unit
 (** Low 8 bits. *)
@@ -56,6 +73,8 @@ val expect_end : reader -> unit
 
 (** {1 Integrity} *)
 
-val crc32 : ?pos:int -> ?len:int -> string -> int
+val crc32 : ?crc:int -> ?pos:int -> ?len:int -> string -> int
 (** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of a slice, as a
-    non-negative int. *)
+    non-negative int. [crc] (default 0) is the CRC of the bytes before
+    the slice, so [crc32 ~crc:(crc32 a) b = crc32 (a ^ b)]: a stream can
+    be checksummed piece by piece. *)

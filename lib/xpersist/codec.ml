@@ -286,44 +286,52 @@ let r_summary r =
 
 (* --- Documents ----------------------------------------------------------- *)
 
+(* One record per node in handle order: post, depth, parent, ordinal,
+   kind, label, stored value, subtree end. Written from the accessors
+   and read straight into [Doc]'s columns; no per-node record on either
+   side. Labels repeat across thousands of nodes, so decoding interns
+   them: the reopened document holds one string per distinct label. *)
 let w_doc b d =
   Binio.w_str b (Doc.name d);
-  let packed = Doc.pack d in
-  Binio.w_int b (Array.length packed);
-  Array.iter
-    (fun (p : Doc.packed_node) ->
-      Binio.w_int b p.Doc.p_post;
-      Binio.w_int b p.Doc.p_depth;
-      Binio.w_int b p.Doc.p_parent;
-      Binio.w_int b p.Doc.p_ordinal;
-      Binio.w_u8 b
-        (match p.Doc.p_kind with Doc.Element -> 0 | Doc.Attribute -> 1 | Doc.Text -> 2);
-      Binio.w_str b p.Doc.p_label;
-      Binio.w_str b p.Doc.p_value;
-      Binio.w_int b p.Doc.p_subtree_end)
-    packed
+  Binio.w_int b (Doc.size d);
+  for i = 0 to Doc.size d - 1 do
+    let kind = Doc.kind d i in
+    Binio.w_int b (Doc.post d i);
+    Binio.w_int b (Doc.depth d i);
+    Binio.w_int b (Doc.parent d i);
+    Binio.w_int b (Doc.ordinal d i);
+    Binio.w_u8 b (match kind with Doc.Element -> 0 | Doc.Attribute -> 1 | Doc.Text -> 2);
+    Binio.w_str b (Doc.label d i);
+    Binio.w_str b (match kind with Doc.Element -> "" | Doc.Attribute | Doc.Text -> Doc.value d i);
+    Binio.w_int b (Doc.subtree_end d i)
+  done
 
 let r_doc r =
   let name = Binio.r_str r in
   (* five ints + kind tag + two string prefixes *)
   let n = r_count r ~min_bytes:57 "document node" in
-  let packed =
-    Array.init n (fun _ ->
-        let p_post = Binio.r_int r in
-        let p_depth = Binio.r_int r in
-        let p_parent = Binio.r_int r in
-        let p_ordinal = Binio.r_int r in
-        let p_kind =
-          match Binio.r_u8 r with
-          | 0 -> Doc.Element
-          | 1 -> Doc.Attribute
-          | 2 -> Doc.Text
-          | t -> corrupt "node kind tag %d" t
-        in
-        let p_label = Binio.r_str r in
-        let p_value = Binio.r_str r in
-        let p_subtree_end = Binio.r_int r in
-        { Doc.p_post; p_depth; p_parent; p_ordinal; p_kind; p_label; p_value;
-          p_subtree_end })
-  in
-  try Doc.unpack ~name packed with Invalid_argument e -> corrupt "document: %s" e
+  let kinds = Array.make n Doc.Text and labels = Array.make n "" and values = Array.make n "" in
+  let posts = Array.make n 0 and depths = Array.make n 0 and parents = Array.make n 0 in
+  let ordinals = Array.make n 0 and ends = Array.make n 0 in
+  let interned = Hashtbl.create 64 in
+  for i = 0 to n - 1 do
+    posts.(i) <- Binio.r_int r;
+    depths.(i) <- Binio.r_int r;
+    parents.(i) <- Binio.r_int r;
+    ordinals.(i) <- Binio.r_int r;
+    (kinds.(i) <-
+       match Binio.r_u8 r with
+       | 0 -> Doc.Element
+       | 1 -> Doc.Attribute
+       | 2 -> Doc.Text
+       | t -> corrupt "node kind tag %d" t);
+    (labels.(i) <-
+       let l = Binio.r_str r in
+       match Hashtbl.find_opt interned l with
+       | Some l -> l
+       | None -> Hashtbl.add interned l l; l);
+    values.(i) <- Binio.r_str r;
+    ends.(i) <- Binio.r_int r
+  done;
+  try Doc.of_columns ~name ~kinds ~labels ~values ~depths ~parents ~ordinals ~ends ~posts ()
+  with Invalid_argument e -> corrupt "document: %s" e

@@ -49,10 +49,9 @@ let meter m f = match m with None -> () | Some m -> f m
 
 (* --- Building ------------------------------------------------------------ *)
 
-let section name f =
-  let b = Binio.writer () in
-  f b;
-  (name, Binio.contents b)
+(* A section is a name and the code that writes its payload; [write]
+   runs them in order through one spilling writer. *)
+let section name f = (name, f)
 
 let extent_section name = "extent:" ^ name
 let pdir_section name = "pdir:" ^ name
@@ -122,7 +121,7 @@ type image = {
   dormant : (string * string) list;
 }
 
-let build { doc; catalog; lsn; declared; dormant } =
+let sections_of { doc; catalog; lsn; declared; dormant } =
   (* The dormant section places each dormant module at its position in
      the declared list; the catalog holds the others in order. *)
   let entries =
@@ -141,7 +140,6 @@ let build { doc; catalog; lsn; declared; dormant } =
       else Hashtbl.add seen name ())
     (List.map (fun (m : Store.module_) -> m.Store.name) catalog.Store.modules
     @ List.map (fun (_, name, _, _) -> name) entries);
-  let sections =
     (section "meta" (fun b ->
          Binio.w_bool b (doc <> None);
          Binio.w_int b (List.length catalog.Store.modules);
@@ -192,40 +190,31 @@ let build { doc; catalog; lsn; declared; dormant } =
                          Codec.w_rel b part.Store.p_rel))
                    p.Store.pt_parts)
         catalog.Store.modules
-  in
-  (* TOC entries are fixed-width apart from the names, so the TOC length —
-     and with it every payload offset — is known before writing it. *)
-  let toc_len =
-    8 + List.fold_left (fun acc (name, _) -> acc + 8 + String.length name + 24) 0 sections
-  in
+
+(* The header and TOC for payload [slices] (name, offset within the
+   payload, length, CRC). TOC entries are fixed-width apart from the
+   names, so the TOC length — and with it every payload offset — follows
+   from the names alone: [toc_len names]. *)
+let toc_len names = 8 + List.fold_left (fun acc name -> acc + 8 + String.length name + 24) 0 names
+
+let head slices =
+  let toc_len = toc_len (List.map (fun (name, _, _, _) -> name) slices) in
   let toc_b = Binio.writer () in
-  Binio.w_int toc_b (List.length sections);
-  let (_ : int) =
-    List.fold_left
-      (fun off (name, payload) ->
-        Binio.w_str toc_b name;
-        Binio.w_int toc_b off;
-        Binio.w_int toc_b (String.length payload);
-        Binio.w_int toc_b (Binio.crc32 payload);
-        off + String.length payload)
-      (header_len + toc_len) sections
-  in
+  Binio.w_int toc_b (List.length slices);
+  List.iter
+    (fun (name, off, len, crc) ->
+      Binio.w_str toc_b name;
+      Binio.w_int toc_b (header_len + toc_len + off);
+      Binio.w_int toc_b len;
+      Binio.w_int toc_b crc)
+    slices;
   let toc = Binio.contents toc_b in
   assert (String.length toc = toc_len);
-  let total =
-    header_len + toc_len
-    + List.fold_left (fun acc (_, p) -> acc + String.length p) 0 sections
-  in
-  let buf = Buffer.create total in
-  Buffer.add_string buf magic;
-  let header_b = Binio.writer () in
-  Binio.w_int header_b version;
-  Binio.w_int header_b toc_len;
-  Binio.w_int header_b (Binio.crc32 toc);
-  Buffer.add_string buf (Binio.contents header_b);
-  Buffer.add_string buf toc;
-  List.iter (fun (_, p) -> Buffer.add_string buf p) sections;
-  Buffer.contents buf
+  let header = Binio.writer () in
+  Binio.w_int header version;
+  Binio.w_int header toc_len;
+  Binio.w_int header (Binio.crc32 toc);
+  String.concat "" [ magic; Binio.contents header; toc ]
 
 (* --- Error boundary ------------------------------------------------------ *)
 
@@ -245,11 +234,10 @@ let guard f =
 
 (* --- Saving -------------------------------------------------------------- *)
 
-let write_all fd bytes =
-  let n = String.length bytes in
+let write_all fd bytes n =
   let written = ref 0 in
   while !written < n do
-    written := !written + Unix.write_substring fd bytes !written (n - !written)
+    written := !written + Unix.write fd bytes !written (n - !written)
   done
 
 let fsync_dir path =
@@ -267,28 +255,59 @@ let fsync_dir path =
    each other's temp file — pid alone collides, the nonce does not. *)
 let tmp_nonce = Atomic.make 0
 
+(* The payloads stream to the file through one spilling writer, flushed
+   at every section's end so each spilled chunk lies in one section and
+   the section's CRC accumulates chunk by chunk; then the header and TOC
+   go in front, where room was left for them. No payload is ever held
+   whole in memory. *)
 let write ?metrics path image =
   let m = meters metrics in
   guard (fun () ->
-      let bytes = build image in
+      let sections = sections_of image in
+      let payload_at = header_len + toc_len (List.map fst sections) in
       let tmp =
         Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
           (Atomic.fetch_and_add tmp_nonce 1)
       in
-      (try
-         let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-         Fun.protect
-           ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-           (fun () ->
-             write_all fd bytes;
-             Unix.fsync fd);
-         Unix.rename tmp path
-       with e ->
-         (try Sys.remove tmp with Sys_error _ -> ());
-         raise e);
+      let bytes =
+        try
+          let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+          let bytes =
+            Fun.protect
+              ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+              (fun () ->
+                ignore (Unix.lseek fd payload_at Unix.SEEK_SET);
+                let crc = ref 0 in
+                let w =
+                  Binio.spilling (fun buf n ->
+                      crc := Binio.crc32 ~crc:!crc ~len:n (Bytes.unsafe_to_string buf);
+                      write_all fd buf n)
+                in
+                let slices =
+                  List.map
+                    (fun (name, f) ->
+                      let off = Binio.size w in
+                      crc := 0;
+                      f w;
+                      Binio.flush w;
+                      (name, off, Binio.size w - off, !crc))
+                    sections
+                in
+                let head = head slices in
+                ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+                write_all fd (Bytes.unsafe_of_string head) (String.length head);
+                Unix.fsync fd;
+                payload_at + Binio.size w)
+          in
+          Unix.rename tmp path;
+          bytes
+        with e ->
+          (try Sys.remove tmp with Sys_error _ -> ());
+          raise e
+      in
       fsync_dir path;
-      meter m (fun m -> Metrics.add m.mt_written (String.length bytes));
-      String.length bytes)
+      meter m (fun m -> Metrics.add m.mt_written bytes);
+      bytes)
 
 let save ?doc ?(lsn = 0) ?metrics path catalog =
   let declared =

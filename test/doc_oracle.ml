@@ -1,7 +1,7 @@
 (* Tree-level reference for [Doc]'s mutations: rebuild the parsed-tree form
    of a document with one edit applied and flatten it again through
    [Doc.of_tree]. The library splices its node array instead; the two must
-   agree record for record ([Doc.pack]). *)
+   agree record for record ([Doc_pack.pack]). *)
 
 module Doc = Xdm.Doc
 module T = Xdm.Xml_tree

@@ -114,9 +114,9 @@ let serialize d = T.serialize (Doc.to_tree d (Doc.root d))
    consistency, parent links, subtree extents, ordinals); running a
    mutated document through it is the structural oracle for every edit. *)
 let repack d =
-  let packed = Doc.pack d in
-  let d' = Doc.unpack ~name:(Doc.name d) packed in
-  Alcotest.(check bool) "pack/unpack stable" true (Doc.pack d' = packed);
+  let packed = Doc_pack.pack d in
+  let d' = Doc_pack.unpack ~name:(Doc.name d) packed in
+  Alcotest.(check bool) "pack/unpack stable" true (Doc_pack.pack d' = packed);
   d
 
 let test_insert_subtree () =
@@ -175,28 +175,30 @@ let test_mutation_errors () =
 (* --- unpack rejects inconsistent structure ------------------------------ *)
 
 let test_unpack_rejects () =
-  let p = Doc.pack (Doc.of_string "<a><b><c/></b><d/></a>") in
+  let p = Doc_pack.pack (Doc.of_string "<a><b><c/></b><d/></a>") in
   (* handles: a = 0, b = 1, c = 2, d = 3 *)
   Alcotest.(check bool) "the untouched array loads" true
-    (Doc.pack (Doc.unpack ~name:"x" p) = p);
+    (Doc_pack.pack (Doc_pack.unpack ~name:"x" p) = p);
   let rejects what f =
     let q = Array.copy p in
     f q;
     Alcotest.(check bool) what true
-      (match Doc.unpack ~name:"x" q with exception Invalid_argument _ -> true | _ -> false)
+      (match Doc_pack.unpack ~name:"x" q with exception Invalid_argument _ -> true | _ -> false)
   in
   rejects "c's subtree swallows its parent's sibling d" (fun q ->
-      q.(2) <- { (q.(2)) with Doc.p_subtree_end = 4 });
+      q.(2) <- { (q.(2)) with Doc_pack.p_subtree_end = 4 });
   rejects "... even with the matching post" (fun q ->
-      q.(2) <- { (q.(2)) with Doc.p_subtree_end = 4; p_post = 2 });
-  rejects "duplicate post" (fun q -> q.(3) <- { (q.(3)) with Doc.p_post = 1 });
+      q.(2) <- { (q.(2)) with Doc_pack.p_subtree_end = 4; p_post = 2 });
+  rejects "duplicate post" (fun q -> q.(3) <- { (q.(3)) with Doc_pack.p_post = 1 });
   rejects "parent is not the innermost open node" (fun q ->
-      q.(3) <- { (q.(3)) with Doc.p_parent = 1; p_depth = 3 });
+      q.(3) <- { (q.(3)) with Doc_pack.p_parent = 1; p_depth = 3 });
   rejects "ordinal is not the rank among siblings" (fun q ->
-      q.(3) <- { (q.(3)) with Doc.p_ordinal = 1 });
-  rejects "text node with a child" (fun q -> q.(1) <- { (q.(1)) with Doc.p_kind = Doc.Text });
+      q.(3) <- { (q.(3)) with Doc_pack.p_ordinal = 1 });
+  rejects "text node with a child" (fun q -> q.(1) <- { (q.(1)) with Doc_pack.p_kind = Doc.Text });
   rejects "attribute after an element sibling" (fun q ->
-      q.(3) <- { (q.(3)) with Doc.p_kind = Doc.Attribute; p_label = "@d" })
+      q.(3) <- { (q.(3)) with Doc_pack.p_kind = Doc.Attribute; p_label = "@d" });
+  rejects "element carrying a stored value" (fun q ->
+      q.(1) <- { (q.(1)) with Doc_pack.p_value = "v" })
 
 (* --- splice vs. the tree-level oracle ------------------------------------ *)
 
@@ -205,9 +207,9 @@ module O = Doc_oracle
 (* Apply [edit] both ways: the spliced document must equal the rebuilt
    one record for record and pass [unpack]. *)
 let check_agrees what d edit =
-  let packed = Doc.pack (O.splice d edit) in
-  Alcotest.(check bool) (what ^ ": splice = oracle") true (packed = Doc.pack (O.apply d edit));
-  ignore (Doc.unpack ~name:(Doc.name d) packed)
+  let packed = Doc_pack.pack (O.splice d edit) in
+  Alcotest.(check bool) (what ^ ": splice = oracle") true (packed = Doc_pack.pack (O.apply d edit));
+  ignore (Doc_pack.unpack ~name:(Doc.name d) packed)
 
 let test_splice_shapes () =
   let d =
@@ -356,9 +358,9 @@ let splice_prop =
             (* Build the label index first so an update has one to carry. *)
             ignore (Doc.nodes_with_label spliced "#text");
             let spliced = O.splice spliced edit and rebuilt = O.apply rebuilt edit in
-            let packed = Doc.pack spliced in
-            if packed <> Doc.pack rebuilt then QCheck2.Test.fail_report "pack differs";
-            ignore (Doc.unpack ~name:"check" packed);
+            let packed = Doc_pack.pack spliced in
+            if packed <> Doc_pack.pack rebuilt then QCheck2.Test.fail_report "pack differs";
+            ignore (Doc_pack.unpack ~name:"check" packed);
             List.iter
               (fun l ->
                 if Doc.nodes_with_label spliced l <> Doc.nodes_with_label rebuilt l then
@@ -368,6 +370,56 @@ let splice_prop =
       in
       let d = Doc.of_tree tree in
       ignore (List.fold_left step (d, d) steps);
+      true)
+
+(* A batch is the fold of its edits: [Doc.apply_edits] on one working
+   copy must give, record for record, what applying the same edits one
+   at a time gives, and a batch whose last edit does not apply must fail
+   with the message the fold fails with. *)
+let batch_prop =
+  let to_edit = function
+    | O.Drop i -> Doc.Delete i
+    | O.Set_value (i, v) -> Doc.Update (i, v)
+    | O.Graft { parent; before; tree } -> Doc.Insert { parent; before; tree }
+  in
+  let failure f = match f () with _ -> None | exception Invalid_argument m -> Some m in
+  QCheck2.Test.make ~name:"apply_edits = the fold of single edits" ~count:300
+    ~print:print_case
+    QCheck2.Gen.(pair doc_tree_gen (list_size (int_range 0 8) step_gen))
+    (fun (tree, steps) ->
+      let d = Doc.of_tree tree in
+      let folded, edits =
+        List.fold_left
+          (fun (cur, acc) s ->
+            match edit_of_step cur s with
+            | None -> (cur, acc)
+            | Some e -> (O.splice cur e, to_edit e :: acc))
+          (d, []) steps
+      in
+      let edits = List.rev edits in
+      let batched = Doc.apply_edits d edits in
+      if Doc_pack.pack batched <> Doc_pack.pack folded then
+        QCheck2.Test.fail_report "batch differs from the fold";
+      ignore (Doc_pack.unpack ~name:"check" (Doc_pack.pack batched));
+      (* a batch's result may keep spare room: single edits on it must
+         still agree *)
+      let graft d = Doc.insert_subtree d ~parent:(Doc.root d) (T.parse "<z>t</z>") in
+      if Doc_pack.pack (graft batched) <> Doc_pack.pack (graft folded) then
+        QCheck2.Test.fail_report "a single edit after the batch differs";
+      List.iter
+        (fun l ->
+          if Doc.nodes_with_label batched l <> Doc.nodes_with_label folded l then
+            QCheck2.Test.fail_reportf "label index differs on %s" l)
+        (Doc.labels folded);
+      (* an edit that does not apply, after the valid ones: a handle past
+         the end, and a value on the root element *)
+      List.iter
+        (fun (e, single) ->
+          let single = failure single in
+          if single = None || failure (fun () -> Doc.apply_edits d (edits @ [ e ])) <> single then
+            QCheck2.Test.fail_report "the batch reports an invalid edit unlike the fold")
+        [ (Doc.Delete (Doc.size folded), fun () -> Doc.delete_subtree folded (Doc.size folded));
+          (Doc.Update (0, "v"), fun () -> Doc.update_value folded 0 "v") ];
       true)
 
 (* An element's value is the concatenation of its text descendants, in
@@ -409,4 +461,5 @@ let () =
         [ QCheck_alcotest.to_alcotest rebuild_prop;
           QCheck_alcotest.to_alcotest children_prop;
           QCheck_alcotest.to_alcotest splice_prop;
+          QCheck_alcotest.to_alcotest batch_prop;
           QCheck_alcotest.to_alcotest value_prop ] ) ]

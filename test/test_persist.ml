@@ -114,6 +114,74 @@ let test_crc32 () =
   Alcotest.(check bool) "a flipped bit changes the checksum" true
     (Binio.crc32 "123456789" <> Binio.crc32 "123456788")
 
+(* The slicing-by-8 CRC against the bytewise reference: short strings
+   at every offset (the eight-byte loop and the byte tail meet at every
+   alignment), random slices, and one string of about 1 MB. *)
+let crc32_reference_prop =
+  let slice =
+    QCheck2.Gen.(
+      let* s = string_size ~gen:(char_range '\000' '\255') (int_bound 80) in
+      let* pos = int_bound (String.length s) in
+      let* len = int_bound (String.length s - pos) in
+      return (s, pos, len))
+  in
+  QCheck2.Test.make ~name:"crc32 equals the bytewise reference" ~count:500
+    ~print:(fun (s, pos, len) -> Printf.sprintf "%S ~pos:%d ~len:%d" s pos len)
+    slice (fun (s, pos, len) ->
+      let want = Binio_ref.crc32 ~pos ~len s in
+      (* and resumed at any split point, as a stream is checksummed *)
+      let k = len / 3 in
+      Binio.crc32 ~pos ~len s = want
+      && Binio.crc32 ~crc:(Binio.crc32 ~pos ~len:k s) ~pos:(pos + k) ~len:(len - k) s = want)
+
+let test_crc32_reference_edges () =
+  let rng = Random.State.make [| 17 |] in
+  let random n = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let s = random 40 in
+  for len = 0 to 17 do
+    for pos = 0 to 8 do
+      Alcotest.(check int)
+        (Printf.sprintf "len %d at pos %d" len pos)
+        (Binio_ref.crc32 ~pos ~len s) (Binio.crc32 ~pos ~len s)
+    done
+  done;
+  let big = random ((1 lsl 20) + 13) in
+  Alcotest.(check int) "about 1 MB"
+    (Binio_ref.crc32 ~pos:0 ~len:(String.length big) big) (Binio.crc32 big);
+  Alcotest.(check int) "about 1 MB at an unaligned offset"
+    (Binio_ref.crc32 ~pos:5 ~len:(String.length big - 9) big)
+    (Binio.crc32 ~pos:5 ~len:(String.length big - 9) big)
+
+(* A spilling writer hands its sink exactly the bytes a plain writer
+   keeps, in order, whatever the chunk size. *)
+let spilling_writer_prop =
+  QCheck2.Test.make ~name:"a spilling writer streams a plain writer's bytes" ~count:200
+    QCheck2.Gen.(
+      pair (int_range 1 40)
+        (list_size (int_bound 30)
+           (oneof
+              [ map (fun i -> `I i) int;
+                map (fun s -> `S s) (string_size (int_bound 100)) ])))
+    (fun (chunk, items) ->
+      let out = Buffer.create 64 in
+      let plain = Binio.writer () in
+      let spill = Binio.spilling ~chunk (fun b n -> Buffer.add_subbytes out b 0 n) in
+      List.iter
+        (fun w ->
+          List.iter (function `I i -> Binio.w_int w i | `S s -> Binio.w_str w s) items)
+        [ plain; spill ];
+      Binio.flush spill;
+      Binio.size spill = Binio.size plain
+      && String.equal (Buffer.contents out) (Binio.contents plain))
+
+let w_int_reference_prop =
+  QCheck2.Test.make ~name:"w_int emits the reference's 8 bytes" ~count:500
+    QCheck2.Gen.(oneof [ oneofl [ min_int; max_int; -1; 0; 1 ]; int ])
+    (fun v ->
+      let w = Binio.writer () in
+      Binio.w_int w v;
+      String.equal (Binio.contents w) (Binio_ref.int_bytes v))
+
 (* --- Codec round-trips --------------------------------------------------- *)
 
 let via w r x =
@@ -625,7 +693,7 @@ let test_hostile_counts () =
       Codec.r_nid (Binio.reader dewey_bytes))
 
 (* A CRC-valid document section whose node array is inconsistent (a
-   duplicate post label) must fail closed: [Doc.unpack] rejects it, so
+   duplicate post label) must fail closed: [Doc.of_columns] rejects it, so
    every open path reports a snapshot error instead of handing out a
    document whose structural predicates lie. *)
 let test_hostile_doc_section () =
@@ -637,7 +705,7 @@ let test_hostile_doc_section () =
     Binio.w_str w (Doc.name doc);
     Binio.w_int w (Array.length packed);
     Array.iter
-      (fun (p : Doc.packed_node) ->
+      (fun (p : Doc_pack.packed_node) ->
         List.iter (Binio.w_int w) [ p.p_post; p.p_depth; p.p_parent; p.p_ordinal ];
         Binio.w_u8 w (match p.p_kind with Doc.Element -> 0 | Doc.Attribute -> 1 | Doc.Text -> 2);
         Binio.w_str w p.p_label;
@@ -649,11 +717,11 @@ let test_hostile_doc_section () =
   with_snapshot ~doc cat (fun path ->
       let forged =
         forge_section (read_file path) "doc" (fun section ->
-            let packed = Doc.pack doc in
+            let packed = Doc_pack.pack doc in
             Alcotest.(check string) "re-encoding matches the codec" section
               (encode packed);
             (* handles: a = 0, b = 1, c = 2, d = 3; give d the post of c *)
-            packed.(3) <- { (packed.(3)) with Doc.p_post = 1 };
+            packed.(3) <- { (packed.(3)) with Doc_pack.p_post = 1 };
             encode packed)
       in
       let p = tmp_path "hostile_doc" in
@@ -742,6 +810,33 @@ let test_dormant_section () =
       Alcotest.(check bool) "a dormant name shadowing a live module is refused"
         true
         (Result.is_error (write live [ (fst (List.hd live), "r") ])))
+
+(* The snapshot format pinned by content: a fixed document and catalog
+   must keep encoding to exactly these bytes, with and without a dormant
+   module. A codec change that alters one byte of the format fails here
+   before any round-trip test could notice. *)
+let test_pinned_snapshot_bytes () =
+  let doc = Xworkload.Gen_bib.generate_doc ~seed:7 ~books:10 ~theses:3 () in
+  let cat = bib_catalog doc in
+  let live =
+    List.map (fun (m : Store.module_) -> (m.Store.name, m.Store.xam)) cat.Store.modules
+  in
+  let xam = snd (List.hd live) in
+  let digest declared dormant =
+    let path = tmp_path "pinned" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        match
+          Snapshot.write path
+            { Snapshot.doc = Some doc; catalog = cat; lsn = 5; declared; dormant }
+        with
+        | Ok _ -> Digest.to_hex (Digest.string (read_file path))
+        | Error e -> Alcotest.failf "write failed: %s" e)
+  in
+  Alcotest.(check string) "no dormant module" "475d330052794e85cbe9be660460f729" (digest live []);
+  Alcotest.(check string) "one dormant module" "4231f9075381741d004b23a9b6580960"
+    (digest (live @ [ ("gone", xam) ]) [ ("gone", "path vanished") ])
 
 (* --- Engine entry points ------------------------------------------------- *)
 
@@ -854,7 +949,7 @@ let test_spliced_snapshot_bytes () =
   in
   Alcotest.(check bool) "spliced document = rebuilt document" true
     (match Engine.document e with
-    | Some d -> Doc.pack d = Doc.pack rebuilt
+    | Some d -> Doc_pack.pack d = Doc_pack.pack rebuilt
     | None -> false);
   let spliced_path = tmp_path "spliced" and rebuilt_path = tmp_path "rebuilt" in
   Fun.protect
@@ -984,7 +1079,12 @@ let () =
         [ QCheck_alcotest.to_alcotest int_roundtrip_prop;
           QCheck_alcotest.to_alcotest str_roundtrip_prop;
           Alcotest.test_case "corrupt inputs" `Quick test_binio_corrupt;
-          Alcotest.test_case "crc32" `Quick test_crc32 ] );
+          Alcotest.test_case "crc32" `Quick test_crc32;
+          QCheck_alcotest.to_alcotest crc32_reference_prop;
+          Alcotest.test_case "crc32 at every short length and offset" `Quick
+            test_crc32_reference_edges;
+          QCheck_alcotest.to_alcotest w_int_reference_prop;
+          QCheck_alcotest.to_alcotest spilling_writer_prop ] );
       ( "codec",
         [ QCheck_alcotest.to_alcotest value_roundtrip_prop;
           QCheck_alcotest.to_alcotest pattern_roundtrip_prop;
@@ -1001,6 +1101,8 @@ let () =
             test_lsn_roundtrip;
           Alcotest.test_case "dormant modules round-trip" `Quick
             test_dormant_section;
+          Alcotest.test_case "pinned snapshot bytes" `Quick
+            test_pinned_snapshot_bytes;
           Alcotest.test_case "concurrent saves to one path" `Quick
             test_save_concurrent_same_path;
           Alcotest.test_case "paging reader is lossless" `Quick test_reader_lazy;

@@ -206,10 +206,12 @@ let doc_apply doc = function
    it applies the [gen_op] stream in batches of [sizes], and recover.
    The WAL may hold at most the one batch the engine never acknowledged
    (a crash between fsync and install, or a prefix of it when the write
-   tore); replay goes record by record, so the recovered engine must be
-   byte-identical to a never-crashed engine that applied exactly the
-   replayed prefix one op at a time — and, when no crash hit, so must
-   the batched engine itself. *)
+   tore). Replay folds every surviving record over the document and
+   maintains the catalog once, a function of the final document alone;
+   so the recovered engine must be byte-identical to a never-crashed
+   engine that applied exactly the replayed prefix one op at a time,
+   maintaining after each — and, when no crash hit, so must the batched
+   engine itself. *)
 let run_crash_point ~seed ~kill ~sizes =
   with_scratch "snap" (fun snap ->
       with_scratch "wal" (fun wal ->
@@ -261,7 +263,7 @@ let run_crash_point ~seed ~kill ~sizes =
 (* Batches of one: what [apply_r] does. *)
 let crash_equiv_prop =
   QCheck2.Test.make ~name:"recovery is crash-equivalent at random kill points"
-    ~count:25
+    ~count:25 ~long_factor:20
     QCheck2.Gen.(pair (int_range 1 60) (int_range 0 1000))
     (fun (kill, seed) ->
       run_crash_point ~seed ~kill ~sizes:(List.init 20 (fun _ -> 1)))
@@ -269,6 +271,7 @@ let crash_equiv_prop =
 let batched_crash_equiv_prop =
   QCheck2.Test.make
     ~name:"batched applies recover to the per-record reference" ~count:25
+    ~long_factor:20
     QCheck2.Gen.(
       triple (int_range 1 60) (int_range 0 1000)
         (list_size (int_range 1 8) (int_range 1 5)))
@@ -317,6 +320,24 @@ let expect_error what = function
   | Ok (_, Wal.Torn _) ->
       Alcotest.failf "%s: mid-log corruption misread as a torn tail" what
   | Ok (_, Wal.Clean) -> Alcotest.failf "%s: corruption not detected" what
+
+(* The segment format pinned by content: a fixed batch of mutations
+   must keep framing to exactly these bytes. *)
+let test_pinned_segment_bytes () =
+  with_scratch "wal" (fun dir ->
+      let e = engine_of (bib ()) in
+      ignore (Xerror.get_exn (Engine.attach_wal_r e dir));
+      let doc = ref (Option.get (Engine.document e)) in
+      let ops =
+        List.init 6 (fun i ->
+            let op = gen_op !doc ~seed:9 (i + 1) in
+            doc := doc_apply !doc op;
+            op)
+      in
+      ignore (Xerror.get_exn (Engine.apply_batch_r e ops));
+      Engine.detach_wal e;
+      Alcotest.(check string) "segment digest" "9db76e41732b26b601277d513dbc495e"
+        (Digest.to_hex (Digest.string (read_file (only_segment dir)))))
 
 let test_torn_truncated_frame () =
   with_scratch "wal" (fun dir ->
@@ -859,7 +880,8 @@ let insert_under_root e xml =
 (* Run [before] on a logged bib engine, checkpoint, run [after], then
    recover snapshot + WAL eagerly and lazily: each recovered engine
    must hold the live catalog (same modules in the same order, same
-   dormant set) and snapshot to the live bytes. *)
+   dormant set, same quarantined names) and snapshot to the live
+   bytes. *)
 let check_recovery_after_checkpoint ~before ~after ~replays =
   with_scratch "snap" (fun snap ->
       with_scratch "wal" (fun wal ->
@@ -880,6 +902,9 @@ let check_recovery_after_checkpoint ~before ~after ~replays =
                 (module_names r);
               Alcotest.(check (list (pair string string))) (what ^ ": dormant")
                 (Engine.dormant_modules e) (Engine.dormant_modules r);
+              Alcotest.(check (list string)) (what ^ ": quarantined")
+                (List.sort compare (List.map fst (Engine.quarantined e)))
+                (List.sort compare (List.map fst (Engine.quarantined r)));
               Alcotest.(check bool) (what ^ ": byte-identical state") true
                 (snapshot_bytes e = snapshot_bytes r))
             [ false; true ]))
@@ -917,6 +942,84 @@ let test_batch_drop_and_resurrect () =
       in
       Alcotest.(check int) "eight deletes and an insert" 9 (List.length ops);
       ignore (Xerror.get_exn (Engine.apply_batch_r e ops)))
+
+(* The same drop and resurrection as separate records: each thesis
+   delete is its own apply (the last one drops the thesis modules) and a
+   later apply brings a thesis back. The live engine maintained after
+   every record; recovery maintains once, over the final document, and
+   must land on the same catalog. *)
+let test_tail_drop_and_resurrect () =
+  check_recovery_after_checkpoint ~replays:4 ~before:ignore ~after:(fun e ->
+      let deletes = delete_all_ops e "phdthesis" in
+      Alcotest.(check int) "three thesis deletes" 3 (List.length deletes);
+      List.iter (fun op -> ignore (apply_ok e op)) deletes;
+      Alcotest.(check int) "dormant after the deletes" 4
+        (List.length (Engine.dormant_modules e));
+      let r =
+        apply_ok e
+          (insert_under_root e
+             "<phdthesis><author>A</author><title>T</title></phdthesis>")
+      in
+      Alcotest.(check bool) "a later record resurrects" true
+        (r.Engine.ap_resurrected <> []))
+
+(* A record can pass its CRC and still not apply: here the third of four
+   carries a handle past the end of the document. Recovery applies the
+   tail as one round, so none of it installs — the engine stays at its
+   snapshot, with no writer attached. *)
+let test_invalid_record_fails_recovery () =
+  with_scratch "snap" (fun snap ->
+      with_scratch "wal" (fun wal ->
+          let base = engine_of (bib ()) in
+          ignore (Xerror.get_exn (Engine.save_snapshot_r base snap));
+          let doc = Option.get (Engine.document base) in
+          let text = List.hd (Doc.nodes_with_label doc "#text") in
+          let w =
+            match Wal.Writer.open_ ~dir:wal ~lsn:0 () with
+            | Ok w -> w
+            | Error m -> Alcotest.failf "open: %s" m
+          in
+          List.iter
+            (fun op ->
+              match Wal.Writer.append w op with
+              | Ok _ -> ()
+              | Error m -> Alcotest.failf "append: %s" m)
+            [ Wal.Update_value { node = text; value = "one" };
+              Wal.Update_value { node = text; value = "two" };
+              Wal.Delete_subtree { node = Doc.size doc + 100 };
+              Wal.Update_value { node = text; value = "four" } ];
+          Wal.Writer.close w;
+          let r = Xerror.get_exn (Engine.of_snapshot_r snap) in
+          (match Engine.attach_wal_r r wal with
+          | Error (Xerror.Update_invalid _) -> ()
+          | Error e -> Alcotest.failf "wrong error: %s" (Xerror.to_string e)
+          | Ok n -> Alcotest.failf "recovered %d records past an invalid one" n);
+          Alcotest.(check int) "still at the snapshot lsn" 0 (Engine.lsn r);
+          Alcotest.(check (option string)) "no writer attached" None
+            (Engine.wal_dir r);
+          Alcotest.(check string) "state is the snapshot's"
+            (snapshot_bytes base) (snapshot_bytes r)))
+
+(* One maintenance pass, but the replay counter still counts records. *)
+let test_replay_counts_records () =
+  with_scratch "snap" (fun snap ->
+      with_scratch "wal" (fun wal ->
+          let e = engine_of (bib ()) in
+          ignore (Xerror.get_exn (Engine.save_snapshot_r e snap));
+          ignore (Xerror.get_exn (Engine.attach_wal_r e wal));
+          churn e ~seed:8 5;
+          ignore (Xerror.get_exn (Engine.apply_batch_r e (delete_all_ops e "phdthesis")));
+          Engine.detach_wal e;
+          let r = Xerror.get_exn (Engine.of_snapshot_r snap) in
+          Alcotest.(check int) "records replayed" 8
+            (Xerror.get_exn (Engine.attach_wal_r r wal));
+          Engine.detach_wal r;
+          let replayed =
+            Xobs.Metrics.counter (Engine.obs r).Xobs.Obs.metrics
+              "wal_replayed_records_total"
+          in
+          Alcotest.(check int) "wal_replayed_records_total" 8
+            (Xobs.Metrics.counter_value replayed)))
 
 (* --- background checkpoint ------------------------------------------------ *)
 
@@ -996,7 +1099,11 @@ let () =
         [ Alcotest.test_case "snapshot + wal is byte-identical" `Quick
             test_replay_equality;
           Alcotest.test_case "replay skips snapshot-covered records" `Quick
-            test_replay_idempotent ] );
+            test_replay_idempotent;
+          Alcotest.test_case "an invalid record installs nothing" `Quick
+            test_invalid_record_fails_recovery;
+          Alcotest.test_case "the replay counter counts records" `Quick
+            test_replay_counts_records ] );
       ( "crash",
         [ QCheck_alcotest.to_alcotest crash_equiv_prop;
           QCheck_alcotest.to_alcotest batched_crash_equiv_prop ] );
@@ -1011,6 +1118,8 @@ let () =
           Alcotest.test_case "valid-CRC duplicate LSN fails closed" `Quick
             test_duplicate_frame_fails_closed;
           Alcotest.test_case "zero-length segment" `Quick test_empty_segment;
+          Alcotest.test_case "pinned segment bytes" `Quick
+            test_pinned_segment_bytes;
           Alcotest.test_case "engine surfaces typed Wal_error" `Quick
             test_engine_fails_closed ] );
       ( "group-commit",
@@ -1036,7 +1145,9 @@ let () =
           Alcotest.test_case "a checkpoint keeps dormant modules" `Quick
             test_checkpoint_keeps_dormant;
           Alcotest.test_case "drop and resurrect in one batch recovers" `Quick
-            test_batch_drop_and_resurrect ] );
+            test_batch_drop_and_resurrect;
+          Alcotest.test_case "drop and resurrect across records recovers" `Quick
+            test_tail_drop_and_resurrect ] );
       ( "maintenance",
         [ Alcotest.test_case "tail edit keeps untouched partitions" `Quick
             test_splice_keeps_partitions;
