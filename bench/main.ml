@@ -551,18 +551,23 @@ let rec rm_rf path =
    the snapshot: two value updates, a delete of the middle entry and an
    insert before it, three times over. Returns the snapshot path and the
    WAL directory. *)
-let recovery_fixture doc ~dir =
+(* A snapshot of [doc] under path-partitioned storage and a WAL tail of
+   [records] applies on top of it, written under [dir] with file names
+   prefixed by [name]. The tail mixes updates, deletes and inserts
+   (2:1:1) or, with [~churn], alternates inserting an entry before the
+   root's middle child and deleting that child. *)
+let recovery_fixture ?(churn = false) doc ~dir ~name ~records =
   let module Engine = Xengine.Engine in
-  let snap = Filename.concat dir "state.snap" and wal = Filename.concat dir "state.wal" in
+  let snap = Filename.concat dir (name ^ ".snap") and wal = Filename.concat dir (name ^ ".wal") in
   let e = Engine.of_doc doc (Xstorage.Models.path_partitioned (S.of_doc doc)) in
   ignore (Xengine.Xerror.get_exn (Engine.save_snapshot_r e snap));
   ignore (Xengine.Xerror.get_exn (Engine.attach_wal_r e wal));
-  for i = 0 to 11 do
+  for i = 0 to records - 1 do
     let d = Option.get (Engine.document e) in
     let middle l = List.nth l (List.length l / 2) in
     let entry = middle (Doc.children d (Doc.root d)) in
     let op =
-      match i mod 4 with
+      match if churn then 2 + (i mod 2) else i mod 4 with
       | 0 | 1 ->
           let texts = Doc.nodes_with_label d "#text" in
           Engine.Update_value
@@ -648,7 +653,16 @@ let micro () =
   rm_rf dir;
   Unix.mkdir dir 0o755;
   Fun.protect ~finally:(fun () -> try rm_rf dir with _ -> ()) @@ fun () ->
-  let snap, wal = recovery_fixture doc ~dir in
+  let snap, wal = recovery_fixture doc ~dir ~name:"mixed" ~records:12 in
+  let churn_snap, churn_wal = recovery_fixture ~churn:true doc ~dir ~name:"churn" ~records:1000 in
+  let recovered snap wal records =
+    let r = Xengine.Xerror.get_exn (Xengine.Engine.of_snapshot_r snap) in
+    let n = Xengine.Xerror.get_exn (Xengine.Engine.attach_wal_r r wal) in
+    Xengine.Engine.detach_wal r;
+    assert (n = records);
+    r
+  in
+  let recover snap wal records () = ignore (recovered snap wal records) in
   let snap_bytes = In_channel.with_open_bin snap In_channel.input_all in
   let image = Result.get_ok (Xpersist.Snapshot.read snap) in
   let written_snap = Filename.concat dir "written.snap" in
@@ -698,18 +712,16 @@ let micro () =
         (* The checkpoint and recovery path on the same document: the
            integrity check over a whole snapshot file, a snapshot written
            (fsync'd) and read back, and recovery of a twelve-record WAL
-           tail on top of it. *)
+           tail on top of it, and of a 1000-record insert/delete churn
+           tail. *)
         Test.make ~name:"crc32-snapshot"
           (Staged.stage (fun () -> Xpersist.Binio.crc32 snap_bytes));
         Test.make ~name:"snapshot-write"
           (Staged.stage (fun () -> Xpersist.Snapshot.write written_snap image));
         Test.make ~name:"snapshot-read" (Staged.stage (fun () -> Xpersist.Snapshot.read snap));
-        Test.make ~name:"recover-12-records"
-          (Staged.stage (fun () ->
-               let r = Xengine.Xerror.get_exn (Xengine.Engine.of_snapshot_r snap) in
-               let n = Xengine.Xerror.get_exn (Xengine.Engine.attach_wal_r r wal) in
-               Xengine.Engine.detach_wal r;
-               assert (n = 12))) ]
+        Test.make ~name:"recover-12-records" (Staged.stage (recover snap wal 12));
+        Test.make ~name:"recover-1000-records"
+          (Staged.stage (recover churn_snap churn_wal 1000)) ]
   in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:false () in
   let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
@@ -723,7 +735,29 @@ let micro () =
           record ~experiment:"micro" ~metric:name ~value:est ~units:"ns/run";
           Printf.printf "%-34s %14.0f\n" name est
       | _ -> Printf.printf "%-34s %14s\n" name "-")
-    results
+    results;
+  (* Memory per recovery, against the tail's length: the words one
+     recovery allocates in the major heap, and the words the recovered
+     document holds (columns, strings, label index) next to what the same
+     document built afresh holds. *)
+  Printf.printf "\n%-34s %14s %14s %14s\n" "recovery" "major words" "doc words" "fresh words";
+  List.iter
+    (fun (name, snap, wal, records) ->
+      Gc.full_major ();
+      let before = (Gc.quick_stat ()).Gc.major_words in
+      let r = recovered snap wal records in
+      let major = (Gc.quick_stat ()).Gc.major_words -. before in
+      let words d =
+        ignore (Doc.nodes_with_label d "book");
+        float_of_int (Obj.reachable_words (Obj.repr d))
+      in
+      let d = Option.get (Xengine.Engine.document r) in
+      let doc_words = words d and fresh_words = words (Doc.of_tree (Doc.to_tree d (Doc.root d))) in
+      record ~experiment:"micro" ~metric:(name ^ "-major-words") ~value:major ~units:"words";
+      record ~experiment:"micro" ~metric:(name ^ "-doc-words") ~value:doc_words ~units:"words";
+      Printf.printf "%-34s %14.0f %14.0f %14.0f\n" name major doc_words fresh_words)
+    [ ("recover-12-records", snap, wal, 12);
+      ("recover-1000-records", churn_snap, churn_wal, 1000) ]
 
 (* ----------------------------------------------------------------- pmicro *)
 

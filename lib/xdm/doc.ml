@@ -10,8 +10,9 @@ type kind = Element | Attribute | Text
    closes are those before its subtree end except its [depth - 1]
    ancestors, so post = subtree_end - depth + 1.
    The columns hold at least [len] entries, and only the first [len] are
-   the document: a batch of edits leaves its working copy's spare room
-   at the end rather than copying every column once more to cut it. *)
+   the document: a batch of edits keeps its working copy's spare room,
+   when that is no more than [len], rather than copying every column
+   once more to cut it. *)
 type t = {
   name : string;
   len : int;
@@ -45,7 +46,7 @@ let set d i kind label value ~depth ~parent ~ordinal ~stop =
 
 (* Lay [tree] out in pre-order into the columns of [d] from index [at], as
    child number [ordinal] of [parent] at [depth]. Returns one past its last
-   node. Shared by [of_tree] and [insert_subtree]. *)
+   node. Shared by [of_tree] and [apply_edits]. *)
 let rec fill d at tree ~depth ~parent ~ordinal =
   match tree with
   | Xml_tree.Text s ->
@@ -213,7 +214,7 @@ let id scheme d i =
    of the node checked before it, so closing every node whose subtree
    ended is a walk up that chain; the last node it closes is [i]'s
    previous sibling. *)
-let of_columns ~name ~kinds ~labels ~values ~depths ~parents ~ordinals ~ends ?posts () =
+let of_columns ~name ~kinds ~labels ~values ~depths ~parents ~ordinals ~ends ~posts =
   let n = Array.length kinds in
   let fail fmt = Printf.ksprintf (fun msg -> invalid_arg ("Doc.of_columns: " ^ msg)) fmt in
   if n = 0 then fail "empty node array";
@@ -224,7 +225,7 @@ let of_columns ~name ~kinds ~labels ~values ~depths ~parents ~ordinals ~ends ?po
   same parents "parent";
   same ordinals "ordinal";
   same ends "subtree end";
-  Option.iter (fun p -> same p "post") posts;
+  same posts "post";
   if ends.(0) <> n then fail "root subtree does not span the array";
   let open_ = ref (-1) in
   for i = 0 to n - 1 do
@@ -244,10 +245,8 @@ let of_columns ~name ~kinds ~labels ~values ~depths ~parents ~ordinals ~ends ?po
     if depths.(i) <> depth then fail "node %d: depth %d inconsistent with parent" i depths.(i);
     if ends.(i) <= i || ends.(i) > limit then
       fail "node %d: subtree end %d outside (%d, %d]" i ends.(i) i limit;
-    (match posts with
-    | Some p when p.(i) <> ends.(i) - depths.(i) + 1 ->
-        fail "node %d: post %d inconsistent with subtree end and depth" i p.(i)
-    | _ -> ());
+    if posts.(i) <> ends.(i) - depths.(i) + 1 then
+      fail "node %d: post %d inconsistent with subtree end and depth" i posts.(i);
     if kinds.(i) <> Element && ends.(i) <> i + 1 then
       fail "node %d: text or attribute node has descendants" i;
     if ordinals.(i) <> ordinal then
@@ -278,8 +277,8 @@ let of_columns ~name ~kinds ~labels ~values ~depths ~parents ~ordinals ~ends ?po
    shifts the handle of every node at or after the edit point; callers
    must re-resolve handles against the returned document. *)
 
-(* Edits are checked against the first [n] nodes of a document: all of
-   it for a single edit, the nodes in use for a batch's working copy. *)
+(* Edits are checked against the first [n] nodes of a document: those
+   in use in a batch's working copy. *)
 let check_handle n i ctx =
   if i < 0 || i >= n then
     invalid_arg
@@ -310,9 +309,10 @@ let check_update d n i =
     invalid_arg "Doc.update_value: values live on text and attribute nodes"
 
 (* The first [n] entries of [a] with [drop] entries removed at [at] and
-   [room] unset entries (holding [x]) opened there. *)
-let splice a ~n ~at ~drop ~room x =
-  let b = Array.make (n - drop + room) x in
+   [room] unset entries opened there, in a fresh array of [cap] entries
+   (holding [x] where unset). *)
+let splice a ~n ~at ~drop ~room ~cap x =
+  let b = Array.make cap x in
   Array.blit a 0 b 0 at;
   Array.blit a (at + drop) b (at + room) (n - at - drop);
   b
@@ -335,111 +335,91 @@ let adjust r ~at ~drop ~room ~up ~stop =
     else if p = up then r.ordinals.(j) <- r.ordinals.(j) + step
   done
 
-(* The columns of [d] with [drop] nodes removed and [room] opened at [at],
-   then adjusted. *)
-let reshape d ~at ~drop ~room ~up =
-  let n = size d in
-  let r =
-    { name = d.name; len = n - drop + room; kinds = splice d.kinds ~n ~at ~drop ~room Text;
-      labels = splice d.labels ~n ~at ~drop ~room "";
-      values = splice d.values ~n ~at ~drop ~room "";
-      depths = splice d.depths ~n ~at ~drop ~room 0;
-      parents = splice d.parents ~n ~at ~drop ~room 0;
-      ordinals = splice d.ordinals ~n ~at ~drop ~room 0;
-      ends = splice d.ends ~n ~at ~drop ~room 0; label_index = Atomic.make None }
-  in
-  adjust r ~at ~drop ~room ~up ~stop:(size r);
-  r
-
-let insert_subtree d ~parent ?before tree =
-  let at, ordinal = insert_point d (size d) ~parent ?before () in
-  let r = reshape d ~at ~drop:0 ~room:(Xml_tree.node_count tree) ~up:parent in
-  ignore (fill r at tree ~depth:(d.depths.(parent) + 1) ~parent ~ordinal);
-  r
-
-let delete_subtree d i =
-  check_delete (size d) i;
-  reshape d ~at:i ~drop:(d.ends.(i) - i) ~room:0 ~up:d.parents.(i)
-
-let update_value d i v =
-  check_update d (size d) i;
-  let values = Array.copy d.values in
-  values.(i) <- v;
-  (* Labels and handles are unchanged, so the label index carries over:
-     both versions share its cell, whichever builds it first. *)
-  { d with values }
-
 type edit =
   | Insert of { parent : int; before : int option; tree : Xml_tree.t }
   | Delete of int
   | Update of int * string
 
-(* A batch edits one private working copy in place instead of copying
-   every column per edit. The copy has room for every node the batch
-   inserts, so an edit only shifts the nodes in use ([len] of them)
-   within the same arrays, and the result keeps whatever room is left.
-   A batch of updates alone copies the value column once. *)
+type owned = Shared | Values | Columns
+
+(* The edits fold over one working copy, [r], whose first [len] nodes are
+   the document so far. Nothing is copied until an edit needs it: an
+   update copies the value column once, and a structural edit that does
+   not fit the working copy (the first one always) splices every column
+   into fresh arrays: exactly as long as it needs when it is the last
+   edit, as a lone edit must be, and an eighth longer otherwise, so
+   later edits shift nodes within them. The copy grows geometrically
+   with what a batch inserts and never runs more than an eighth past
+   the batch's peak length. At the end, columns more than half spare
+   are cut. Each edit is taken from [edits] only once the one before it
+   has passed its checks, so the first edit that does not apply is the
+   one reported. *)
 let apply_edits d edits =
-  let n = size d in
-  match edits with
-  | [] -> d
-  | [ Insert { parent; before; tree } ] -> insert_subtree d ~parent ?before tree
-  | [ Delete i ] -> delete_subtree d i
-  | _ when List.for_all (function Update _ -> true | Insert _ | Delete _ -> false) edits ->
-      let values = Array.copy d.values in
-      List.iter
-        (function
-          | Update (i, v) -> check_update d n i; values.(i) <- v
-          | Insert _ | Delete _ -> ())
-        edits;
-      { d with values }
-  | _ ->
-      let cap =
-        List.fold_left
-          (fun acc -> function Insert { tree; _ } -> acc + Xml_tree.node_count tree | _ -> acc)
-          n edits
-      in
-      let grow a x =
-        let b = Array.make cap x in
-        Array.blit a 0 b 0 n;
-        b
-      in
-      let r =
-        { name = d.name; len = n; kinds = grow d.kinds Text; labels = grow d.labels "";
-          values = grow d.values ""; depths = grow d.depths 0; parents = grow d.parents 0;
-          ordinals = grow d.ordinals 0; ends = grow d.ends 0; label_index = Atomic.make None }
-      in
-      (* [drop] nodes out and [room] in at [at], within the first [len] *)
-      let shift ~len ~at ~drop ~room ~up =
-        let move a = Array.blit a (at + drop) a (at + room) (len - at - drop) in
-        move r.kinds; move r.labels; move r.values; move r.depths; move r.parents;
-        move r.ordinals; move r.ends;
-        adjust r ~at ~drop ~room ~up ~stop:(len + room - drop)
-      in
-      let len =
-        List.fold_left
-          (fun len -> function
-            | Update (i, v) ->
-                check_update r len i;
-                r.values.(i) <- v;
-                len
-            | Delete i ->
-                check_delete len i;
-                let drop = r.ends.(i) - i in
-                shift ~len ~at:i ~drop ~room:0 ~up:r.parents.(i);
-                len - drop
-            | Insert { parent; before; tree } ->
-                let at, ordinal = insert_point r len ~parent ?before () in
-                let room = Xml_tree.node_count tree in
-                shift ~len ~at ~drop:0 ~room ~up:parent;
-                ignore (fill r at tree ~depth:(r.depths.(parent) + 1) ~parent ~ordinal);
-                len + room)
-          n edits
-      in
-      (* the spare room keeps no strings alive *)
-      Array.fill r.labels len (cap - len) "";
-      Array.fill r.values len (cap - len) "";
-      { r with len }
+  let r = ref d and len = ref d.len and owned = ref Shared in
+  let cap () = Array.length !r.kinds in
+  let structural ~more ~at ~drop ~room ~up =
+    let n = !len and c = !r in
+    let stop = n - drop + room in
+    if !owned = Columns && stop <= cap () then begin
+      let move a = Array.blit a (at + drop) a (at + room) (n - at - drop) in
+      move c.kinds; move c.labels; move c.values; move c.depths; move c.parents;
+      move c.ordinals; move c.ends
+    end
+    else begin
+      let cap = if more () then stop + (stop / 8) else stop in
+      let sp a x = splice a ~n ~at ~drop ~room ~cap x in
+      r :=
+        { c with kinds = sp c.kinds Text; labels = sp c.labels ""; values = sp c.values "";
+          depths = sp c.depths 0; parents = sp c.parents 0; ordinals = sp c.ordinals 0;
+          ends = sp c.ends 0; label_index = Atomic.make None };
+      owned := Columns
+    end;
+    adjust !r ~at ~drop ~room ~up ~stop;
+    len := stop
+  in
+  let rec go = function
+    | Seq.Nil -> ()
+    | Seq.Cons (e, rest) ->
+        (* [more] looks ahead only once [e] has passed its checks *)
+        let next = lazy (rest ()) in
+        let more () = match Lazy.force next with Seq.Nil -> false | Seq.Cons _ -> true in
+        (match e with
+        | Update (i, v) ->
+            check_update !r !len i;
+            if !owned = Shared then begin
+              (* Labels and handles are unchanged, so the label index
+                 carries over: both versions share its cell. *)
+              r := { !r with values = Array.sub !r.values 0 !len };
+              owned := Values
+            end;
+            !r.values.(i) <- v
+        | Delete i ->
+            check_delete !len i;
+            structural ~more ~at:i ~drop:(!r.ends.(i) - i) ~room:0 ~up:!r.parents.(i)
+        | Insert { parent; before; tree } ->
+            let at, ordinal = insert_point !r !len ~parent ?before () in
+            structural ~more ~at ~drop:0 ~room:(Xml_tree.node_count tree) ~up:parent;
+            ignore (fill !r at tree ~depth:(!r.depths.(parent) + 1) ~parent ~ordinal));
+        go (Lazy.force next)
+  in
+  go (edits ());
+  let n = !len and c = !r in
+  if !owned <> Columns then c
+  else if cap () - n > n then
+    let cut a = Array.sub a 0 n in
+    { c with len = n; kinds = cut c.kinds; labels = cut c.labels; values = cut c.values;
+      depths = cut c.depths; parents = cut c.parents; ordinals = cut c.ordinals;
+      ends = cut c.ends }
+  else begin
+    (* the spare room keeps no strings alive *)
+    Array.fill c.labels n (cap () - n) "";
+    Array.fill c.values n (cap () - n) "";
+    { c with len = n }
+  end
+
+let insert_subtree d ~parent ?before tree = apply_edits d (Seq.return (Insert { parent; before; tree }))
+let delete_subtree d i = apply_edits d (Seq.return (Delete i))
+let update_value d i v = apply_edits d (Seq.return (Update (i, v)))
 
 let handle_of_id d nid =
   let check i = if i >= 0 && i < size d then Some i else None in

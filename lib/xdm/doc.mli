@@ -125,16 +125,23 @@ type edit =
   | Delete of int  (** {!delete_subtree} *)
   | Update of int * string  (** {!update_value} *)
 
-val apply_edits : t -> edit list -> t
+val apply_edits : t -> edit Seq.t -> t
 (** The edits applied in order, each one's handles resolved against the
-    document the previous ones produced: the document
-    [List.fold_left] of the single-edit functions would return, raising
-    the same [Invalid_argument] on the first edit that does not apply.
-    The batch edits one working copy of the columns, sized for every
-    node it inserts, and shifts nodes within it, so it copies each
-    column once however many edits it holds (a batch of updates alone
-    copies the value column once and keeps the label index), where the
-    fold copies every column per structural edit. *)
+    document the previous ones produced: the document a fold of the
+    single-edit functions would return, raising the same
+    [Invalid_argument] on the first edit that does not apply. Each edit
+    is taken from the sequence only once the one before it has passed
+    its checks, so whatever produces it (an XML parse, say) fails in
+    order too. The
+    single-edit functions are one-edit batches. The batch edits one
+    working copy: updates before any structural edit copy the value
+    column once and keep the label index; a structural edit that does
+    not fit the copy (the first one always) copies every column around
+    its edit point into fresh arrays, exact for the last edit and with
+    an eighth more room than it needs otherwise, and later ones shift
+    nodes within those arrays. The arrays never run
+    more than an eighth past the batch's peak length, and a result more
+    than half spare is cut to its length. *)
 
 (** {1 Identifiers} *)
 
@@ -164,15 +171,13 @@ val of_columns :
   parents:int array ->
   ordinals:int array ->
   ends:int array ->
-  ?posts:int array ->
-  unit ->
+  posts:int array ->
   t
 (** The document whose handle [i] has kind [kinds.(i)], label
     [labels.(i)], stored value [values.(i)], and so on; [parents.(0)] is
     [-1] and [ends] holds the subtree ends. The arrays become the
-    document's own and must not be written afterwards. [posts], when a
-    caller stores post-order ranks, is checked and dropped (they are
-    derived). Checks, in one pass, the structural invariants the
+    document's own and must not be written afterwards. [posts], the
+    stored post-order ranks, is checked and dropped (they are derived). Checks, in one pass, the structural invariants the
     accessors rely on: the columns have one length, each node's parent is
     the innermost node still open at it, subtree ends are nested within
     the parent's, depths follow the parent chain, each post is

@@ -538,7 +538,9 @@ type minfo = {
 let update_invalid msg = Xerror.Error (Xerror.Update_invalid msg)
 
 (* The ops as one batch of document edits: each op's handles resolve
-   against the document the previous ops produced. *)
+   against the document the previous ops produced, and an insert's XML is
+   parsed when the batch reaches it, so the first op that fails is the
+   one reported. *)
 let mutate_doc doc ops =
   let edit (op : mutation) =
     match op with
@@ -549,7 +551,7 @@ let mutate_doc doc ops =
     | Delete_subtree { node } -> Xdm.Doc.Delete node
     | Update_value { node; value } -> Xdm.Doc.Update (node, value)
   in
-  match Xdm.Doc.apply_edits doc (List.map edit ops) with
+  match Xdm.Doc.apply_edits doc (Seq.map edit (List.to_seq ops)) with
   | d -> d
   | exception Invalid_argument msg -> raise (update_invalid msg)
 

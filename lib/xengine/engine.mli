@@ -256,10 +256,11 @@ val apply_batch_r : t -> mutation list -> (apply_report, Xerror.t) Stdlib.result
     one group-committed WAL write covering all N records
     ({!Xwal.Wal.Writer.append_batch} — a single acknowledged fsync), one
     install. Op [k+1]'s handles resolve against the document after op
-    [k], and the WAL holds N ordinary records, so recovery replays them
-    one-by-one to the same state. All-or-nothing: any invalid op
+    [k], and the WAL holds N ordinary records, so recovery folds them
+    over the document to the same state. All-or-nothing: any invalid op
     ([Error (Update_invalid _)] — bad handle, wrong node kind,
-    unparsable XML) rejects the whole batch with state unchanged, as
+    unparsable XML; the message names the first op in order that does
+    not apply) rejects the whole batch with state unchanged, as
     does [Error (Wal_error _)] when the attached WAL could not make it
     durable. The report carries the {e final} LSN and the single
     maintenance pass's counts. An empty list is a no-op [Ok].

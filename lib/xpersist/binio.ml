@@ -16,8 +16,7 @@ type writer = {
 
 let writer () = { buf = Bytes.create 256; len = 0; spilled = 0; sink = None }
 
-let spilling ?(chunk = 65536) sink =
-  { buf = Bytes.create chunk; len = 0; spilled = 0; sink = Some sink }
+let spilling sink = { buf = Bytes.create 65536; len = 0; spilled = 0; sink = Some sink }
 
 let flush w =
   match w.sink with

@@ -25,8 +25,8 @@ type writer
 val writer : unit -> writer
 (** A writer that keeps everything written, for {!contents}. *)
 
-val spilling : ?chunk:int -> (Bytes.t -> int -> unit) -> writer
-(** A writer that keeps at most about [chunk] bytes (default 64 KiB):
+val spilling : (Bytes.t -> int -> unit) -> writer
+(** A writer that keeps at most about 64 KiB of pending bytes:
     whenever they would overflow, and on {!flush}, it hands the pending
     bytes to the sink ([sink buf n]: the first [n] bytes of [buf], valid
     only during the call) and starts over. Streams a large payload to a

@@ -333,5 +333,5 @@ let r_doc r =
     values.(i) <- Binio.r_str r;
     ends.(i) <- Binio.r_int r
   done;
-  try Doc.of_columns ~name ~kinds ~labels ~values ~depths ~parents ~ordinals ~ends ~posts ()
+  try Doc.of_columns ~name ~kinds ~labels ~values ~depths ~parents ~ordinals ~ends ~posts
   with Invalid_argument e -> corrupt "document: %s" e

@@ -31,4 +31,4 @@ let unpack ~name packed =
     ~labels:(column (fun p -> p.p_label)) ~values:(column (fun p -> p.p_value))
     ~depths:(column (fun p -> p.p_depth)) ~parents:(column (fun p -> p.p_parent))
     ~ordinals:(column (fun p -> p.p_ordinal)) ~ends:(column (fun p -> p.p_subtree_end))
-    ~posts:(column (fun p -> p.p_post)) ()
+    ~posts:(column (fun p -> p.p_post))

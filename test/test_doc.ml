@@ -170,7 +170,37 @@ let test_mutation_errors () =
   rejects "insert before a non-child" (fun () ->
       Doc.insert_subtree d ~parent:0 ~before:txt (T.parse "<x/>"));
   rejects "update an element" (fun () -> Doc.update_value d 0 "v");
-  rejects "out-of-range handle" (fun () -> Doc.delete_subtree d 99)
+  rejects "out-of-range handle" (fun () -> Doc.delete_subtree d 99);
+  (* a batch stops at the first edit that fails, before taking the next *)
+  let taken = ref false in
+  rejects "batch with an out-of-range handle" (fun () ->
+      Doc.apply_edits d
+        (Seq.append (Seq.return (Doc.Delete 99)) (fun () -> taken := true; Seq.Nil)));
+  Alcotest.(check bool) "no edit taken past the failing one" false !taken
+
+(* A batch grows its working copy as inserts need it and cuts the result
+   when most of it is spare, so what a batch returns weighs about what
+   the same document built afresh does: grafting and deleting twenty
+   times the document leaves no room for what it grafted, and twenty
+   grafts keep under twice the columns they need. *)
+let test_batch_spare_room () =
+  let d = doc () in
+  let big = T.parse ("<big>" ^ String.concat "" (List.init 100 (fun _ -> "<x>t</x>")) ^ "</big>") in
+  let graft = Doc.Insert { parent = Doc.root d; before = None; tree = big } in
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let fresh x = Doc.of_tree (Doc.to_tree x (Doc.root x)) in
+  let churn =
+    Doc.apply_edits d (Seq.concat_map (fun _ -> List.to_seq [ graft; Doc.Delete (Doc.size d) ])
+                         (Seq.init 20 Fun.id))
+  in
+  Alcotest.(check string) "churn leaves the document" sample (serialize churn);
+  Alcotest.(check bool) "churn keeps no room for what it grafted" true
+    (words churn <= 2 * words (fresh churn));
+  let grown = Doc.apply_edits d (Seq.init 20 (fun _ -> graft)) in
+  ignore (repack grown);
+  Alcotest.(check int) "twenty grafts" (Doc.size d + (20 * T.node_count big)) (Doc.size grown);
+  Alcotest.(check bool) "growth keeps under twice the columns" true
+    (words grown <= 2 * words (fresh grown))
 
 (* --- unpack rejects inconsistent structure ------------------------------ *)
 
@@ -373,9 +403,9 @@ let splice_prop =
       true)
 
 (* A batch is the fold of its edits: [Doc.apply_edits] on one working
-   copy must give, record for record, what applying the same edits one
-   at a time gives, and a batch whose last edit does not apply must fail
-   with the message the fold fails with. *)
+   copy must give, record for record, what the tree-level reference
+   gives for the same edits one at a time, and a batch whose last edit
+   does not apply must fail with the message a single edit fails with. *)
 let batch_prop =
   let to_edit = function
     | O.Drop i -> Doc.Delete i
@@ -393,11 +423,11 @@ let batch_prop =
           (fun (cur, acc) s ->
             match edit_of_step cur s with
             | None -> (cur, acc)
-            | Some e -> (O.splice cur e, to_edit e :: acc))
+            | Some e -> (O.apply cur e, to_edit e :: acc))
           (d, []) steps
       in
       let edits = List.rev edits in
-      let batched = Doc.apply_edits d edits in
+      let batched = Doc.apply_edits d (List.to_seq edits) in
       if Doc_pack.pack batched <> Doc_pack.pack folded then
         QCheck2.Test.fail_report "batch differs from the fold";
       ignore (Doc_pack.unpack ~name:"check" (Doc_pack.pack batched));
@@ -416,7 +446,7 @@ let batch_prop =
       List.iter
         (fun (e, single) ->
           let single = failure single in
-          if single = None || failure (fun () -> Doc.apply_edits d (edits @ [ e ])) <> single then
+          if single = None || failure (fun () -> Doc.apply_edits d (List.to_seq (edits @ [ e ]))) <> single then
             QCheck2.Test.fail_report "the batch reports an invalid edit unlike the fold")
         [ (Doc.Delete (Doc.size folded), fun () -> Doc.delete_subtree folded (Doc.size folded));
           (Doc.Update (0, "v"), fun () -> Doc.update_value folded 0 "v") ];
@@ -454,6 +484,7 @@ let () =
           Alcotest.test_case "update_value" `Quick test_update_value;
           Alcotest.test_case "invalid mutations are rejected" `Quick
             test_mutation_errors;
+          Alcotest.test_case "a batch keeps little spare room" `Quick test_batch_spare_room;
           Alcotest.test_case "splice matches the tree oracle" `Quick test_splice_shapes;
           Alcotest.test_case "unpack rejects inconsistent structure" `Quick
             test_unpack_rejects ] );

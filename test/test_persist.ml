@@ -153,19 +153,23 @@ let test_crc32_reference_edges () =
     (Binio.crc32 ~pos:5 ~len:(String.length big - 9) big)
 
 (* A spilling writer hands its sink exactly the bytes a plain writer
-   keeps, in order, whatever the chunk size. *)
+   keeps, in order, wherever its 64 KiB buffer fills: a filler of 60–200
+   KB among small items makes it spill once to a few times, at varying
+   offsets. *)
 let spilling_writer_prop =
-  QCheck2.Test.make ~name:"a spilling writer streams a plain writer's bytes" ~count:200
+  QCheck2.Test.make ~name:"a spilling writer streams a plain writer's bytes" ~count:50
     QCheck2.Gen.(
-      pair (int_range 1 40)
-        (list_size (int_bound 30)
-           (oneof
-              [ map (fun i -> `I i) int;
-                map (fun s -> `S s) (string_size (int_bound 100)) ])))
-    (fun (chunk, items) ->
+      let item =
+        oneof [ map (fun i -> `I i) int; map (fun s -> `S s) (string_size (int_bound 100)) ]
+      in
+      triple (list_size (int_bound 30) item)
+        (map (fun n -> `S (String.make n 'x')) (int_range 60_000 200_000))
+        (list_size (int_bound 30) item))
+    (fun (before, filler, after) ->
+      let items = before @ (filler :: after) in
       let out = Buffer.create 64 in
       let plain = Binio.writer () in
-      let spill = Binio.spilling ~chunk (fun b n -> Buffer.add_subbytes out b 0 n) in
+      let spill = Binio.spilling (fun b n -> Buffer.add_subbytes out b 0 n) in
       List.iter
         (fun w ->
           List.iter (function `I i -> Binio.w_int w i | `S s -> Binio.w_str w s) items)

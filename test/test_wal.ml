@@ -797,8 +797,8 @@ let test_segment_lsn_fail_closed () =
 (* --- batched applies ----------------------------------------------------- *)
 
 (* apply_batch_r is the same write path as N sequential applies: same
-   final state, and the WAL holds N ordinary records that replay
-   one-by-one to that state. *)
+   final state, and the WAL holds N ordinary records that replay to
+   that state. *)
 let test_batch_apply_equivalence () =
   let doc = bib () in
   let root = Doc.root doc in
@@ -837,7 +837,7 @@ let test_batch_apply_equivalence () =
             (doc_string one_by_one) (doc_string batched);
           Alcotest.(check int) "one WAL record per op" 9 (Engine.lsn batched);
           let recovered = Xerror.get_exn (Engine.of_snapshot_r snap) in
-          Alcotest.(check int) "batch records replay one-by-one" 9
+          Alcotest.(check int) "every batch record replays" 9
             (Xerror.get_exn (Engine.attach_wal_r recovered wal));
           Alcotest.(check string) "recovery lands on the batched state"
             (snapshot_bytes batched) (snapshot_bytes recovered)))
@@ -856,6 +856,23 @@ let test_batch_apply_atomic () =
    with
   | Ok _ -> Alcotest.fail "invalid op accepted"
   | Error (Xerror.Update_invalid _) -> ()
+  | Error e -> Alcotest.failf "wrong error class: %s" (Xerror.to_string e));
+  (* The first op that fails is the one reported, though a later op's
+     XML does not parse either. *)
+  (match
+     Engine.apply_batch_r e
+       [ Engine.Delete_subtree { node = 9_999_999 };
+         Engine.Insert_subtree { parent = root; before = None; xml = "<a>" } ]
+   with
+  | Error (Xerror.Update_invalid msg) ->
+      let has sub =
+        let n = String.length sub in
+        let rec at i = i + n <= String.length msg && (String.sub msg i n = sub || at (i + 1)) in
+        at 0
+      in
+      Alcotest.(check bool) ("the handle is reported: " ^ msg) true
+        (has "out of range" && not (has "does not parse"))
+  | Ok _ -> Alcotest.fail "invalid op accepted"
   | Error e -> Alcotest.failf "wrong error class: %s" (Xerror.to_string e));
   Alcotest.(check int) "no LSN consumed" 0 (Engine.lsn e);
   Alcotest.(check string) "state unchanged" before (snapshot_bytes e)
