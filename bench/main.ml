@@ -761,15 +761,14 @@ let micro () =
 
 (* ----------------------------------------------------------------- pmicro *)
 
-(* Parallel scaling micro: the partition-parallel structural join and
-   [Engine.query_batch] at 1 / 2 / 4 domains. Besides the timings, every
-   parallel answer is checked against the sequential one — a divergence
-   is a hard failure (exit 1), which is what the CI bench-smoke job keys
-   on. On few-core machines the speedup is naturally flat; the recorded
-   [hardware_threads] puts the numbers in context. *)
+(* Parallel scaling micro: [Engine.query_batch] at 1 / 2 / 4 domains.
+   Besides the timings, every batched answer is checked against the
+   sequential one — a divergence is a hard failure (exit 1), which is
+   what the CI bench-smoke job keys on. On few-core machines the speedup
+   is naturally flat; the recorded [hardware_threads] puts the numbers in
+   context. *)
 let pmicro () =
-  header "pmicro: parallel scaling (struct join, query batch) at 1/2/4 domains";
-  let module Pool = Xengine.Pool in
+  header "pmicro: query-batch scaling at 1/2/4 domains";
   let module Engine = Xengine.Engine in
   let hw = Domain.recommended_domain_count () in
   record ~experiment:"pmicro" ~metric:"hardware_threads"
@@ -788,56 +787,6 @@ let pmicro () =
         speedup hw;
       exit 1)
   in
-  let doc = Lazy.force xmark_doc in
-  let extent label =
-    Xam.Embed.eval doc
-      (P.make [ P.v label ~node:(P.mk_node ~id:Xdm.Nid.Structural label) [] ])
-  in
-  let items = extent "item" and keywords = extent "keyword" in
-  Printf.printf "struct join: %d items // %d keywords\n"
-    (Rel.cardinality items) (Rel.cardinality keywords);
-  let join_plan =
-    Xalgebra.Logical.Struct_join
-      { kind = Xalgebra.Logical.Inner; axis = Xalgebra.Logical.Descendant;
-        lpath = [ "ID0" ]; rpath = [ "ID0'" ]; nest_as = "";
-        left = Xalgebra.Logical.Table items;
-        right =
-          Xalgebra.Logical.Rename
-            ([ ("ID0", "ID0'") ], Xalgebra.Logical.Table keywords) }
-  in
-  let env = Xalgebra.Eval.env_of_list [] in
-  let baseline = Xalgebra.Physical.run env join_plan in
-  let join_ms = Hashtbl.create 4 in
-  List.iter
-    (fun domains ->
-      let pool = Pool.create ~domains () in
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () ->
-          let par = Pool.par ~chunk_min:64 pool in
-          let got = Xalgebra.Physical.run ~parallel:par env join_plan in
-          if got <> baseline then (
-            Printf.eprintf
-              "FATAL: parallel struct join at %d domains diverged from \
-               sequential\n"
-              domains;
-            exit 1);
-          let ms =
-            bench_ms ~repeats:5 (fun () ->
-                Xalgebra.Physical.run ~parallel:par env join_plan)
-          in
-          Hashtbl.replace join_ms domains ms;
-          record ~experiment:"pmicro"
-            ~metric:(Printf.sprintf "struct_join_ms_d%d" domains)
-            ~value:ms ~units:"ms";
-          Printf.printf "struct join, %d domain(s): %8.2f ms\n%!" domains ms))
-    [ 1; 2; 4 ];
-  (let t1 = Hashtbl.find join_ms 1 and t4 = Hashtbl.find join_ms 4 in
-   if t4 > 0.0 then (
-     record ~experiment:"pmicro" ~metric:"struct_join_speedup_d4"
-       ~value:(t1 /. t4) ~units:"x";
-     Printf.printf "struct join speedup at 4 domains: %.2fx\n" (t1 /. t4);
-     gate "struct_join_speedup_d4" (t1 /. t4)));
   (* Independent queries through query_batch, fresh engine per
      configuration so every run re-plans from a cold cache. *)
   let bdoc = Xworkload.Gen_bib.generate_doc ~seed:9 ~books:500 ~theses:200 () in

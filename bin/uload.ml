@@ -863,7 +863,10 @@ let serve_cmd =
                    least this slow (the /debug/slowlog list)")
   in
   let ckpt_every_arg =
-    Arg.(value & opt int 0
+    let default =
+      (Xserve.Server.default_config (Xserve.Proto.Unix_sock "")).checkpoint_every
+    in
+    Arg.(value & opt int default
          & info [ "checkpoint-every" ] ~docv:"K"
              ~doc:"Background-checkpoint a tenant once its replay debt \
                    reaches K records (0 = never); writes keep flowing \

@@ -132,24 +132,29 @@ let value_join kind pred lsch rsch (lts : Rel.tuple list) (rts : Rel.tuple list)
     match hashable_eq_join pred with
     | Some (lp, rp) when Rel.mem_path lsch lp && Rel.mem_path rsch rp ->
         let table = Hashtbl.create (List.length rts) in
-        List.iter
-          (fun rt ->
+        List.iteri
+          (fun pos rt ->
             List.iter
               (fun v ->
                 if not (Value.is_null v) then
-                  Hashtbl.add table (Value.hash v) (v, rt))
+                  Hashtbl.add table (Value.hash v) (v, pos, rt))
               (Rel.atoms_of_path rsch rt rp))
           rts;
         fun lt ->
-          let lvs = Rel.atoms_of_path lsch lt lp in
+          (* A left tuple may reach one right tuple through several atoms:
+             keep each right tuple once, by position, so that equal right
+             tuples still each join, as in the nested-loop path. *)
+          let seen = Hashtbl.create 8 in
           List.concat_map
             (fun lv ->
               Hashtbl.find_all table (Value.hash lv)
               |> List.rev
-              |> List.filter_map (fun (rv, rt) ->
-                     if Value.equal lv rv then Some rt else None))
-            lvs
-          |> Rel.dedup_tuples
+              |> List.filter_map (fun (rv, pos, rt) ->
+                     if Value.equal lv rv && not (Hashtbl.mem seen pos) then (
+                       Hashtbl.add seen pos ();
+                       Some rt)
+                     else None))
+            (Rel.atoms_of_path lsch lt lp)
     | _ ->
         fun lt ->
           List.filter

@@ -59,6 +59,10 @@ val dedup_tuples : tuple list -> tuple list
     of tuples equal under {!equal_tuple}, however their fields are shared
     physically. *)
 
+module Tuple_table : Hashtbl.S with type key = tuple
+(** Hash tables keyed by tuples under {!equal_tuple} and a structural
+    hash consistent with it, whatever the fields' physical sharing. *)
+
 val equal_tuple : tuple -> tuple -> bool
 val compare_tuple : tuple -> tuple -> int
 val sort_by : schema -> path -> t -> t

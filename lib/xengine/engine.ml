@@ -151,14 +151,10 @@ type t = {
   mutable reader_faults : unit -> (string * int * string) list;
       (* partition page-in faults from the backing snapshot reader, if
          this engine was opened lazily *)
-  constraints : bool;
   max_views : int;
   budget : budget;
   env_wrap : Eval.env -> Eval.env;
   quarantined : (string, string) Hashtbl.t;  (* module name -> fault reason *)
-  par : Xalgebra.Par.t;
-      (* the parallel capability handed to the rewriter and the physical
-         operators; [Par.sequential] without a pool *)
   obs : Obs.t;
   m : emetrics;
 }
@@ -254,9 +250,10 @@ let declared_of (catalog : Store.catalog) =
 (* The record behind [create] and [create_lazy]: [catalog] is the
    resident catalog (a lazy engine's skeleton), [base_env] the storage
    lookup over it or over [lazy_catalog]. *)
-let make ?(cache_capacity = 128) ?(constraints = true) ?(max_views = 3)
-    ?(budget = unlimited) ?(env_wrap = Fun.id) ?pool ?obs ?doc ~lazy_catalog
-    ~base_env catalog =
+let plan_cache_capacity = 128
+
+let make ?(max_views = 3) ?(budget = unlimited) ?(env_wrap = Fun.id) ?obs ?doc
+    ~lazy_catalog ~base_env catalog =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   { catalog;
     lazy_catalog;
@@ -264,7 +261,7 @@ let make ?(cache_capacity = 128) ?(constraints = true) ?(max_views = 3)
     base_env;
     env = env_wrap base_env;
     doc;
-    cache = Lru.create ~metrics:obs.Obs.metrics cache_capacity;
+    cache = Lru.create ~metrics:obs.Obs.metrics plan_cache_capacity;
     lock = Mutex.create ();
     apply_lock = Mutex.create ();
     lsn = 0;
@@ -273,23 +270,19 @@ let make ?(cache_capacity = 128) ?(constraints = true) ?(max_views = 3)
     declared = declared_of catalog;
     dormant = [];
     reader_faults = (fun () -> []);
-    constraints;
     max_views;
     budget;
     env_wrap;
     quarantined = Hashtbl.create 8;
-    par = (match pool with Some p -> Pool.par p | None -> Xalgebra.Par.sequential);
     obs;
     m = register_metrics obs.Obs.metrics }
 
-let create ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?pool ?obs
-    ?doc catalog =
+let create ?max_views ?budget ?env_wrap ?obs ?doc catalog =
   Option.iter (fun e -> raise (Xerror.Error e)) (catalog_error catalog);
-  make ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?pool ?obs ?doc
-    ~lazy_catalog:None ~base_env:(Store.env catalog) catalog
+  make ?max_views ?budget ?env_wrap ?obs ?doc ~lazy_catalog:None
+    ~base_env:(Store.env catalog) catalog
 
-let create_lazy ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?pool
-    ?obs ?doc lc =
+let create_lazy ?max_views ?budget ?env_wrap ?obs ?doc lc =
   (* The resident part is the skeleton — summary and xams, empty extents;
      everything that scans goes through [Store.lazy_env], which pages
      extents in from the backing reader. Validation is structural and
@@ -297,14 +290,11 @@ let create_lazy ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?pool
   Option.iter
     (fun e -> raise (Xerror.Error e))
     (validation_error (Store.validate_lazy lc));
-  make ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?pool ?obs ?doc
-    ~lazy_catalog:(Some lc) ~base_env:(Store.lazy_env lc) (Store.skeleton lc)
+  make ?max_views ?budget ?env_wrap ?obs ?doc ~lazy_catalog:(Some lc)
+    ~base_env:(Store.lazy_env lc) (Store.skeleton lc)
 
-let of_doc ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?pool ?obs
-    doc specs =
-  create ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?pool ?obs
-    ~doc
-    (Store.catalog_of doc specs)
+let of_doc ?max_views ?budget ?env_wrap ?obs doc specs =
+  create ?max_views ?budget ?env_wrap ?obs ~doc (Store.catalog_of doc specs)
 
 let catalog t = t.catalog
 let obs t = t.obs
@@ -448,8 +438,8 @@ let load_snapshot_r t path =
   | Ok { catalog; declared; dormant; _ } ->
       swap_catalog t ~declared ~dormant catalog
 
-let of_snapshot_r ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?pool
-    ?obs ?(lazy_extents = false) ?extent_cache ?label path =
+let of_snapshot_r ?max_views ?budget ?env_wrap ?obs ?(lazy_extents = false)
+    ?extent_cache ?label path =
   let module Reader = Xpersist.Snapshot.Reader in
   let obs = match obs with Some o -> o | None -> Obs.create () in
   try
@@ -461,8 +451,7 @@ let of_snapshot_r ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?poo
       | Error reason -> Error (snapshot_error path reason)
       | Ok reader -> (
           match
-            create_lazy ?cache_capacity ?constraints ?max_views ?budget
-              ?env_wrap ?pool ~obs ?doc:(Reader.doc reader)
+            create_lazy ?max_views ?budget ?env_wrap ~obs ?doc:(Reader.doc reader)
               (Reader.lazy_catalog reader)
           with
           | t ->
@@ -483,8 +472,7 @@ let of_snapshot_r ?cache_capacity ?constraints ?max_views ?budget ?env_wrap ?poo
       | Ok { doc; catalog; lsn; declared; dormant } ->
           Ok
             (restore
-               (create ?cache_capacity ?constraints ?max_views ?budget
-                  ?env_wrap ?pool ~obs ?doc catalog)
+               (create ?max_views ?budget ?env_wrap ~obs ?doc catalog)
                ~lsn ~declared ~dormant)
   with Xerror.Error e -> Error e
 
@@ -876,9 +864,8 @@ let plan_for t (trc : tr) pattern =
              misses on the same key just race to [Lru.add] the same answer. *)
           let rws =
             in_span trc "rewrite" (fun _ ->
-                Rewrite.rewrite ~constraints:t.constraints
-                  ~max_views:t.max_views ~parallel:t.par
-                  ~metrics:t.obs.Obs.metrics t.catalog.Store.summary
+                Rewrite.rewrite ~max_views:t.max_views ~metrics:t.obs.Obs.metrics
+                  t.catalog.Store.summary
                   ~query:pattern ~views:(active_views t))
           in
           let choice =
@@ -996,7 +983,7 @@ let execute t (trc : tr) pattern (c : cached) cache_hit rewrite_ms pb ~degraded
       let t0 = clk t () in
       let rel, stats =
         Physical.run_instrumented ~clock:(clk t) ?budget:pb
-          ~metrics:t.obs.Obs.metrics ~parallel:t.par env r.Rewrite.plan
+          ~metrics:t.obs.Obs.metrics env r.Rewrite.plan
       in
       let rel = normalize_schema pattern rel in
       let exec_s = clk t () -. t0 in
@@ -1269,8 +1256,7 @@ let query_ast_in ?budget t (trc : tr) ast =
               let t0 = clk t () in
               let rel, stats =
                 Physical.run_instrumented ~clock:(clk t) ?budget:pb
-                  ~metrics:t.obs.Obs.metrics ~parallel:t.par env
-                  (Xquery.Translate.plan e)
+                  ~metrics:t.obs.Obs.metrics env (Xquery.Translate.plan e)
               in
               Metrics.observe t.m.h_exec (clk t () -. t0);
               (match trc with

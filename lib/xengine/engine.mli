@@ -66,28 +66,23 @@ type result = {
 }
 
 val create :
-  ?cache_capacity:int ->
-  ?constraints:bool ->
   ?max_views:int ->
   ?budget:budget ->
   ?env_wrap:(Xalgebra.Eval.env -> Xalgebra.Eval.env) ->
-  ?pool:Pool.t ->
   ?obs:Xobs.Obs.t ->
   ?doc:Xdm.Doc.t ->
   Xstorage.Store.catalog ->
   t
-(** [cache_capacity] (default 128) bounds the plan cache; [constraints]
-    (default [true]) and [max_views] (default 3) are passed to the
-    rewriter. [doc] enables the base-document fallback of the XQuery
+(** The plan cache holds 128 plans; the rewriter runs with the
+    strong-edge chase on and [max_views] (default 3) views per plan.
+    [doc] enables the base-document fallback of the XQuery
     front door for patterns no view can answer. [budget] (default
     {!unlimited}) guards every query unless overridden per call.
     [env_wrap] intercepts the storage lookup surface — e.g.
     {!Xstorage.Faultstore.wrap} for fault injection — and is re-applied
-    on every catalog swap. [pool] enables {e intra}-query parallelism:
-    the rewriter's generate-and-test loop and the physical structural
-    joins fan out over the pool's domains (answers are identical to the
-    sequential ones — see {!Xalgebra.Par}); without it every query runs
-    sequentially. [obs] is the engine's observability context (clock,
+    on every catalog swap. Each query runs sequentially on the calling
+    domain; {!query_batch} spreads whole queries over domains.
+    [obs] is the engine's observability context (clock,
     metrics registry, slow-query log, tracing switch — see {!Xobs.Obs});
     by default each engine gets a private context with a monotonic clock
     and tracing off. Every layer records into its registry: engine
@@ -99,38 +94,15 @@ val create :
     paths absent from the summary. *)
 
 val of_doc :
-  ?cache_capacity:int ->
-  ?constraints:bool ->
   ?max_views:int ->
   ?budget:budget ->
   ?env_wrap:(Xalgebra.Eval.env -> Xalgebra.Eval.env) ->
-  ?pool:Pool.t ->
   ?obs:Xobs.Obs.t ->
   Xdm.Doc.t ->
   (string * Xam.Pattern.t) list ->
   t
 (** Materialize the specs into a catalog ({!Xstorage.Store.catalog_of})
     and keep the document as the XQuery fallback. *)
-
-val create_lazy :
-  ?cache_capacity:int ->
-  ?constraints:bool ->
-  ?max_views:int ->
-  ?budget:budget ->
-  ?env_wrap:(Xalgebra.Eval.env -> Xalgebra.Eval.env) ->
-  ?pool:Pool.t ->
-  ?obs:Xobs.Obs.t ->
-  ?doc:Xdm.Doc.t ->
-  Xstorage.Store.lazy_catalog ->
-  t
-(** Like {!create} over a lazy-extent catalog: the engine keeps the
-    catalog's {!Xstorage.Store.skeleton} resident (summary + xams, which
-    is all planning reads) and scans extents through
-    {!Xstorage.Store.lazy_env}, so they page in from the backing store on
-    first touch. Validation is structural and forces nothing. A thunk
-    that raises {!Xstorage.Store.Module_fault} — e.g. a snapshot extent
-    whose checksum fails on page-in — is absorbed by the ordinary
-    quarantine + re-plan machinery. *)
 
 (** {1 Persistent snapshots}
 
@@ -139,12 +111,9 @@ val create_lazy :
     in. *)
 
 val of_snapshot_r :
-  ?cache_capacity:int ->
-  ?constraints:bool ->
   ?max_views:int ->
   ?budget:budget ->
   ?env_wrap:(Xalgebra.Eval.env -> Xalgebra.Eval.env) ->
-  ?pool:Pool.t ->
   ?obs:Xobs.Obs.t ->
   ?lazy_extents:bool ->
   ?extent_cache:int ->
@@ -154,9 +123,12 @@ val of_snapshot_r :
 (** Open an engine over a snapshot file. With [lazy_extents] (default
     [false]) extents — and, for path-partitioned modules, individual
     partitions — page in on demand through an LRU buffer cache with an
-    [extent_cache]-byte budget ({!create_lazy},
-    {!Xpersist.Snapshot.Reader.open_}); otherwise the whole snapshot
-    loads eagerly.
+    [extent_cache]-byte budget ({!Xpersist.Snapshot.Reader.open_}):
+    the engine keeps the catalog's {!Xstorage.Store.skeleton} resident
+    (summary and xams, all that planning reads) and scans extents
+    through {!Xstorage.Store.lazy_env}. An extent whose checksum fails
+    on page-in is absorbed by the ordinary quarantine and re-plan
+    machinery. Otherwise the whole snapshot loads eagerly.
     [label] names the owner of this engine (the serving layer passes
     the tenant name): a lazy reader then counts its page-ins and
     partition faults into per-tenant labeled metric families.
@@ -170,8 +142,8 @@ val save_snapshot_r : t -> string -> (int, Xerror.t) Stdlib.result
 (** Snapshot the engine's current state (fallback document, summary,
     catalog with extents, LSN, dormant modules) to a file, crash-safely:
     temp file, fsync, atomic rename. Returns the bytes written. On a
-    lazily-opened engine ({!of_snapshot_r} with [lazy_extents],
-    {!create_lazy}) the full catalog is materialized first — every
+    lazily-opened engine ({!of_snapshot_r} with [lazy_extents]) the full
+    catalog is materialized first — every
     extent pages in through the backing reader — so the snapshot always
     carries the real extents, never the resident skeleton.
     [Error (Snapshot_error _)] on failure, [Error (Storage_fault _)] when

@@ -124,7 +124,7 @@ let run_chunks t ~chunks run_chunk =
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
-let parallel_map t f arr =
+let map_array t f arr =
   let n = Array.length arr in
   if t.domains <= 1 || n <= 1 then Array.map f arr
   else if not (Atomic.compare_and_set t.busy false true) then
@@ -144,40 +144,7 @@ let parallel_map t f arr =
               out.(i) <- Some (f arr.(i))
             done);
         Array.map
-          (function Some v -> v | None -> invalid_arg "Pool.parallel_map: lost slot")
+          (function Some v -> v | None -> invalid_arg "Pool.map_list: lost slot")
           out)
 
-(* One claim per element: the scheduling unit is the caller's own
-   partitioning of the work (one task per storage partition, say), so no
-   internal re-chunking — a single dispatch and a single completion
-   barrier for the whole array. *)
-let parallel_tasks t f arr =
-  let n = Array.length arr in
-  if t.domains <= 1 || n <= 1 then Array.map f arr
-  else if not (Atomic.compare_and_set t.busy false true) then Array.map f arr
-  else
-    Fun.protect
-      ~finally:(fun () -> Atomic.set t.busy false)
-      (fun () ->
-        let out = Array.make n None in
-        run_chunks t ~chunks:n (fun i -> out.(i) <- Some (f arr.(i)));
-        Array.map
-          (function Some v -> v | None -> invalid_arg "Pool.parallel_tasks: lost slot")
-          out)
-
-let parallel_filter t pred arr =
-  let keep = parallel_map t pred arr in
-  let out = ref [] in
-  for i = Array.length arr - 1 downto 0 do
-    if keep.(i) then out := arr.(i) :: !out
-  done;
-  Array.of_list !out
-
-let map_list t f l = Array.to_list (parallel_map t f (Array.of_list l))
-
-let par ?(chunk_min = 2048) ?(verify = false) t =
-  { Xalgebra.Par.degree = t.domains;
-    chunk_min;
-    verify;
-    map = (fun f arr -> parallel_map t f arr);
-    tasks = (fun f arr -> parallel_tasks t f arr) }
+let map_list t f l = Array.to_list (map_array t f (Array.of_list l))

@@ -10,7 +10,7 @@
 
     One batch runs at a time per pool. A nested call (a parallel stage
     inside another parallel stage) detects the pool is busy and simply
-    runs sequentially, so layering {!parallel_map} calls is always safe,
+    runs sequentially, so layering {!map_list} calls is always safe,
     never faster than the outermost level, and never a deadlock. The
     first exception a chunk raises is re-raised in the caller after the
     batch drains. *)
@@ -31,26 +31,9 @@ val self_index : unit -> int
     their 1-based index, every other domain (including pool creators)
     reads 0. Used to tag traces with the domain that ran the query. *)
 
-val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
-(** Order-preserving: slot [i] of the result is [f arr.(i)]. *)
-
-val parallel_tasks : t -> ('a -> 'b) -> 'a array -> 'b array
-(** {!parallel_map} with one claim per element and no internal
-    re-chunking: the array is the caller's own partitioning of the work
-    (e.g. one task per storage partition), dispatched once with a single
-    completion barrier. *)
-
-val parallel_filter : t -> ('a -> bool) -> 'a array -> 'a array
-(** Parallel predicate evaluation; the kept elements stay in input
-    order. *)
-
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-
-val par : ?chunk_min:int -> ?verify:bool -> t -> Xalgebra.Par.t
-(** Package the pool as the {!Xalgebra.Par.t} capability the lower
-    layers consume. [chunk_min] (default 2048) is the smallest
-    collection parallel operators will split; [verify] (default false)
-    makes them recompute sequentially and fail on divergence. *)
+(** Order-preserving: element [i] of the result is [f] applied to
+    element [i] of the input. *)
 
 val shutdown : t -> unit
 (** Stop and join the workers. The pool must be idle; further parallel

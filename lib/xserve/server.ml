@@ -37,7 +37,7 @@ let default_config listen =
     max_conns = 256;
     debug = false;
     access_log = None;
-    checkpoint_every = 0 }
+    checkpoint_every = 1000 }
 
 (* One response slot a connection thread blocks on while the dispatcher
    works. *)

@@ -380,16 +380,15 @@ let lookup_seq m ~bindings : Rel.tuple Seq.t =
      walked, deduplicated on the fly, so a consumer that stops early never
      pays for the rest of the extent. *)
   let bsch = Xam.Binding.binding_schema m.xam in
-  let seen = Hashtbl.create 64 in
+  let seen = Rel.Tuple_table.create 64 in
   List.to_seq bindings
   |> Seq.concat_map (fun b ->
          List.to_seq (lookup_tuples m bsch b)
          |> Seq.filter_map (fun t -> Xam.Binding.intersect m.extent.Rel.schema bsch t b))
   |> Seq.filter (fun t ->
-         let key = Marshal.to_string t [] in
-         if Hashtbl.mem seen key then false
+         if Rel.Tuple_table.mem seen t then false
          else (
-           Hashtbl.add seen key ();
+           Rel.Tuple_table.add seen t ();
            true))
 
 let lookup m ~bindings =

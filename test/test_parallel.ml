@@ -3,20 +3,13 @@
    same error classes, same counter accounting — and the pool primitives
    must behave like their Array counterparts. Everything is seeded. *)
 
-module P = Xam.Pattern
-module Rewrite = Xam.Rewrite
 module Rel = Xalgebra.Rel
-module Par = Xalgebra.Par
-module Physical = Xalgebra.Physical
 module Engine = Xengine.Engine
-module Explain = Xengine.Explain
 module Pool = Xengine.Pool
 module Xerror = Xengine.Xerror
-module Store = Xstorage.Store
 module Models = Xstorage.Models
 module Faultstore = Xstorage.Faultstore
 module Pg = Xworkload.Pattern_gen
-module Qg = Xworkload.Query_gen
 
 let doc = Xworkload.Gen_bib.generate_doc ~seed:21 ~books:50 ~theses:20 ()
 let summary = Xsummary.Summary.of_doc doc
@@ -55,73 +48,34 @@ let with_pool domains f =
 
 let test_pool_map () =
   with_pool 4 (fun pool ->
-      let arr = Array.init 10_001 (fun i -> i) in
+      let l = List.init 10_001 (fun i -> i) in
       let f x = (x * 7919) mod 104729 in
-      Alcotest.(check bool) "parallel_map = Array.map" true
-        (Pool.parallel_map pool f arr = Array.map f arr);
-      Alcotest.(check bool) "parallel_map on empty" true
-        (Pool.parallel_map pool f [||] = [||]);
-      let keep x = x mod 3 = 0 in
-      Alcotest.(check bool) "parallel_filter keeps input order" true
-        (Pool.parallel_filter pool keep arr
-        = Array.of_list (List.filter keep (Array.to_list arr))))
+      Alcotest.(check bool) "map_list = List.map" true
+        (Pool.map_list pool f l = List.map f l);
+      Alcotest.(check bool) "map_list on empty" true (Pool.map_list pool f [] = []))
 
 let test_pool_nested_and_exn () =
   with_pool 4 (fun pool ->
       (* A nested parallel call must degrade to sequential, not deadlock. *)
-      let arr = Array.init 4096 (fun i -> i) in
+      let l = List.init 4096 (fun i -> i) in
       let nested =
-        Pool.parallel_map pool
-          (fun x -> Array.length (Pool.parallel_map pool (fun y -> y + x) arr))
-          (Array.init 64 (fun i -> i))
+        Pool.map_list pool
+          (fun x -> List.length (Pool.map_list pool (fun y -> y + x) l))
+          (List.init 64 (fun i -> i))
       in
       Alcotest.(check bool) "nested maps complete" true
-        (Array.for_all (fun n -> n = 4096) nested);
+        (List.for_all (fun n -> n = 4096) nested);
       (* The first chunk exception re-raises in the caller; the pool stays
          usable afterwards. *)
       (match
-         Pool.parallel_map pool
+         Pool.map_list pool
            (fun x -> if x = 5000 then failwith "boom" else x)
-           (Array.init 10_000 (fun i -> i))
+           (List.init 10_000 (fun i -> i))
        with
       | _ -> Alcotest.fail "expected the chunk exception to propagate"
       | exception Failure m -> Alcotest.(check string) "exn payload" "boom" m);
       Alcotest.(check bool) "pool survives a failed batch" true
-        (Pool.parallel_map pool succ [| 1; 2; 3 |] = [| 2; 3; 4 |]))
-
-(* --- Parallel structural joins --------------------------------------------- *)
-
-(* Compile every rewriting of every generated pattern and execute its plan
-   with an aggressively-chunked, self-verifying parallel capability: the
-   operators themselves assert parallel = sequential on every join
-   ([verify]), and we compare the full relations on top. *)
-let test_parallel_joins () =
-  let catalog = Store.catalog_of doc specs in
-  let views = Store.views catalog in
-  let env = Store.env catalog in
-  with_pool 4 (fun pool ->
-      let par = Pool.par ~chunk_min:1 ~verify:true pool in
-      let plans =
-        List.concat_map
-          (fun q ->
-            List.map
-              (fun (r : Rewrite.rewriting) -> r.Rewrite.plan)
-              (Rewrite.rewrite ~max_views summary ~query:q ~views))
-          (List.concat_map patterns_for [ 31; 32; 33 ])
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "workload produced plans (%d)" (List.length plans))
-        true
-        (List.length plans > 10);
-      List.iteri
-        (fun i plan ->
-          let seq = Physical.run env plan in
-          let p = Physical.run ~parallel:par env plan in
-          Alcotest.(check bool)
-            (Printf.sprintf "plan %d: parallel run = sequential run" i)
-            true
-            (seq = p))
-        plans)
+        (Pool.map_list pool succ [ 1; 2; 3 ] = [ 2; 3; 4 ]))
 
 (* --- query_batch determinism ----------------------------------------------- *)
 
@@ -151,33 +105,6 @@ let test_batch_order_and_domains1 () =
   let e1 = Engine.of_doc ~max_views doc specs in
   Alcotest.(check bool) "domains:1 batch is the plain sequential map" true
     (List.map outcome (Engine.query_batch ~domains:1 e1 pats) = one)
-
-(* --- Intra-query parallelism through the engine ---------------------------- *)
-
-let test_pooled_engine_xquery () =
-  with_pool 4 (fun pool ->
-      let plain = Engine.of_doc ~max_views doc specs in
-      let pooled = Engine.of_doc ~max_views ~pool doc specs in
-      let queries =
-        Qg.generate_many ~seed:13 summary ~doc_name:"bib" Qg.default ~count:20
-      in
-      List.iteri
-        (fun i q ->
-          let tag = Printf.sprintf "xquery %d" i in
-          match (Engine.query_ast_r plain q, Engine.query_ast_r pooled q) with
-          | Ok a, Ok b ->
-              Alcotest.(check string) (tag ^ ": same output") a.Engine.output
-                b.Engine.output
-          | Error a, Error b ->
-              Alcotest.(check string) (tag ^ ": same error")
-                (Xerror.to_string a) (Xerror.to_string b)
-          | Ok _, Error e ->
-              Alcotest.failf "%s: pooled engine errored: %s" tag
-                (Xerror.to_string e)
-          | Error e, Ok _ ->
-              Alcotest.failf "%s: only the plain engine errored: %s" tag
-                (Xerror.to_string e))
-        queries)
 
 (* --- Chaos under parallelism ----------------------------------------------- *)
 
@@ -226,17 +153,13 @@ let test_chaos_under_parallelism () =
 let () =
   Alcotest.run "parallel"
     [ ( "pool",
-        [ Alcotest.test_case "map and filter match Array" `Quick test_pool_map;
+        [ Alcotest.test_case "map_list keeps input order" `Quick test_pool_map;
           Alcotest.test_case "nested calls and exceptions" `Quick
             test_pool_nested_and_exn ] );
       ( "determinism",
-        [ Alcotest.test_case "parallel structural joins byte-identical" `Quick
-            test_parallel_joins;
-          Alcotest.test_case "domains:1 batch = sequential map" `Quick
+        [ Alcotest.test_case "domains:1 batch = sequential map" `Quick
             test_batch_order_and_domains1;
-          QCheck_alcotest.to_alcotest batch_prop;
-          Alcotest.test_case "pooled engine XQuery = plain engine" `Quick
-            test_pooled_engine_xquery ] );
+          QCheck_alcotest.to_alcotest batch_prop ] );
       ( "chaos",
         [ Alcotest.test_case "counters add up at 4 domains" `Quick
             test_chaos_under_parallelism ] ) ]

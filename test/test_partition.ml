@@ -14,7 +14,6 @@ module Models = Xstorage.Models
 module Snapshot = Xpersist.Snapshot
 module Binio = Xpersist.Binio
 module Engine = Xengine.Engine
-module Pool = Xengine.Pool
 module Pg = Xworkload.Pattern_gen
 
 let doc = Xworkload.Gen_bib.generate_doc ~seed:23 ~books:40 ~theses:15 ()
@@ -43,10 +42,6 @@ let patterns_for seed =
         { Pg.default with Pg.return_labels = labels; Pg.size = 4 }
         ~count:6)
     [ [ "title" ]; [ "author" ]; [ "title"; "author" ] ]
-
-let with_pool domains f =
-  let pool = Pool.create ~domains () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
 (* --- Partitions reassemble extents exactly -------------------------------- *)
 
@@ -88,16 +83,16 @@ let test_multi_partition_module_exists () =
 
 let identical_answers ~seed ~domains =
   let pats = patterns_for seed in
-  let run cat pool =
-    let e = Engine.create ?pool ~doc cat in
+  let run cat ~domains =
+    let e = Engine.create ~doc cat in
     List.map
-      (fun p ->
-        match Result.to_option (Engine.query_r e p) with
+      (fun r ->
+        match Result.to_option r with
         | Some r -> Some (r.Engine.rel, r.Engine.explain)
         | None -> None)
-      pats
+      (Engine.query_batch ~domains e pats)
   in
-  let mono = run stripped None in
+  let mono = run stripped ~domains:1 in
   let check part =
     List.for_all2
       (fun m p ->
@@ -107,8 +102,7 @@ let identical_answers ~seed ~domains =
         | _ -> false)
       mono part
   in
-  if domains = 1 then check (run catalog None)
-  else with_pool domains (fun pool -> check (run catalog (Some pool)))
+  check (run catalog ~domains)
 
 let byte_identity_prop =
   QCheck2.Test.make

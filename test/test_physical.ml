@@ -96,13 +96,29 @@ let test_agreement_operators () =
   let r2 =
     Rel.make [ Rel.atom "J" ] (List.init 10 (fun i -> [| Rel.A (V.Int i) |]))
   in
-  let env = E.env_of_list [ ("r1", r1); ("r2", r2) ] in
+  (* Equal tuples, one whose fields share a string and one holding two
+     copies: duplicate elimination must see them as one. *)
+  let shared =
+    let s = String.make 3 'a' in
+    Rel.make [ Rel.atom "A"; Rel.atom "B" ]
+      [ [| Rel.A (V.Str s); Rel.A (V.Str s) |];
+        [| Rel.A (V.Str (String.make 3 'a')); Rel.A (V.Str (String.make 3 'a')) |] ]
+  in
+  (* Two equal right tuples: each joins, as under nested loops. *)
+  let twins = Rel.make [ Rel.atom "J" ] [ [| Rel.A (V.Int 1) |]; [| Rel.A (V.Int 1) |] ] in
+  let env = E.env_of_list [ ("r1", r1); ("r2", r2); ("shared", shared); ("twins", twins) ] in
   let eq = Xalgebra.Pred.Cmp (Xalgebra.Pred.Col [ "K" ], Xalgebra.Pred.Eq, Xalgebra.Pred.Col [ "J" ]) in
   List.iter
     (fun (name, plan) -> check_agreement name env plan)
     [ ("hash join", L.Join { kind = L.Inner; pred = eq; nest_as = ""; left = L.Scan "r1"; right = L.Scan "r2" });
       ("left outer", L.Join { kind = L.LeftOuter; pred = eq; nest_as = ""; left = L.Scan "r1"; right = L.Scan "r2" });
       ("semi", L.Join { kind = L.Semi; pred = eq; nest_as = ""; left = L.Scan "r1"; right = L.Scan "r2" });
+      ("hash join, equal right tuples",
+       L.Join { kind = L.Inner; pred = eq; nest_as = ""; left = L.Scan "r1"; right = L.Scan "twins" });
+      ("left outer, equal right tuples",
+       L.Join { kind = L.LeftOuter; pred = eq; nest_as = ""; left = L.Scan "r1"; right = L.Scan "twins" });
+      ("dedup ignores physical sharing",
+       L.Project { cols = [ [ "A" ]; [ "B" ] ]; dedup = true; input = L.Scan "shared" });
       ("select+project",
        L.Project { cols = [ [ "W" ] ]; dedup = true;
                    input = L.Select (Xalgebra.Pred.Cmp (Xalgebra.Pred.Col [ "K" ], Xalgebra.Pred.Gt, Xalgebra.Pred.Const (V.Int 3)), L.Scan "r1") });

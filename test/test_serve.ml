@@ -592,18 +592,17 @@ let reply_num field (r : Client.reply) =
   Option.bind r.Client.body (fun j ->
       Option.bind (Json.member field j) Json.to_float)
 
+let ins i =
+  Engine.Insert_subtree
+    { parent = Xdm.Doc.root doc;
+      before = None;
+      xml = Printf.sprintf "<book><title>applied %d</title></book>" i }
+
 let test_apply_round_trip () =
   with_scratch @@ fun dir ->
   let snap = Filename.concat dir "t.snap" in
   let e0 = Engine.of_doc doc specs in
   ignore (Xengine.Xerror.get_exn (Engine.save_snapshot_r e0 snap));
-  let root = Xdm.Doc.root doc in
-  let ins i =
-    Engine.Insert_subtree
-      { parent = root;
-        before = None;
-        xml = Printf.sprintf "<book><title>applied %d</title></book>" i }
-  in
   (* Three batches of four inserts, with background checkpointing
      kicking in at a replay debt of 5: writes keep landing while the
      snapshot is rewritten underneath. *)
@@ -674,6 +673,41 @@ let test_apply_round_trip () =
           Alcotest.(check (option string))
             "restart recovers every acknowledged write" (Some expect)
             (Client.output reply)))
+
+(* Under the default config a snapshot-backed tenant checkpoints on its
+   own once its replay debt reaches the default threshold, so its WAL
+   tail, and with it recovery time, stays bounded. *)
+let test_default_checkpointing () =
+  with_scratch @@ fun dir ->
+  let snap = Filename.concat dir "t.snap" in
+  ignore (Xengine.Xerror.get_exn (Engine.save_snapshot_r (Engine.of_doc doc specs) snap));
+  let sock = tmp_sock () in
+  let cfg = Server.default_config (Proto.Unix_sock sock) in
+  let k = cfg.Server.checkpoint_every in
+  Alcotest.(check bool) "checkpointing is on by default" true (k > 0);
+  let srv = Server.create cfg [ ("t", snap) ] in
+  let checkpoints () =
+    Xobs.Metrics.counter_value
+      (Xobs.Metrics.counter (Server.obs srv).Xobs.Obs.metrics "serve_checkpoints_total")
+  in
+  Server.start srv;
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop srv;
+      try Sys.remove sock with Sys_error _ -> ())
+    (fun () ->
+      with_client (Server.bound_addr srv) @@ fun c ->
+      ignore (apply_ok c ~tenant:"t" (List.init (k - 1) (fun i -> ins (i + 1))));
+      Alcotest.(check int) "no checkpoint below the threshold" 0 (checkpoints ());
+      ignore (apply_ok c ~tenant:"t" [ ins k ]);
+      (* [stop] joins the in-flight background checkpoint. *)
+      Server.stop srv;
+      Alcotest.(check int) "one checkpoint at the threshold" 1 (checkpoints ());
+      match Xpersist.Snapshot.read snap with
+      | Error m -> Alcotest.failf "snapshot after checkpoint: %s" m
+      | Ok img ->
+          Alcotest.(check int) "the snapshot covers the whole tail" k
+            img.Xpersist.Snapshot.lsn)
 
 (* --- accesslog rotation failure is loud, survivable and self-healing ------- *)
 
@@ -753,6 +787,8 @@ let () =
         ] );
       ( "write-path",
         [ Alcotest.test_case "apply round trip" `Quick test_apply_round_trip;
+          Alcotest.test_case "default config checkpoints" `Quick
+            test_default_checkpointing;
           Alcotest.test_case "accesslog rotation failure" `Quick
             test_accesslog_rotation_failure;
           Alcotest.test_case "connection crash is loud" `Quick
