@@ -10,6 +10,7 @@ module Xerror = Xengine.Xerror
 module Models = Xstorage.Models
 module Faultstore = Xstorage.Faultstore
 module Pg = Xworkload.Pattern_gen
+module Qg = Xworkload.Query_gen
 
 let doc = Xworkload.Gen_bib.generate_doc ~seed:21 ~books:50 ~theses:20 ()
 let summary = Xsummary.Summary.of_doc doc
@@ -106,6 +107,39 @@ let test_batch_order_and_domains1 () =
   Alcotest.(check bool) "domains:1 batch is the plain sequential map" true
     (List.map outcome (Engine.query_batch ~domains:1 e1 pats) = one)
 
+(* The XQuery front door: a 4-domain query_string_batch answers every
+   generated query exactly as query_string_r does, one at a time. *)
+let test_xquery_batch_equals_sequential () =
+  let queries =
+    List.map Xquery.Ast.to_string
+      (Qg.generate_many ~seed:13 summary ~doc_name:"bib" Qg.default ~count:20)
+  in
+  let plain = Engine.of_doc ~max_views doc specs in
+  let batched = Engine.of_doc ~max_views doc specs in
+  let got =
+    Engine.query_string_batch ~domains:4 batched
+      (List.map (fun q -> (q, None, None)) queries)
+  in
+  Alcotest.(check int) "one answer per query" (List.length queries)
+    (List.length got);
+  List.iteri
+    (fun i (q, b) ->
+      let tag = Printf.sprintf "xquery %d" i in
+      match (Engine.query_string_r plain q, b) with
+      | Ok a, Ok b ->
+          Alcotest.(check string) (tag ^ ": same output") a.Engine.output
+            b.Engine.output
+      | Error a, Error b ->
+          Alcotest.(check string) (tag ^ ": same error")
+            (Xerror.to_string a) (Xerror.to_string b)
+      | Ok _, Error e ->
+          Alcotest.failf "%s: only the batch errored: %s" tag
+            (Xerror.to_string e)
+      | Error e, Ok _ ->
+          Alcotest.failf "%s: only the sequential engine errored: %s" tag
+            (Xerror.to_string e))
+    (List.combine queries got)
+
 (* --- Chaos under parallelism ----------------------------------------------- *)
 
 (* Faults injected while a 4-domain batch is in flight: every answer must
@@ -159,6 +193,8 @@ let () =
       ( "determinism",
         [ Alcotest.test_case "domains:1 batch = sequential map" `Quick
             test_batch_order_and_domains1;
+          Alcotest.test_case "XQuery batch at 4 = sequential" `Quick
+            test_xquery_batch_equals_sequential;
           QCheck_alcotest.to_alcotest batch_prop ] );
       ( "chaos",
         [ Alcotest.test_case "counters add up at 4 domains" `Quick
