@@ -646,6 +646,20 @@ let micro () =
         {|for $p in doc("bib")//phdthesis where $p/@year != 2007 return <p>{$p/title/text()}{for $a in $p/author return <a>{$a/text()}</a>}</p>|} ]
   in
   let path_modules = Xstorage.Models.path_partitioned bib_s in
+  (* The partitioning step of an apply on its own: every path-partitioned
+     extent (one summary path each) and every tag-partitioned extent (some
+     spread over several paths) split by φ. *)
+  let _, bib_phi = Sum.build doc in
+  let extents_of modules =
+    List.map (fun (m : Xstorage.Store.module_) -> (m.xam, m.extent)) modules
+  in
+  let path_extents =
+    extents_of (List.map (fun (name, xam) -> Xstorage.Store.materialize doc name xam) path_modules)
+  in
+  let tag_extents = extents_of bib_catalog.Xstorage.Store.modules in
+  let partition_all extents () =
+    List.map (fun (xam, ext) -> Xstorage.Store.partition_extent ~phi:bib_phi doc xam ext) extents
+  in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "bench_micro_%d" (Unix.getpid ()))
@@ -685,6 +699,10 @@ let micro () =
         Test.make ~name:"materialize-path-partitioned"
           (Staged.stage (fun () ->
                List.map (fun (name, xam) -> Xstorage.Store.materialize doc name xam) path_modules));
+        Test.make ~name:"catalog-of"
+          (Staged.stage (fun () -> Xstorage.Store.catalog_of doc path_modules));
+        Test.make ~name:"partition-extent" (Staged.stage (partition_all path_extents));
+        Test.make ~name:"partition-extent-tag" (Staged.stage (partition_all tag_extents));
         Test.make ~name:"doc-of-tree" (Staged.stage (fun () -> Xdm.Doc.of_tree bib_tree));
         Test.make ~name:"doc-update-value"
           (Staged.stage (fun () -> Xdm.Doc.update_value doc mid_text "v"));

@@ -17,6 +17,7 @@ type test =
   | Attribute_named of string
 
 type node = {
+  nid : int;
   test : test;
   axis : Pattern.axis;
   formula : Formula.t option;
@@ -34,6 +35,10 @@ type node = {
          [Rel.compare_tuple] order. *)
   exact : bool;  (* [distinct] here and in every nested collection below *)
   children : child array;
+  through : bool;
+      (* The node stores no attribute and its only placed child is a
+         mandatory [Flat] child filling all its columns: its tuples are
+         that child's, passed through when the [Exists] children hold. *)
 }
 
 (* How a child's embeddings under a matched parent shape the parent's
@@ -105,7 +110,8 @@ let rec compile ~root (t : Pattern.tree) : node =
     || t.edge.axis = Pattern.Child && (root || leads_with_id)
   in
   let schema = List.concat (List.rev !cols) in
-  { test = test_of_label n.label;
+  { nid = n.nid;
+    test = test_of_label n.label;
     axis = t.edge.axis;
     formula = (if Formula.is_true n.formula then None else Some n.formula);
     attrs;
@@ -120,7 +126,11 @@ let rec compile ~root (t : Pattern.tree) : node =
            (fun ch -> match ch.use with Flat _ -> ch.node.distinct | _ -> true)
            placed;
     exact = keyed && List.for_all (fun ch -> ch.node.exact) placed;
-    children = Array.of_list children }
+    children = Array.of_list children;
+    through =
+      (match placed with
+      | [ { use = Flat false; at = 0; _ } ] -> attrs = [||]
+      | _ -> false) }
 
 (* --- Evaluation ----------------------------------------------------------
    Candidates are walked over [Doc]'s columns without building lists:
@@ -179,6 +189,7 @@ let own_field doc (n : node) h = function
    child outermost, which is the order of the reference semantics. *)
 let rec emit doc n h acc =
   if not (matches doc n h) then acc
+  else if n.through then pass doc n h acc
   else
     let buf = Array.make n.width (Rel.A Value.Null) in
     Array.iteri (fun i a -> buf.(i) <- own_field doc n h a) n.attrs;
@@ -220,15 +231,35 @@ let rec emit doc n h acc =
           in
           product (List.rev spread) acc
 
-(* All tuples of [n] over its candidates below [h], in document order. *)
-and collect doc n h =
+(* [emit] for a pass-through node, taking the children in order as [emit]
+   does, so an empty child or a failing filter stops the node just as
+   early. The flattened child pushes its tuples straight onto [acc]; it
+   pushed none when the list is still [acc] itself. *)
+and pass doc n h acc =
+  let out = ref acc and ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length n.children do
+    let ch = n.children.(!i) in
+    (match ch.use with
+    | Exists -> ok := exists doc ch.node h
+    | Flat _ | Nest _ ->
+        out := push_all doc ch.node h acc;
+        ok := !out != acc);
+    incr i
+  done;
+  if !ok then !out else acc
+
+(* All tuples of [n] over its candidates below [h], in document order,
+   pushed onto [acc]. *)
+and push_all doc n h acc =
   let stop = Doc.subtree_end doc h in
-  let acc = ref [] and j = ref (h + 1) in
+  let acc = ref acc and j = ref (h + 1) in
   while !j < stop do
     acc := emit doc n !j !acc;
     j := next_candidate doc n !j
   done;
-  List.rev !acc
+  !acc
+
+and collect doc n h = List.rev (push_all doc n h [])
 
 (* Root candidates: the document root under [/]; under [//], the label
    index for a named test and every handle for a wildcard. *)
@@ -276,3 +307,10 @@ let eval doc (pat : Pattern.t) =
   if pat.Pattern.ordered && not (List.for_all (fun (r : node) -> r.exact) with_columns) then
     Rel.sort_doc_order result
   else result
+
+let pass_through (pat : Pattern.t) =
+  let rec go (n : node) acc =
+    let acc = Array.fold_right (fun ch acc -> go ch.node acc) n.children acc in
+    if n.through then n.nid :: acc else acc
+  in
+  List.fold_right (fun r acc -> go (compile ~root:true r) acc) pat.roots []

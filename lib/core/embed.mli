@@ -35,9 +35,18 @@
       every scheme, so a level whose nodes are all keyed yields distinct
       tuples, already sorted. Such a collection is not deduplicated, and
       an ordered result whose levels all qualify is not re-sorted; any
-      other collection is deduplicated and sorted as the reference does. *)
+      other collection is deduplicated and sorted as the reference does.
+    - {b pass-through nodes}: a node that stores no attribute and whose
+      only child with columns is a mandatory, flattened child filling all
+      of its columns (the inner steps of a [/library/book/author] chain)
+      returns that child's tuples as they come, once its filtering
+      children hold, without copying them into tuples of its own. *)
 
 val eval : Xdm.Doc.t -> Pattern.t -> Xalgebra.Rel.t
 (** Evaluate the pattern. Duplicate result tuples are eliminated (the Π°
     of Def 2.2.3); an ordered pattern's result is in document order
     ({!Xalgebra.Rel.sort_doc_order}). *)
+
+val pass_through : Pattern.t -> int list
+(** The nids of the nodes {!eval} evaluates as pass-through nodes, in
+    pattern pre-order. For tests and diagnostics. *)

@@ -421,20 +421,23 @@ let insert_subtree d ~parent ?before tree = apply_edits d (Seq.return (Insert { 
 let delete_subtree d i = apply_edits d (Seq.return (Delete i))
 let update_value d i v = apply_edits d (Seq.return (Update (i, v)))
 
-let handle_of_id d nid =
-  let check i = if i >= 0 && i < size d then Some i else None in
+let handle_index d nid =
+  let check i = if i >= 0 && i < size d then i else -1 in
   match nid with
   | Nid.Simple_id i | Nid.Ordinal_id i -> check i
-  | Nid.Pre_post { pre; post; _ } -> (
-      match check pre with
-      | Some i when post_of d i = post -> Some i
-      | _ -> None)
+  | Nid.Pre_post { pre; post; _ } ->
+      let i = check pre in
+      if i >= 0 && post_of d i = post then i else -1
   | Nid.Dewey path ->
       let rec follow i = function
-        | [] -> Some i
+        | [] -> i
         | ord :: rest -> (
             match List.find_opt (fun j -> d.ordinals.(j) = ord) (children d i) with
             | Some j -> follow j rest
-            | None -> None)
+            | None -> -1)
       in
-      (match path with 1 :: rest -> follow 0 rest | _ -> None)
+      (match path with 1 :: rest -> follow 0 rest | _ -> -1)
+
+let handle_of_id d nid =
+  let i = handle_index d nid in
+  if i < 0 then None else Some i

@@ -152,6 +152,10 @@ val handle_of_id : t -> Nid.t -> int option
 (** Inverse of {!id}; [None] if the identifier does not denote a node of
     this document. *)
 
+val handle_index : t -> Nid.t -> int
+(** {!handle_of_id} without the option: [-1] if the identifier does not
+    denote a node of this document. *)
+
 (** {1 Columns}
 
     A document is stored by column; {!of_columns} rebuilds one from its

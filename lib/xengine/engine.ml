@@ -558,28 +558,41 @@ let summary_paths s =
    position. The catalog is thus a function of the declared list and the
    document alone: maintaining once after a whole batch, or after a
    whole recovered WAL tail, lands on the catalog that maintaining after
-   every op would have. *)
-let maintain t doc =
+   every op would have. Under a trace, each stage (summary, materialize,
+   partition, validate, splice) is a child span of [tr]. *)
+let maintain t (tr : tr) doc =
   let prev = materialized_catalog t in
-  let summary, phi = Summary.build doc in
-  let old_paths = summary_paths prev.Store.summary in
-  let new_paths = summary_paths summary in
+  let summary, phi = in_span tr "summary" (fun _ -> Summary.build doc) in
   let built =
-    List.map
-      (fun (name, xam) ->
-        match Store.partitioned ~phi doc (Store.materialize doc name xam) with
-        | m -> (name, Ok m)
-        | exception e -> (name, Error (Printexc.to_string e)))
-      t.declared
+    in_span tr "materialize" (fun _ ->
+        List.map
+          (fun (name, xam) ->
+            match Store.materialize doc name xam with
+            | m -> (name, Ok m)
+            | exception e -> (name, Error (Printexc.to_string e)))
+          t.declared)
+  in
+  let built =
+    in_span tr "partition" (fun _ ->
+        List.map
+          (function
+            | name, Ok m -> (
+                match Store.partitioned ~phi doc m with
+                | m -> (name, Ok m)
+                | exception e -> (name, Error (Printexc.to_string e)))
+            | failed -> failed)
+          built)
   in
   let ok_modules =
     List.filter_map (function _, Ok m -> Some m | _, Error _ -> None) built
   in
   let invalid =
-    match Store.validate { Store.summary; modules = ok_modules } with
-    | Ok () -> []
-    | Error pairs -> pairs
+    in_span tr "validate" (fun _ ->
+        match Store.validate { Store.summary; modules = ok_modules } with
+        | Ok () -> []
+        | Error pairs -> pairs)
   in
+  in_span tr "splice" @@ fun _ ->
   let dormant =
     List.filter_map
       (function
@@ -606,6 +619,8 @@ let maintain t doc =
                m'
            | None -> m)
   in
+  let old_paths = summary_paths prev.Store.summary in
+  let new_paths = summary_paths summary in
   ( { Store.summary; modules },
     { mt_kept = !kept;
       mt_rebuilt = !rebuilt;
@@ -654,25 +669,30 @@ let install_update t doc catalog ~lsn (info : minfo) =
    crash between (2) and (3) is exactly what replay absorbs: the WAL
    holds records the state does not, and recovery re-applies them.
    Recovery runs before the writer is attached, so replayed records are
-   never logged twice. Raises [Xerror.Error]. *)
-let write t ops =
+   never logged twice. Raises [Xerror.Error]. Under a trace ([tr] is the
+   [apply] or [replay] root), every stage is a child span: mutate, then
+   [maintain]'s five, then wal (a no-op without a writer) and install. *)
+let write t (tr : tr) ops =
   let doc =
-    match t.doc with
-    | Some d -> mutate_doc d ops
-    | None -> raise (update_invalid "engine holds no document to mutate")
+    in_span tr "mutate" (fun _ ->
+        match t.doc with
+        | Some d -> mutate_doc d ops
+        | None -> raise (update_invalid "engine holds no document to mutate"))
   in
   let t0 = clk t () in
-  let catalog, info = maintain t doc in
+  let catalog, info = maintain t tr doc in
   Metrics.observe t.m.h_splice (clk t () -. t0);
-  (match t.wal with
-  | None -> ()
-  | Some w -> (
-      match Wal.Writer.append_batch w ops with
-      | Ok _ -> ()
-      | Error reason ->
-          raise
-            (Xerror.Error (Xerror.Wal_error { path = Wal.Writer.dir w; reason }))));
-  install_update t doc catalog ~lsn:(t.lsn + List.length ops) info;
+  in_span tr "wal" (fun _ ->
+      match t.wal with
+      | None -> ()
+      | Some w -> (
+          match Wal.Writer.append_batch w ops with
+          | Ok _ -> ()
+          | Error reason ->
+              raise
+                (Xerror.Error (Xerror.Wal_error { path = Wal.Writer.dir w; reason }))));
+  in_span tr "install" (fun _ ->
+      install_update t doc catalog ~lsn:(t.lsn + List.length ops) info);
   info
 
 (* N mutations as one write-path round: one apply-lock acquisition, one
@@ -691,9 +711,14 @@ let apply_batch_r t ops =
   | _ ->
       with_apply_lock t (fun () ->
           let t0 = clk t () in
-          match write t ops with
-          | exception Xerror.Error e -> Error e
+          let tr = start_trace t "apply" in
+          tr_tag tr "ops" (string_of_int (List.length ops));
+          match write t tr ops with
+          | exception Xerror.Error e ->
+              finish_trace t tr ~err:(Some (Xerror.to_string e));
+              Error e
           | info ->
+              finish_trace t tr ~err:None;
               Metrics.add t.m.m_applies (List.length ops);
               Metrics.observe t.m.h_apply (clk t () -. t0);
               Metrics.set_gauge t.m.g_wal_lag
@@ -758,12 +783,17 @@ let attach_wal_r ?fs ?sync ?segment_bytes ?commit_window ?max_batch t dir =
                        [base + n]. An invalid record fails the round, so
                        nothing past the snapshot installs. *)
                     let rt0 = clk t () in
+                    let tr = if todo = [] then None else start_trace t "replay" in
+                    tr_tag tr "records" (string_of_int (List.length todo));
                     match
                       if todo <> [] then
-                        ignore (write t (List.map (fun r -> r.Wal.op) todo))
+                        ignore (write t tr (List.map (fun r -> r.Wal.op) todo))
                     with
-                    | exception Xerror.Error e -> Error e
+                    | exception Xerror.Error e ->
+                        finish_trace t tr ~err:(Some (Xerror.to_string e));
+                        Error e
                     | () -> (
+                        finish_trace t tr ~err:None;
                         Metrics.add t.m.m_replayed (List.length todo);
                         Metrics.observe t.m.h_replay (clk t () -. rt0);
                         match

@@ -238,7 +238,10 @@ val apply_batch_r : t -> mutation list -> (apply_report, Xerror.t) Stdlib.result
     maintenance pass's counts. An empty list is a no-op [Ok].
     Serialized against concurrent applies, replays and checkpoint
     installs; concurrent readers keep answering against the previous
-    state until install. *)
+    state until install. With tracing on ({!Xobs.Obs.t}[.tracing]) the
+    round is recorded in the slow-query log as an [apply] trace whose
+    root holds one child span per stage, in order: [mutate], [summary],
+    [materialize], [partition], [validate], [splice], [wal], [install]. *)
 
 val apply_r : t -> mutation -> (apply_report, Xerror.t) Stdlib.result
 (** [apply_batch_r t [op]]. *)
@@ -261,7 +264,9 @@ val attach_wal_r :
     does not apply to the document (an out-of-range handle, say). The
     tail replays all or nothing: on any failure the engine stays at its
     snapshot LSN with no writer attached — the valid records before a
-    bad one do not install either.
+    bad one do not install either. With tracing on, a non-empty tail
+    is recorded as a [replay] trace with the stage spans of
+    {!apply_batch_r}.
     [fs] injects a filesystem (crash harness);
     [sync]/[segment_bytes]/[commit_window]/[max_batch] as in
     {!Xwal.Wal.Writer.open_}. *)

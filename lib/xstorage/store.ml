@@ -56,21 +56,23 @@ let id_at col (t : Rel.tuple) =
   else match t.(col) with Rel.A (Xalgebra.Value.Id id) -> Some id | _ -> None
 
 let id_bounds col tuples =
-  let ok = ref true in
-  let lo = ref None and hi = ref None in
-  List.iter
-    (fun t ->
-      match id_at col t with
-      | None -> ok := false
-      | Some id ->
-          (match !lo with
-          | Some l when Nid.compare l id <= 0 -> ()
-          | _ -> lo := Some id);
-          (match !hi with
-          | Some h when Nid.compare h id >= 0 -> ()
-          | _ -> hi := Some id))
-    tuples;
-  if !ok then (!lo, !hi) else (None, None)
+  let rec go lo hi = function
+    | [] -> (Some lo, Some hi)
+    | (t : Rel.tuple) :: rest -> (
+        if col >= Array.length t then (None, None)
+        else
+          match t.(col) with
+          | Rel.A (Xalgebra.Value.Id id) ->
+              go
+                (if Nid.compare lo id <= 0 then lo else id)
+                (if Nid.compare hi id >= 0 then hi else id)
+                rest
+          | _ -> (None, None))
+  in
+  match tuples with
+  | [] -> (None, None)
+  | t :: rest -> (
+      match id_at col t with Some id -> go id id rest | None -> (None, None))
 
 let mk_partition ~col ~path ~pos rel =
   let lo, hi = id_bounds col rel.Rel.tuples in
@@ -79,54 +81,71 @@ let mk_partition ~col ~path ~pos rel =
 (* Split an extent into per-summary-path partitions: each tuple is
    classified by φ of the document node its partitioning column
    identifies. Tuples whose column holds no resolvable identifier land in
-   the [-1] bucket, which pruning never drops. *)
+   the [-1] bucket, which pruning never drops. An extent whose tuples all
+   fall on one path is that path's partition as it stands — the
+   [path_partitioned] model's extents are single-path by construction —
+   so only a multi-path extent is copied, bucket by bucket. *)
 let partition_extent ~phi doc xam (extent : Rel.t) =
   match partition_column xam extent.Rel.schema with
   | None -> None
   | Some (pt_nid, pt_col) ->
-      let buckets : (int, (int list ref * Rel.tuple list ref)) Hashtbl.t =
-        Hashtbl.create 16
+      let path_of (t : Rel.tuple) =
+        if pt_col >= Array.length t then -1
+        else
+          match t.(pt_col) with
+          | Rel.A (Xalgebra.Value.Id id) ->
+              let h = Xdm.Doc.handle_index doc id in
+              if h >= 0 && h < Array.length phi then phi.(h) else -1
+          | _ -> -1
       in
-      List.iteri
-        (fun pos t ->
-          let path =
-            match id_at pt_col t with
-            | None -> -1
-            | Some id -> (
-                match Xdm.Doc.handle_of_id doc id with
-                | Some h when h >= 0 && h < Array.length phi -> phi.(h)
-                | _ -> -1)
-          in
-          let poss, tups =
-            match Hashtbl.find_opt buckets path with
-            | Some b -> b
-            | None ->
-                let b = (ref [], ref []) in
-                Hashtbl.add buckets path b;
-                b
-          in
-          poss := pos :: !poss;
-          tups := t :: !tups)
-        extent.Rel.tuples;
+      let n = List.length extent.Rel.tuples in
+      let mk = mk_partition ~col:pt_col in
+      (* Bucket [path + 1] for each path, the [-1] bucket at 0: a counting
+         pass sizes every bucket, a backward pass fills positions and
+         tuples in extent order. *)
+      let group () =
+        let tuples = Array.of_list extent.Rel.tuples in
+        let cls = Array.map path_of tuples in
+        let buckets = 2 + Array.fold_left max (-1) cls in
+        let count = Array.make buckets 0 in
+        Array.iter (fun path -> count.(path + 1) <- count.(path + 1) + 1) cls;
+        let pos = Array.map (fun c -> Array.make c 0) count in
+        let tups = Array.make buckets [] in
+        for k = n - 1 downto 0 do
+          let b = cls.(k) + 1 in
+          count.(b) <- count.(b) - 1;
+          pos.(b).(count.(b)) <- k;
+          tups.(b) <- tuples.(k) :: tups.(b)
+        done;
+        List.filter_map
+          (fun b ->
+            if Array.length pos.(b) = 0 then None
+            else Some (mk ~path:(b - 1) ~pos:pos.(b) (Rel.make extent.Rel.schema tups.(b))))
+          (List.init buckets Fun.id)
+      in
       let pt_parts =
-        Hashtbl.fold (fun path b acc -> (path, b) :: acc) buckets []
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-        |> List.map (fun (path, (poss, tups)) ->
-               mk_partition ~col:pt_col ~path
-                 ~pos:(Array.of_list (List.rev !poss))
-                 (Rel.make extent.Rel.schema (List.rev !tups)))
+        match extent.Rel.tuples with
+        | [] -> []
+        | t :: rest ->
+            let path = path_of t in
+            if List.for_all (fun u -> path_of u = path) rest then
+              [ mk ~path ~pos:(Array.init n Fun.id) extent ]
+            else group ()
       in
       Some { pt_nid; pt_col; pt_parts }
 
-(* Reassemble a subset of partitions in original extent order. *)
-let merge_partitions schema ps =
-  let pairs =
-    List.concat_map
-      (fun p -> List.mapi (fun k t -> (p.p_pos.(k), t)) p.p_rel.Rel.tuples)
-      ps
-  in
-  let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) pairs in
-  Rel.make schema (List.map snd sorted)
+(* Reassemble a subset of partitions in original extent order. One
+   partition's positions ascend, so it needs no sort. *)
+let merge_partitions schema = function
+  | [ p ] -> Rel.make schema p.p_rel.Rel.tuples
+  | ps ->
+      let pairs =
+        List.concat_map
+          (fun p -> List.mapi (fun k t -> (p.p_pos.(k), t)) p.p_rel.Rel.tuples)
+          ps
+      in
+      let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) pairs in
+      Rel.make schema (List.map snd sorted)
 
 let partition_paths parts = List.map (fun p -> p.p_path) parts.pt_parts
 
@@ -191,7 +210,14 @@ let spliced ~prev (fresh : module_) =
                 p)
           fp.pt_parts
       in
-      ({ fresh with parts = Some { fp with pt_parts } }, (!kept, !rebuilt))
+      (* A single-path extent is its own partition's payload: when that
+         payload is kept, the module's extent is the old record too. *)
+      let extent =
+        match (pt_parts, fp.pt_parts) with
+        | [ kept_p ], [ p ] when p.p_rel == fresh.extent -> kept_p.p_rel
+        | _ -> fresh.extent
+      in
+      ({ fresh with extent; parts = Some { fp with pt_parts } }, (!kept, !rebuilt))
   | _ ->
       if rel_equal prev.extent fresh.extent then
         ({ fresh with extent = prev.extent }, (1, 0))

@@ -72,7 +72,10 @@ val partition_extent :
 (** Split an extent into per-summary-path partitions; [phi] is the
     document-node → path-id map from {!Xsummary.Summary.build}. Tuples
     whose partitioning column holds no resolvable identifier land in the
-    [-1] bucket, which pruning never drops. *)
+    [-1] bucket, which pruning never drops. When every tuple falls on one
+    path, the single partition's payload is the extent record itself
+    ([p_rel == extent], [p_pos = 0..n-1]); only a multi-path extent is
+    copied into per-path relations. *)
 
 val partitioned : phi:int array -> Xdm.Doc.t -> module_ -> module_
 (** Attach a partition directory to a module that has none. *)
@@ -96,8 +99,9 @@ val spliced : prev:module_ -> module_ -> module_ * (int * int)
     summary path sharing the old physical record (directory metadata —
     positions, bounds — stays fresh, since global extent positions shift
     even for untouched partitions), plus [(kept, rebuilt)] partition
-    counts. A monolithic module counts [(1, 0)] when its extent is
-    unchanged and [(0, 1)] otherwise. *)
+    counts. A module whose one partition is its whole extent and is kept
+    shares the old record as its extent too. A monolithic module counts
+    [(1, 0)] when its extent is unchanged and [(0, 1)] otherwise. *)
 
 val partition_paths : parts -> int list
 (** The partition directory: each partition's summary path id. *)

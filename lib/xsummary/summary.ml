@@ -119,67 +119,99 @@ let import rows =
   Array.iteri (fun p (_, _, _, count) -> s.counts.(p) <- count) rows;
   s
 
+(* Per-path accumulators of [build], indexed by temporary path id (paths
+   numbered in first-occurrence order) and grown by doubling: their size
+   follows the summary, not the document. *)
+type acc = {
+  mutable m : int;  (* paths so far *)
+  mutable a_label : string array;
+  mutable a_parent : int array;  (* parent path; -1 on the root *)
+  mutable a_kids : (string * int) list array;  (* (label, child path), newest first *)
+  mutable a_occ : int array;  (* document nodes on the path *)
+  mutable a_last : int array;  (* document parent of the path's latest node *)
+  mutable a_run : int array;  (* children of [a_last] on the path so far *)
+  mutable a_with : int array;  (* document parents with a child on the path *)
+  mutable a_max : int array;  (* longest run: most children of one parent *)
+}
+
+let grow a =
+  let cap = max 64 (2 * Array.length a.a_label) in
+  let ext arr fill =
+    let b = Array.make cap fill in
+    Array.blit arr 0 b 0 a.m;
+    b
+  in
+  a.a_label <- ext a.a_label "";
+  a.a_parent <- ext a.a_parent (-1);
+  a.a_kids <- ext a.a_kids [];
+  a.a_occ <- ext a.a_occ 0;
+  a.a_last <- ext a.a_last (-1);
+  a.a_run <- ext a.a_run 0;
+  a.a_with <- ext a.a_with 0;
+  a.a_max <- ext a.a_max 0
+
+let new_path a label parent =
+  if a.m = Array.length a.a_label then grow a;
+  let id = a.m in
+  a.m <- id + 1;
+  a.a_label.(id) <- label;
+  a.a_parent.(id) <- parent;
+  if parent >= 0 then a.a_kids.(parent) <- (label, id) :: a.a_kids.(parent);
+  id
+
+let rec kid_with_label label = function
+  | [] -> -1
+  | (l, id) :: rest -> if String.equal l label then id else kid_with_label label rest
+
+(* One pass in document order. The 1/+ cardinalities need, per path, how
+   many children each document parent has on it; those counts come from
+   runs, with no table keyed on (parent, path). In pre-order the nodes of
+   one path are grouped by parent: they all sit at one depth, so no node
+   of the path lies inside another's subtree, and between two children of
+   a parent [p] on the path there can only be other children of [p]. A
+   path's nodes therefore arrive as one run per parent, and a new run
+   starts exactly when the parent changes. *)
 let build doc =
   let open Xdm in
   let n = Doc.size doc in
-  (* Temporary summary nodes in first-occurrence order. *)
-  let tmp_label = ref [] and tmp_parent = ref [] in
-  let tmp_count = ref 0 in
-  let kids : (int * string, int) Hashtbl.t = Hashtbl.create 256 in
-  let new_tmp label parent =
-    let id = !tmp_count in
-    incr tmp_count;
-    tmp_label := label :: !tmp_label;
-    tmp_parent := parent :: !tmp_parent;
-    if parent >= 0 then Hashtbl.replace kids (parent, label) id;
-    id
+  let a =
+    { m = 0; a_label = [||]; a_parent = [||]; a_kids = [||]; a_occ = [||];
+      a_last = [||]; a_run = [||]; a_with = [||]; a_max = [||] }
   in
+  (* φ, on temporary path ids until the renumbering below. *)
   let paths = Array.make n (-1) in
-  (* Per (document parent node, child path) child counts, for the 1/+
-     annotations. *)
-  let counts : (int * int, int) Hashtbl.t = Hashtbl.create 1024 in
-  let occ = Hashtbl.create 256 in
   for i = 0 to n - 1 do
     let p = Doc.parent doc i in
     let lbl = Doc.label doc i in
     let pid =
-      if p < 0 then new_tmp lbl (-1)
+      if p < 0 then new_path a lbl (-1)
       else
         let pp = paths.(p) in
-        match Hashtbl.find_opt kids (pp, lbl) with
-        | Some id -> id
-        | None -> new_tmp lbl pp
+        let id = kid_with_label lbl a.a_kids.(pp) in
+        if id >= 0 then id else new_path a lbl pp
     in
     paths.(i) <- pid;
-    Hashtbl.replace occ pid (1 + Option.value ~default:0 (Hashtbl.find_opt occ pid));
-    if p >= 0 then
-      Hashtbl.replace counts (p, pid)
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts (p, pid)))
+    a.a_occ.(pid) <- a.a_occ.(pid) + 1;
+    if p >= 0 then begin
+      if a.a_last.(pid) = p then a.a_run.(pid) <- a.a_run.(pid) + 1
+      else begin
+        a.a_last.(pid) <- p;
+        a.a_run.(pid) <- 1;
+        a.a_with.(pid) <- a.a_with.(pid) + 1
+      end;
+      if a.a_run.(pid) > a.a_max.(pid) then a.a_max.(pid) <- a.a_run.(pid)
+    end
   done;
-  let m = !tmp_count in
-  let tmp_labels = Array.of_list (List.rev !tmp_label) in
-  let tmp_parents = Array.of_list (List.rev !tmp_parent) in
+  let m = a.m in
   let tmp_children = Array.make m [] in
   for i = m - 1 downto 1 do
-    tmp_children.(tmp_parents.(i)) <- i :: tmp_children.(tmp_parents.(i))
+    tmp_children.(a.a_parent.(i)) <- i :: tmp_children.(a.a_parent.(i))
   done;
-  (* Edge cardinalities on tmp ids. *)
-  let parents_with_child = Array.make m 0 in
-  let max_count = Array.make m 0 in
-  Hashtbl.iter
-    (fun (_, child_path) c ->
-      parents_with_child.(child_path) <- parents_with_child.(child_path) + 1;
-      if c > max_count.(child_path) then max_count.(child_path) <- c)
-    counts;
   let card_of tmp =
     if tmp = 0 then One
-    else
-      let parent_occ =
-        Option.value ~default:0 (Hashtbl.find_opt occ tmp_parents.(tmp))
-      in
-      if parents_with_child.(tmp) = parent_occ then
-        if max_count.(tmp) = 1 then One else Plus
-      else Star
+    else if a.a_with.(tmp) = a.a_occ.(a.a_parent.(tmp)) then
+      if a.a_max.(tmp) = 1 then One else Plus
+    else Star
   in
   (* Renumber in pre-order so that subtrees are contiguous. *)
   let order = Array.make m (-1) in
@@ -189,16 +221,18 @@ let build doc =
     let id = !next in
     incr next;
     order.(tmp) <- id;
-    rows.(id) <- (tmp_labels.(tmp), parent_new, card_of tmp);
+    rows.(id) <- (a.a_label.(tmp), parent_new, card_of tmp);
     List.iter (fun c -> visit c id) tmp_children.(tmp)
   in
   visit 0 (-1);
   let s = pack rows in
-  Hashtbl.iter
-    (fun tmp c -> s.counts.(order.(tmp)) <- c)
-    occ;
-  let mapping = Array.map (fun tmp -> order.(tmp)) paths in
-  (s, mapping)
+  for tmp = 0 to m - 1 do
+    s.counts.(order.(tmp)) <- a.a_occ.(tmp)
+  done;
+  for i = 0 to n - 1 do
+    paths.(i) <- order.(paths.(i))
+  done;
+  (s, paths)
 
 let of_doc doc = fst (build doc)
 

@@ -705,6 +705,75 @@ let test_fake_clock_engine () =
       in
       Alcotest.(check int) "observed once" 1 snap.Metrics.count
 
+(* --- Apply and replay stages as spans ------------------------------------ *)
+
+let apply_stages =
+  [ "mutate"; "summary"; "materialize"; "partition"; "validate"; "splice"; "wal"; "install" ]
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+(* The one trace in [obs]'s log is [root] with one leaf span per write
+   stage, in order, laid out one after the other inside the root. *)
+let check_stage_trace obs ~root ~tag =
+  match Slowlog.recent obs.Obs.slowlog with
+  | [ tr ] ->
+      let r = Trace.root tr in
+      Alcotest.(check string) "root" root (Trace.name r);
+      Alcotest.(check (option string)) "root tag" (Some (snd tag))
+        (List.assoc_opt (fst tag) (Trace.tags r));
+      let kids = Trace.children r in
+      Alcotest.(check (list string)) (root ^ " stages") apply_stages
+        (List.map Trace.name kids);
+      List.iter
+        (fun sp ->
+          Alcotest.(check int) (Trace.name sp ^ " is a leaf") 0
+            (List.length (Trace.children sp));
+          Alcotest.(check bool) (Trace.name sp ^ " inside the root") true
+            (Trace.start_s sp >= Trace.start_s r && Trace.end_s sp <= Trace.end_s r))
+        kids;
+      ignore
+        (List.fold_left
+           (fun prev_end sp ->
+             Alcotest.(check bool) (Trace.name sp ^ " after its predecessor") true
+               (Trace.start_s sp >= prev_end);
+             Trace.end_s sp)
+           (Trace.start_s r) kids)
+  | trs -> Alcotest.failf "expected one %s trace, got %d" root (List.length trs)
+
+let test_apply_stage_spans () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "test_obs_stages_%d" (Unix.getpid ()))
+  in
+  rm_rf dir;
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let text = List.hd (Xdm.Doc.nodes_with_label doc "#text") in
+  let ops v =
+    [ Engine.Update_value { node = text; value = v ^ "1" };
+      Engine.Update_value { node = text; value = v ^ "2" } ]
+  in
+  let obs = Obs.create () in
+  let e = Engine.of_doc ~obs doc specs in
+  ignore (Xerror.get_exn (Engine.attach_wal_r e dir));
+  ignore (Xerror.get_exn (Engine.apply_batch_r e (ops "a")));
+  Alcotest.(check int) "tracing off: no trace" 0 (Slowlog.recorded obs.Obs.slowlog);
+  Obs.set_tracing obs true;
+  ignore (Xerror.get_exn (Engine.apply_batch_r e (ops "b")));
+  check_stage_trace obs ~root:"apply" ~tag:("ops", "2");
+  Engine.detach_wal e;
+  (* Recovery folds the four logged records into one write round. *)
+  let robs = Obs.create ~tracing:true () in
+  let r = Engine.of_doc ~obs:robs doc specs in
+  Alcotest.(check int) "replayed" 4 (Xerror.get_exn (Engine.attach_wal_r r dir));
+  Engine.detach_wal r;
+  check_stage_trace robs ~root:"replay" ~tag:("records", "4")
+
 let () =
   Alcotest.run "obs"
     [ ( "metrics",
@@ -729,7 +798,9 @@ let () =
           Alcotest.test_case "batch metrics deterministic at 4 domains" `Quick
             test_batch_metrics_deterministic;
           Alcotest.test_case "fake clock drives the engine" `Quick
-            test_fake_clock_engine ] );
+            test_fake_clock_engine;
+          Alcotest.test_case "apply and replay stages as spans" `Quick
+            test_apply_stage_spans ] );
       ( "export",
         [ Alcotest.test_case "prometheus after chaos" `Quick
             test_prometheus_after_chaos;

@@ -79,6 +79,80 @@ let test_multi_partition_module_exists () =
          | None -> false)
        catalog.Store.modules)
 
+(* A one-path extent is not copied: its single partition's payload is the
+   extent record itself, at positions 0..n-1. *)
+let test_one_path_partition_is_the_extent () =
+  let cat = Store.catalog_of doc (Models.path_partitioned summary) in
+  List.iter
+    (fun (m : Store.module_) ->
+      match m.Store.parts with
+      | Some { Store.pt_parts = [ p ]; _ } ->
+          Alcotest.(check bool) (m.Store.name ^ ": payload == extent") true
+            (p.Store.p_rel == m.Store.extent);
+          Alcotest.(check bool) (m.Store.name ^ ": positions 0..n-1") true
+            (p.Store.p_pos = Array.init (Rel.cardinality m.Store.extent) Fun.id)
+      | Some { Store.pt_parts = []; _ } ->
+          Alcotest.(check int) (m.Store.name ^ ": empty") 0
+            (Rel.cardinality m.Store.extent)
+      | Some _ -> Alcotest.failf "%s: a path module splits" m.Store.name
+      | None -> Alcotest.failf "%s: no directory" m.Store.name)
+    cat.Store.modules
+
+(* Random documents under [tag_partitioned]: every multi-path module's
+   partitions hold exactly the tuples φ puts on their path, at ascending
+   positions, and reassemble the extent exactly. *)
+let random_doc seed =
+  let module W = Xworkload in
+  match seed mod 4 with
+  | 0 -> W.Gen_bib.generate_doc ~seed ~books:(1 + (seed mod 7)) ~theses:(seed mod 5) ()
+  | 1 -> W.Gen_dblp.generate_doc ~seed ~entries:(1 + (seed mod 9)) ()
+  | 2 -> W.Gen_sci.nasa_doc ~seed ~datasets:(1 + (seed mod 2)) ()
+  | _ -> W.Gen_xmark.generate_doc ~seed W.Gen_xmark.tiny
+
+let multi_path_reassembly_prop =
+  QCheck2.Test.make ~name:"tag partitions classify by φ and reassemble extents"
+    ~count:40
+    QCheck2.Gen.(int_bound 10_000)
+    (fun seed ->
+      let d = random_doc seed in
+      let _, phi = S.build d in
+      let cat = Store.catalog_of d (Models.tag_partitioned d) in
+      let multi = ref 0 in
+      List.iter
+        (fun (m : Store.module_) ->
+          match m.Store.parts with
+          | None -> ()
+          | Some p ->
+              if List.length p.Store.pt_parts > 1 then incr multi;
+              List.iter
+                (fun (part : Store.partition) ->
+                  let pos = Array.to_list part.Store.p_pos in
+                  if List.sort_uniq compare pos <> pos then
+                    QCheck2.Test.fail_reportf "%s: positions not ascending" m.Store.name;
+                  List.iter
+                    (fun t ->
+                      let path =
+                        match Rel.atom_field t p.Store.pt_col with
+                        | Xalgebra.Value.Id id -> (
+                            match Xdm.Doc.handle_of_id d id with
+                            | Some h -> phi.(h)
+                            | None -> -1)
+                        | _ -> -1
+                      in
+                      if path <> part.Store.p_path then
+                        QCheck2.Test.fail_reportf "%s: tuple on path %d in partition %d"
+                          m.Store.name path part.Store.p_path)
+                    part.Store.p_rel.Rel.tuples)
+                p.Store.pt_parts;
+              if
+                not
+                  (Store.rel_equal
+                     (Store.merge_partitions m.Store.extent.Rel.schema p.Store.pt_parts)
+                     m.Store.extent)
+              then QCheck2.Test.fail_reportf "%s: partitions do not reassemble" m.Store.name)
+        cat.Store.modules;
+      !multi > 0 || QCheck2.assume_fail ())
+
 (* --- Byte-identity across partitioning and domain counts ------------------ *)
 
 let identical_answers ~seed ~domains =
@@ -303,7 +377,10 @@ let () =
         [ Alcotest.test_case "partitions reassemble extents" `Quick
             test_merge_is_identity;
           Alcotest.test_case "a multi-partition module exists" `Quick
-            test_multi_partition_module_exists ] );
+            test_multi_partition_module_exists;
+          Alcotest.test_case "a one-path partition is its extent" `Quick
+            test_one_path_partition_is_the_extent;
+          QCheck_alcotest.to_alcotest multi_path_reassembly_prop ] );
       ( "identity",
         [ QCheck_alcotest.to_alcotest byte_identity_prop;
           Alcotest.test_case "pruning surfaces in EXPLAIN" `Quick

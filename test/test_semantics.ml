@@ -251,6 +251,14 @@ let pattern_of rng d =
   in
   decorate rng (if roots = [] then [ P.v "*" [] ] else roots)
 
+(* [d] followed by up to three random edits of it, each on the last. *)
+let edit_versions rng d =
+  List.rev
+    (List.fold_left
+       (fun acc _ -> random_edit rng (List.hd acc) :: acc)
+       [ d ]
+       (List.init (Random.State.int rng 4) Fun.id))
+
 let oracle_prop =
   QCheck2.Test.make ~name:"Embed = reference, before and after edits" ~count:300
     ~long_factor:20 QCheck2.Gen.int
@@ -258,13 +266,7 @@ let oracle_prop =
       let rng = Random.State.make [| seed |] in
       let d = random_doc rng in
       let patterns = List.init 4 (fun _ -> pattern_of rng d) in
-      let versions =
-        List.rev
-          (List.fold_left
-             (fun acc _ -> random_edit rng (List.hd acc) :: acc)
-             [ d ]
-             (List.init (Random.State.int rng 4) Fun.id))
-      in
+      let versions = edit_versions rng d in
       List.iter
         (fun v ->
           List.iter
@@ -365,6 +367,90 @@ let test_elision_needed () =
   Alcotest.(check int) "every y once" 6 (List.length ids);
   Option.iter Alcotest.fail (agree_on d (case "sort needed: /r//x/y{ID} over nested x"))
 
+(* Pass-through nodes: where a node hands its one flattened child's tuples
+   up unchanged, and the shapes that must not take that shortcut. Each
+   case names the labels expected to pass through, and must agree with
+   the reference on every elision version. *)
+let pass_through_cases () =
+  let r children = P.v ~axis:P.Child "r" ~node:(P.mk_node "r") children in
+  [ ( "a path chain /r/x/y{ID}",
+      [ "r"; "x" ],
+      P.make [ r [ P.v ~axis:P.Child "x" [ P.v ~axis:P.Child "y" ~node:(id "y") [] ] ] ] );
+    ( "a chain with a semi sibling /r/x[@p]/y{ID}",
+      [ "r"; "x" ],
+      P.make
+        [ r
+            [ P.v ~axis:P.Child "x"
+                [ P.v ~axis:P.Child ~sem:P.Semi "@p" [];
+                  P.v ~axis:P.Child "y" ~node:(id "y") [] ] ] ] );
+    ( "a chain with a filtering child //x[z]/y{V}",
+      [ "x" ],
+      P.make
+        [ P.v "x"
+            [ P.v ~axis:P.Child "z" [];
+              P.v ~axis:P.Child "y" ~node:(P.mk_node ~value:true "y") [] ] ] );
+    ( "an optional flat child",
+      [],
+      P.make [ P.v "x" [ P.v ~axis:P.Child ~sem:P.Outer "y" ~node:(id "y") [] ] ] );
+    ( "own stored attributes",
+      [],
+      P.make [ P.v "x" ~node:(id "x") [ P.v ~axis:P.Child "y" ~node:(id "y") [] ] ] );
+    ( "two placed children",
+      [],
+      P.make
+        [ P.v "x"
+            [ P.v ~axis:P.Child "y" ~node:(id "y") [];
+              P.v ~axis:P.Child "z" ~node:(id "z") [] ] ] );
+    ( "a nest child",
+      [],
+      P.make [ P.v "x" [ P.v ~axis:P.Child ~sem:P.Nest_join "y" ~node:(id "y") [] ] ] ) ]
+
+let test_pass_through () =
+  List.iter
+    (fun (case, labels, p) ->
+      let label_of nid = (List.find (fun (n : P.node) -> n.P.nid = nid) (P.nodes p)).P.label in
+      Alcotest.(check (list string)) (case ^ ": pass-through nodes") labels
+        (List.map label_of (Xam.Embed.pass_through p));
+      List.iter
+        (fun (version, d) ->
+          match agree_on d p with
+          | None -> ()
+          | Some msg -> Alcotest.failf "%s, %s: %s" case version msg)
+        (elision_versions ()))
+    (pass_through_cases ())
+
+(* --- The one-pass summary against the hash-table reference --------------
+   [Summary.build] must give [Summary_oracle.build]'s export rows (labels,
+   parents, cardinalities, counts) and its φ, on random documents before
+   and after edits and on a document of each workload generator. *)
+
+let summary_agrees d =
+  let s, phi = Xsummary.Summary.build d and s', phi' = Summary_oracle.build d in
+  Xsummary.Summary.export s = Xsummary.Summary.export s' && phi = phi'
+
+let generator_doc seed =
+  let module W = Xworkload in
+  match seed land max_int mod 6 with
+  | 0 -> W.Gen_bib.generate_doc ~seed ~books:6 ~theses:3 ()
+  | 1 -> W.Gen_dblp.generate_doc ~seed ~entries:8 ()
+  | 2 -> W.Gen_xmark.generate_doc ~seed W.Gen_xmark.tiny
+  | 3 -> W.Gen_sci.nasa_doc ~seed ~datasets:2 ()
+  | 4 -> W.Gen_sci.swissprot_doc ~seed ~entries:2 ()
+  | _ -> W.Gen_shakespeare.generate_doc ~seed ~plays:1 ()
+
+let summary_prop =
+  QCheck2.Test.make ~name:"Summary.build = reference, before and after edits" ~count:300
+    ~long_factor:20 QCheck2.Gen.int
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      List.iter
+        (fun d ->
+          if not (summary_agrees d) then
+            QCheck2.Test.fail_reportf "seed %d: summaries differ on %s" seed
+              (T.serialize (Doc.to_tree d (Doc.root d))))
+        (generator_doc seed :: edit_versions rng (random_doc rng));
+      true)
+
 let () =
   Alcotest.run "semantics"
     [ ( "semantics",
@@ -376,7 +462,10 @@ let () =
           Alcotest.test_case "elision boundary agrees with the reference" `Quick
             test_elision_boundary;
           Alcotest.test_case "dedup and sort where they are needed" `Quick
-            test_elision_needed ] );
+            test_elision_needed;
+          Alcotest.test_case "pass-through nodes agree with the reference" `Quick
+            test_pass_through ] );
       ( "props",
         [ QCheck_alcotest.to_alcotest agreement_prop;
-          QCheck_alcotest.to_alcotest oracle_prop ] ) ]
+          QCheck_alcotest.to_alcotest oracle_prop ] );
+      ("summary", [ QCheck_alcotest.to_alcotest summary_prop ]) ]
