@@ -1002,8 +1002,8 @@ let persist_exp () =
       ("xmark", Xworkload.Gen_xmark.generate_doc ~seed:13
                   (Xworkload.Gen_xmark.of_factor 0.05)) ]
   in
-  Printf.printf "%-8s %10s %12s %12s %12s %10s %8s\n" "corpus" "nodes"
-    "reparse ms" "eager ms" "lazy ms" "snap" "match";
+  Printf.printf "%-8s %10s %12s %12s %12s %10s %10s %7s %8s\n" "corpus" "nodes"
+    "reparse ms" "eager ms" "lazy ms" "xml" "snap" "snap/xml" "match";
   List.iter
     (fun (name, doc) ->
       let xml = Xdm.Xml_tree.serialize ~decl:true (Doc.to_tree doc 0) in
@@ -1071,8 +1071,11 @@ let persist_exp () =
               name;
             exit 1
           end;
-          Printf.printf "%-8s %10d %12.2f %12.2f %12.2f %10s %8s\n" name
-            (Doc.size doc) reparse_ms eager_ms lazy_ms (fmt_bytes bytes)
+          let xml_bytes = String.length xml in
+          let per_xml_byte = float_of_int bytes /. float_of_int xml_bytes in
+          Printf.printf "%-8s %10d %12.2f %12.2f %12.2f %10s %10s %7.2f %8s\n" name
+            (Doc.size doc) reparse_ms eager_ms lazy_ms (fmt_bytes xml_bytes) (fmt_bytes bytes)
+            per_xml_byte
             (if matches then "yes" else "NO");
           let m metric value units =
             record ~experiment:"persist" ~metric:(name ^ "_" ^ metric) ~value
@@ -1082,6 +1085,8 @@ let persist_exp () =
           m "xml_reparse_ms" reparse_ms "ms";
           m "snapshot_save_ms" save_ms "ms";
           m "snapshot_bytes" (float_of_int bytes) "bytes";
+          m "xml_bytes" (float_of_int xml_bytes) "bytes";
+          m "snapshot_bytes_per_xml_byte" per_xml_byte "ratio";
           m "snapshot_open_eager_ms" eager_ms "ms";
           m "snapshot_open_lazy_ms" lazy_ms "ms";
           if eager_ms > 0.0 then

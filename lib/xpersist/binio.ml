@@ -4,23 +4,36 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
 (* --- Writing ------------------------------------------------------------- *)
 
-(* [len] bytes pending in [buf]; [spilled] bytes already handed to
-   [sink], which a spilling writer calls whenever [buf] fills and on
-   [flush]. Integers go in as whole 64-bit words. *)
+type ints = Fixed | Varint
+
+(* Where a writer's bytes go, with how it writes integers: kept for
+   [contents], or handed to a sink. One field for both, and [Keep] of a
+   constant is a static value, so a plain writer (the WAL makes two per
+   record) allocates no more than before streams had two encodings. *)
+type target = Keep of ints | Spill of ints * (Bytes.t -> int -> unit)
+
+(* [len] bytes pending in [buf]; [spilled] bytes already handed to the
+   sink, which a spilling writer calls whenever [buf] fills and on
+   [flush]. *)
 type writer = {
   mutable buf : Bytes.t;
   mutable len : int;
   mutable spilled : int;
-  sink : (Bytes.t -> int -> unit) option;
+  target : target;
 }
 
-let writer () = { buf = Bytes.create 256; len = 0; spilled = 0; sink = None }
+let writer ?(ints = Fixed) () =
+  let target = match ints with Fixed -> Keep Fixed | Varint -> Keep Varint in
+  { buf = Bytes.create 256; len = 0; spilled = 0; target }
 
-let spilling sink = { buf = Bytes.create 65536; len = 0; spilled = 0; sink = Some sink }
+let spilling ?(ints = Fixed) sink =
+  { buf = Bytes.create 65536; len = 0; spilled = 0; target = Spill (ints, sink) }
+
+let writer_ints w = match w.target with Keep ints | Spill (ints, _) -> ints
 
 let flush w =
-  match w.sink with
-  | Some f when w.len > 0 ->
+  match w.target with
+  | Spill (_, f) when w.len > 0 ->
       f w.buf w.len;
       w.spilled <- w.spilled + w.len;
       w.len <- 0
@@ -37,7 +50,9 @@ let reserve w k =
   end
 
 let contents w =
-  if w.sink <> None then invalid_arg "Binio.contents: a spilling writer keeps no contents";
+  (match w.target with
+  | Spill _ -> invalid_arg "Binio.contents: a spilling writer keeps no contents"
+  | Keep _ -> ());
   Bytes.sub_string w.buf 0 w.len
 
 let size w = w.spilled + w.len
@@ -49,10 +64,35 @@ let w_u8 w v =
 
 let w_bool w v = w_u8 w (if v then 1 else 0)
 
+(* LEB128 over the 63 bits of an OCaml int: seven bits a byte, low
+   first, the top bit set on every byte but the last. [v lsr 7] is a
+   logical shift, so a negative [v] takes the full nine bytes. *)
+let w_varint w v =
+  reserve w 9;
+  let b = w.buf and v = ref v and i = ref w.len in
+  while !v lsr 7 <> 0 do
+    Bytes.unsafe_set b !i (Char.unsafe_chr (!v land 0x7f lor 0x80));
+    v := !v lsr 7;
+    incr i
+  done;
+  Bytes.unsafe_set b !i (Char.unsafe_chr !v);
+  w.len <- !i + 1
+
 let w_int w v =
-  reserve w 8;
-  Bytes.set_int64_le w.buf w.len (Int64.of_int v);
-  w.len <- w.len + 8
+  match w.target with
+  | Keep Varint | Spill (Varint, _) -> w_varint w v
+  | Keep Fixed | Spill (Fixed, _) ->
+      reserve w 8;
+      Bytes.set_int64_le w.buf w.len (Int64.of_int v);
+      w.len <- w.len + 8
+
+(* Zigzag: 0, -1, 1, -2, ... map to 0, 1, 2, 3, ..., so a small
+   magnitude of either sign takes few bytes; [min_int] and [max_int]
+   map to the two largest 63-bit patterns. *)
+let w_sint w v =
+  match writer_ints w with
+  | Varint -> w_varint w ((v lsl 1) lxor (v asr 62))
+  | Fixed -> w_int w v
 
 let w_str w s =
   let n = String.length s in
@@ -63,13 +103,17 @@ let w_str w s =
 
 (* --- Reading ------------------------------------------------------------- *)
 
-type reader = { data : string; mutable pos : int; limit : int }
+type reader = { data : string; mutable pos : int; limit : int; r_ints : ints }
 
-let reader ?(pos = 0) ?len data =
+let reader ?(ints = Fixed) ?(pos = 0) ?len data =
   let len = match len with Some l -> l | None -> String.length data - pos in
   if pos < 0 || len < 0 || pos + len > String.length data then
     corrupt "slice [%d, +%d) outside %d bytes" pos len (String.length data);
-  { data; pos; limit = pos + len }
+  { data; pos; limit = pos + len; r_ints = ints }
+
+let reader_ints r = r.r_ints
+
+let int_bytes r = match r.r_ints with Fixed -> 8 | Varint -> 1
 
 let remaining r = r.limit - r.pos
 
@@ -87,11 +131,44 @@ let r_bool r =
   | 1 -> true
   | v -> corrupt "bool byte is %d" v
 
+(* Nine bytes carry 63 bits, all of an OCaml int; a ninth byte with its
+   continuation bit set would push the value past them. *)
+let r_varint r =
+  let v = ref 0 and shift = ref 0 and i = ref r.pos and fin = ref false in
+  while not !fin do
+    if !i >= r.limit then corrupt "truncated: varint runs past the section";
+    let c = Char.code (String.unsafe_get r.data !i) in
+    incr i;
+    if c < 0x80 then fin := true
+    else if !shift = 56 then corrupt "varint longer than 9 bytes overflows 63 bits";
+    v := !v lor ((c land 0x7f) lsl !shift);
+    shift := !shift + 7
+  done;
+  r.pos <- !i;
+  !v
+
 let r_int r =
-  need r 8 "int";
-  let v = Int64.to_int (String.get_int64_le r.data r.pos) in
-  r.pos <- r.pos + 8;
-  v
+  match r.r_ints with
+  | Varint ->
+      (* one-byte fast path: most counts, lengths and indices *)
+      if r.pos < r.limit && Char.code (String.unsafe_get r.data r.pos) < 0x80 then begin
+        let v = Char.code (String.unsafe_get r.data r.pos) in
+        r.pos <- r.pos + 1;
+        v
+      end
+      else r_varint r
+  | Fixed ->
+      need r 8 "int";
+      let v = Int64.to_int (String.get_int64_le r.data r.pos) in
+      r.pos <- r.pos + 8;
+      v
+
+let r_sint r =
+  match r.r_ints with
+  | Varint ->
+      let z = r_varint r in
+      (z lsr 1) lxor (-(z land 1))
+  | Fixed -> r_int r
 
 let r_str r =
   let n = r_int r in

@@ -1,11 +1,12 @@
 (** Bounds-checked binary encoding primitives for snapshot files.
 
-    The encoding is deliberately plain: integers are fixed 8-byte
-    little-endian two's complement, strings are length-prefixed, tags are
-    single bytes. Snapshots are read back by the same build that writes
-    them far more often than not, and when they are not, the format
-    version in the file header gates compatibility — so the primitives
-    optimize for auditability over density.
+    Strings are length-prefixed, tags are single bytes, and integers are
+    written one of two ways, chosen per stream when its writer or reader
+    is created ({!ints}) and never per call: {!Fixed} 8-byte
+    little-endian two's complement (snapshot headers and TOCs, sections
+    of version 1 and 2 files, the WAL) or {!Varint} LEB128 (sections of
+    version 3 snapshots), where a count, length or index below 128 takes
+    one byte. The same codec function therefore reads and writes both.
 
     Every reader primitive validates against the slice bounds before
     touching memory and raises {!Corrupt} (never [Invalid_argument], never
@@ -18,19 +19,31 @@ exception Corrupt of string
     reason; callers translate it into their own typed error at the
     snapshot boundary. *)
 
+type ints =
+  | Fixed  (** 8 bytes each, little-endian two's complement *)
+  | Varint
+      (** LEB128 over the 63 bits of an int: 7 bits a byte, low first, at
+          most 9 bytes; a negative {!w_int} takes all 9, {!w_sint}
+          zigzags small magnitudes of either sign into few. A varint that
+          runs past 9 bytes overflows 63 bits and raises {!Corrupt}. *)
+(** How a stream encodes its integers. *)
+
 (** {1 Writing} *)
 
 type writer
 
-val writer : unit -> writer
-(** A writer that keeps everything written, for {!contents}. *)
+val writer : ?ints:ints -> unit -> writer
+(** A writer that keeps everything written, for {!contents}. [ints]
+    defaults to {!Fixed}. *)
 
-val spilling : (Bytes.t -> int -> unit) -> writer
+val spilling : ?ints:ints -> (Bytes.t -> int -> unit) -> writer
 (** A writer that keeps at most about 64 KiB of pending bytes:
     whenever they would overflow, and on {!flush}, it hands the pending
     bytes to the sink ([sink buf n]: the first [n] bytes of [buf], valid
     only during the call) and starts over. Streams a large payload to a
     file without holding it. *)
+
+val writer_ints : writer -> ints
 
 val flush : writer -> unit
 (** Hand the pending bytes of a spilling writer to its sink now (no-op
@@ -47,8 +60,14 @@ val w_u8 : writer -> int -> unit
 (** Low 8 bits. *)
 
 val w_bool : writer -> bool -> unit
+
 val w_int : writer -> int -> unit
-(** 8-byte little-endian two's complement. *)
+(** In the writer's {!ints} encoding; meant for counts, lengths,
+    positions and indices, which are not negative. *)
+
+val w_sint : writer -> int -> unit
+(** A signed value: zigzag-then-LEB128 under {!Varint}, exactly {!w_int}
+    under {!Fixed}. *)
 
 val w_str : writer -> string -> unit
 (** Length-prefixed bytes. *)
@@ -57,13 +76,20 @@ val w_str : writer -> string -> unit
 
 type reader
 
-val reader : ?pos:int -> ?len:int -> string -> reader
+val reader : ?ints:ints -> ?pos:int -> ?len:int -> string -> reader
 (** A cursor over a slice; raises {!Corrupt} if the slice is out of
-    bounds. *)
+    bounds. [ints] defaults to {!Fixed}. *)
+
+val reader_ints : reader -> ints
+
+val int_bytes : reader -> int
+(** The fewest bytes one integer of this stream takes: 8 under {!Fixed},
+    1 under {!Varint}. Count guards divide the bytes remaining by it. *)
 
 val r_u8 : reader -> int
 val r_bool : reader -> bool
 val r_int : reader -> int
+val r_sint : reader -> int
 val r_str : reader -> string
 val remaining : reader -> int
 

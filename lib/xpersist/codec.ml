@@ -11,7 +11,11 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Binio.Corrupt s)) fmt
 (* [min_bytes] is the smallest possible encoding of one element; a count
    whose minimum footprint exceeds the bytes remaining in the section is
    corruption, caught here before [Array.init]/[List.init] would try to
-   allocate attacker-controlled amounts of memory. *)
+   allocate attacker-controlled amounts of memory. Footprints are given
+   as [ints r k + bytes]: [k] integers in the stream's encoding plus
+   [bytes] single bytes. *)
+let ints r k = k * Binio.int_bytes r
+
 let r_count r ~min_bytes what =
   let n = Binio.r_int r in
   if n < 0 then corrupt "negative %s count %d" what n;
@@ -48,7 +52,7 @@ let r_nid r =
       let depth = Binio.r_int r in
       Nid.Pre_post { pre; post; depth }
   | 3 ->
-      let n = r_count r ~min_bytes:8 "dewey component" in
+      let n = r_count r ~min_bytes:(ints r 1) "dewey component" in
       Nid.Dewey (List.init n (fun _ -> Binio.r_int r))
   | t -> corrupt "nid tag %d" t
 
@@ -61,7 +65,7 @@ let w_value b = function
       Binio.w_bool b v
   | Value.Int v ->
       Binio.w_u8 b 2;
-      Binio.w_int b v
+      Binio.w_sint b v
   | Value.Str v ->
       Binio.w_u8 b 3;
       Binio.w_str b v
@@ -73,7 +77,7 @@ let r_value r =
   match Binio.r_u8 r with
   | 0 -> Value.Null
   | 1 -> Value.Bool (Binio.r_bool r)
-  | 2 -> Value.Int (Binio.r_int r)
+  | 2 -> Value.Int (Binio.r_sint r)
   | 3 -> Value.Str (Binio.r_str r)
   | 4 -> Value.Id (r_nid r)
   | t -> corrupt "value tag %d" t
@@ -94,7 +98,7 @@ let rec w_schema b (schema : Rel.schema) =
 
 let rec r_schema r : Rel.schema =
   (* name length prefix + type tag *)
-  let n = r_count r ~min_bytes:9 "column" in
+  let n = r_count r ~min_bytes:(ints r 1 + 1) "column" in
   List.init n (fun _ ->
       let cname = Binio.r_str r in
       match Binio.r_u8 r with
@@ -122,7 +126,7 @@ let rec r_tuple r : Rel.tuple =
       match Binio.r_u8 r with
       | 0 -> Rel.A (r_value r)
       | 1 ->
-          let k = r_count r ~min_bytes:8 "nested tuple" in
+          let k = r_count r ~min_bytes:(ints r 1) "nested tuple" in
           Rel.N (List.init k (fun _ -> r_tuple r))
       | t -> corrupt "field tag %d" t)
 
@@ -148,7 +152,7 @@ let w_rel b (rel : Rel.t) =
 
 let r_rel r =
   let schema = r_schema r in
-  let n = r_count r ~min_bytes:8 "tuple" in
+  let n = r_count r ~min_bytes:(ints r 1) "tuple" in
   let tuples = List.init n (fun _ -> r_tuple r) in
   List.iter (check_tuple schema) tuples;
   Rel.make schema tuples
@@ -237,8 +241,8 @@ let rec w_tree b (t : Pattern.tree) =
 let rec r_tree r : Pattern.tree =
   let node = r_node r in
   let edge = r_edge r in
-  (* node (26) + edge (2) + child count (8) *)
-  let n = r_count r ~min_bytes:36 "pattern child" in
+  (* node (three ints, two bytes) + edge (two bytes) + child count *)
+  let n = r_count r ~min_bytes:(ints r 4 + 4) "pattern child" in
   { Pattern.node; edge; children = List.init n (fun _ -> r_tree r) }
 
 let w_pattern b (p : Pattern.t) =
@@ -248,7 +252,7 @@ let w_pattern b (p : Pattern.t) =
 
 let r_pattern r : Pattern.t =
   let ordered = Binio.r_bool r in
-  let n = r_count r ~min_bytes:36 "pattern root" in
+  let n = r_count r ~min_bytes:(ints r 4 + 4) "pattern root" in
   { Pattern.ordered; roots = List.init n (fun _ -> r_tree r) }
 
 (* --- Path summaries ------------------------------------------------------ *)
@@ -267,7 +271,7 @@ let w_summary b s =
 
 let r_summary r =
   (* label prefix + parent + cardinality tag + count *)
-  let n = r_count r ~min_bytes:25 "summary row" in
+  let n = r_count r ~min_bytes:(ints r 3 + 1) "summary row" in
   let rows =
     Array.init n (fun _ ->
         let label = Binio.r_str r in
@@ -286,30 +290,107 @@ let r_summary r =
 
 (* --- Documents ----------------------------------------------------------- *)
 
-(* One record per node in handle order: post, depth, parent, ordinal,
-   kind, label, stored value, subtree end. Written from the accessors
-   and read straight into [Doc]'s columns; no per-node record on either
-   side. Labels repeat across thousands of nodes, so decoding interns
-   them: the reopened document holds one string per distinct label. *)
+(* The document section stores only what cannot be derived: the name, a
+   table of the distinct labels in order of first use, then per node in
+   handle order its kind, the index of its label in the table, its value
+   (attributes and text only) and [subtree_end - handle]. Parent, depth,
+   ordinal and post follow from the subtree ends. *)
+let kind_tag = function Doc.Element -> 0 | Doc.Attribute -> 1 | Doc.Text -> 2
+
+let r_kind r =
+  match Binio.r_u8 r with
+  | 0 -> Doc.Element
+  | 1 -> Doc.Attribute
+  | 2 -> Doc.Text
+  | t -> corrupt "node kind tag %d" t
+
 let w_doc b d =
+  if Binio.writer_ints b <> Binio.Varint then
+    invalid_arg "Codec.w_doc: the document layout is written with varints";
+  let n = Doc.size d in
+  let index = Hashtbl.create 64 and table = ref [] in
+  let label_ix =
+    Array.init n (fun i ->
+        let l = Doc.label d i in
+        match Hashtbl.find_opt index l with
+        | Some k -> k
+        | None ->
+            let k = Hashtbl.length index in
+            Hashtbl.add index l k;
+            table := l :: !table;
+            k)
+  in
   Binio.w_str b (Doc.name d);
-  Binio.w_int b (Doc.size d);
-  for i = 0 to Doc.size d - 1 do
+  Binio.w_int b (Hashtbl.length index);
+  List.iter (Binio.w_str b) (List.rev !table);
+  Binio.w_int b n;
+  for i = 0 to n - 1 do
     let kind = Doc.kind d i in
-    Binio.w_int b (Doc.post d i);
-    Binio.w_int b (Doc.depth d i);
-    Binio.w_int b (Doc.parent d i);
-    Binio.w_int b (Doc.ordinal d i);
-    Binio.w_u8 b (match kind with Doc.Element -> 0 | Doc.Attribute -> 1 | Doc.Text -> 2);
-    Binio.w_str b (Doc.label d i);
-    Binio.w_str b (match kind with Doc.Element -> "" | Doc.Attribute | Doc.Text -> Doc.value d i);
-    Binio.w_int b (Doc.subtree_end d i)
+    Binio.w_u8 b (kind_tag kind);
+    Binio.w_int b label_ix.(i);
+    if kind <> Doc.Element then Binio.w_str b (Doc.value d i);
+    Binio.w_int b (Doc.subtree_end d i - i)
   done
 
-let r_doc r =
+let of_columns ~name ~kinds ~labels ~values ~depths ~parents ~ordinals ~ends ~posts =
+  try Doc.of_columns ~name ~kinds ~labels ~values ~depths ~parents ~ordinals ~ends ~posts
+  with Invalid_argument e -> corrupt "document: %s" e
+
+(* The derived columns come from one forward stack pass over the subtree
+   ends, the pass [Doc.of_columns] makes to check them: node [i]'s parent
+   is the innermost node still open at [i], and the last node closed on
+   the way there is its preceding sibling. On ends that do not nest the
+   pass still terminates (every pop follows a parent link already
+   derived), and [Doc.of_columns] rejects what it produced. Labels come
+   back as the table's strings, so equal labels share one string. *)
+let r_doc_v3 r =
+  let name = Binio.r_str r in
+  let table =
+    let k = r_count r ~min_bytes:(ints r 1) "label" in
+    Array.init k (fun _ -> Binio.r_str r)
+  in
+  (* kind + label index + subtree end *)
+  let n = r_count r ~min_bytes:(ints r 2 + 1) "document node" in
+  let kinds = Array.make n Doc.Text and labels = Array.make n "" and values = Array.make n "" in
+  let posts = Array.make n 0 and depths = Array.make n 0 and parents = Array.make n 0 in
+  let ordinals = Array.make n 0 and ends = Array.make n 0 in
+  let open_ = ref (-1) in
+  for i = 0 to n - 1 do
+    let kind = r_kind r in
+    kinds.(i) <- kind;
+    let l = Binio.r_int r in
+    if l < 0 || l >= Array.length table then
+      corrupt "node %d: label %d outside a table of %d" i l (Array.length table);
+    labels.(i) <- table.(l);
+    if kind <> Doc.Element then values.(i) <- Binio.r_str r;
+    ends.(i) <- i + Binio.r_int r;
+    let prev = ref (-1) in
+    while !open_ >= 0 && ends.(!open_) <= i do
+      prev := !open_;
+      open_ := parents.(!open_)
+    done;
+    let up = !open_ in
+    parents.(i) <- up;
+    if up >= 0 then begin
+      depths.(i) <- depths.(up) + 1;
+      ordinals.(i) <- (if !prev < 0 then 1 else ordinals.(!prev) + 1)
+    end
+    else begin
+      depths.(i) <- 1;
+      ordinals.(i) <- 1
+    end;
+    posts.(i) <- ends.(i) - depths.(i) + 1;
+    open_ := i
+  done;
+  of_columns ~name ~kinds ~labels ~values ~depths ~parents ~ordinals ~ends ~posts
+
+(* The version 1 and 2 layout, which old files still hold: per node its
+   post, depth, parent, ordinal, kind, label, value and subtree end, all
+   integers 8 bytes wide. *)
+let r_doc_v2 r =
   let name = Binio.r_str r in
   (* five ints + kind tag + two string prefixes *)
-  let n = r_count r ~min_bytes:57 "document node" in
+  let n = r_count r ~min_bytes:(ints r 7 + 1) "document node" in
   let kinds = Array.make n Doc.Text and labels = Array.make n "" and values = Array.make n "" in
   let posts = Array.make n 0 and depths = Array.make n 0 and parents = Array.make n 0 in
   let ordinals = Array.make n 0 and ends = Array.make n 0 in
@@ -319,12 +400,7 @@ let r_doc r =
     depths.(i) <- Binio.r_int r;
     parents.(i) <- Binio.r_int r;
     ordinals.(i) <- Binio.r_int r;
-    (kinds.(i) <-
-       match Binio.r_u8 r with
-       | 0 -> Doc.Element
-       | 1 -> Doc.Attribute
-       | 2 -> Doc.Text
-       | t -> corrupt "node kind tag %d" t);
+    kinds.(i) <- r_kind r;
     (labels.(i) <-
        let l = Binio.r_str r in
        match Hashtbl.find_opt interned l with
@@ -333,5 +409,7 @@ let r_doc r =
     values.(i) <- Binio.r_str r;
     ends.(i) <- Binio.r_int r
   done;
-  try Doc.of_columns ~name ~kinds ~labels ~values ~depths ~parents ~ordinals ~ends ~posts
-  with Invalid_argument e -> corrupt "document: %s" e
+  of_columns ~name ~kinds ~labels ~values ~depths ~parents ~ordinals ~ends ~posts
+
+let r_doc r =
+  match Binio.reader_ints r with Binio.Varint -> r_doc_v3 r | Binio.Fixed -> r_doc_v2 r

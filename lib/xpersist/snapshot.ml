@@ -10,12 +10,17 @@ let magic = "XAMSNAP\x01"
 (* v1: one "extent:<name>" section per module. v2 adds path-partitioned
    modules: a "pdir:<name>" partition directory plus one
    "part:<name>:<i>" section per partition, each with its own TOC CRC so
-   a paging reader fetches and verifies partitions individually.
-   Writers emit v2; readers accept both (a v1 extent is simply a module
-   with no partition directory). *)
-let version = 2
+   a paging reader fetches and verifies partitions individually. v3
+   writes every section payload with varint integers and a document
+   section of only what cannot be derived; the header and TOC keep
+   8-byte words. Writers emit v3; readers accept all three (a v1 extent
+   is simply a module with no partition directory). *)
+let version = 3
 
-let version_supported v = v = 1 || v = 2
+let version_supported v = v >= 1 && v <= 3
+
+(* How the section payloads of a file of version [v] encode integers. *)
+let section_ints v = if v >= 3 then Binio.Varint else Binio.Fixed
 
 (* magic + (version, TOC length, TOC CRC) *)
 let header_len = 8 + 24
@@ -73,18 +78,19 @@ let w_pdir b (p : Store.parts) =
     p.Store.pt_parts
 
 let r_pdir r =
+  let ib = Binio.int_bytes r in
   let pt_nid = Binio.r_int r in
   let pt_col = Binio.r_int r in
   if pt_col < 0 then corrupt "negative partition column %d" pt_col;
   let n = Binio.r_int r in
-  (* Every partition encodes at least 16 bytes (path + count). *)
-  if n < 0 || n > Binio.remaining r / 16 then
+  (* Every partition encodes at least two integers (path + count). *)
+  if n < 0 || n > Binio.remaining r / (2 * ib) then
     corrupt "partition count %d exceeds the directory" n;
   let dirs =
     List.init n (fun _ ->
         let path = Binio.r_int r in
         let count = Binio.r_int r in
-        if count < 0 || count > Binio.remaining r / 8 then
+        if count < 0 || count > Binio.remaining r / ib then
           corrupt "partition position count %d exceeds the directory" count;
         let pos = Array.init count (fun _ -> Binio.r_int r) in
         (path, pos))
@@ -279,7 +285,7 @@ let write ?metrics path image =
                 ignore (Unix.lseek fd payload_at Unix.SEEK_SET);
                 let crc = ref 0 in
                 let w =
-                  Binio.spilling (fun buf n ->
+                  Binio.spilling ~ints:Binio.Varint (fun buf n ->
                       crc := Binio.crc32 ~crc:!crc ~len:n (Bytes.unsafe_to_string buf);
                       write_all fd buf n)
                 in
@@ -322,7 +328,7 @@ let save ?doc ?(lsn = 0) ?metrics path catalog =
 type entry = { e_name : string; e_off : int; e_len : int; e_crc : int }
 
 (* [data] must hold at least the first [header_len] bytes of the file.
-   Returns (toc_len, toc_crc). *)
+   Returns (version, toc_len, toc_crc). *)
 let parse_fixed_header ~file_size data =
   if file_size < header_len then corrupt "file too short (%d bytes)" file_size;
   if not (String.equal (String.sub data 0 8) magic) then corrupt "bad magic";
@@ -335,7 +341,7 @@ let parse_fixed_header ~file_size data =
      [max_int] would overflow the sum negative and slip past the bound. *)
   if toc_len < 0 || toc_len > file_size - header_len then
     corrupt "TOC overruns the file";
-  (toc_len, toc_crc)
+  (v, toc_len, toc_crc)
 
 (* [toc] is the raw TOC slice, already CRC-verified by the caller. *)
 let parse_entries ~file_size toc =
@@ -419,9 +425,9 @@ let decode_catalog_section r mcount =
    the live modules'. *)
 let decode_dormant r mods =
   let n = Binio.r_int r in
-  (* Every entry encodes at least 32 bytes (position, two string
-     lengths, a pattern header). *)
-  if n < 0 || n > Binio.remaining r / 32 then
+  (* Every entry encodes at least four integers (position, two string
+     lengths, a pattern's root count). *)
+  if n < 0 || n > Binio.remaining r / (4 * Binio.int_bytes r) then
     corrupt "dormant count %d exceeds the section" n;
   let last = ref (-1) in
   let entries =
@@ -459,7 +465,7 @@ let read ?metrics path =
       let data = read_file path in
       meter m (fun m -> Metrics.add m.mt_read (String.length data));
       let file_size = String.length data in
-      let toc_len, toc_crc = parse_fixed_header ~file_size data in
+      let v, toc_len, toc_crc = parse_fixed_header ~file_size data in
       if Binio.crc32 ~pos:header_len ~len:toc_len data <> toc_crc then
         corrupt "TOC checksum mismatch";
       let entries =
@@ -472,7 +478,7 @@ let read ?metrics path =
         entries;
       let rd name =
         let e = find_entry entries name in
-        Binio.reader ~pos:e.e_off ~len:e.e_len data
+        Binio.reader ~ints:(section_ints v) ~pos:e.e_off ~len:e.e_len data
       in
       let has_doc, mcount, lsn = decode_meta (rd "meta") in
       let summary =
@@ -547,6 +553,7 @@ module Reader = struct
     rd_fd : Unix.file_descr;
     rd_lock : Mutex.t;
     rd_entries : entry list;
+    rd_ints : Binio.ints;  (* how this file's sections encode integers *)
     rd_doc : Doc.t option;
     rd_summary : Xsummary.Summary.t;
     rd_mods : (string * Xam.Pattern.t * pdir option) list;
@@ -590,12 +597,12 @@ module Reader = struct
     if !got < len then corrupt "short read of %s: %d of %d bytes" what !got len;
     Bytes.unsafe_to_string buf
 
-  let verified_section fd m entries name =
+  let verified_section fd m ints entries name =
     let e = find_entry entries name in
     let bytes = pread_exn fd ~off:e.e_off ~len:e.e_len ("section " ^ name) in
     meter m (fun m -> Metrics.add m.mt_read e.e_len);
     if Binio.crc32 bytes <> e.e_crc then corrupt "section %S checksum mismatch" name;
-    Binio.reader bytes
+    Binio.reader ~ints bytes
 
   (* The cache budget is in {e bytes} (of on-disk section length, a good
      proxy for resident size), so paging in one huge partition charges
@@ -622,22 +629,22 @@ module Reader = struct
         match
           let file_size = (Unix.fstat fd).Unix.st_size in
           let header = pread_exn fd ~off:0 ~len:(min header_len file_size) "header" in
-          let toc_len, toc_crc = parse_fixed_header ~file_size header in
+          let v, toc_len, toc_crc = parse_fixed_header ~file_size header in
+          let ints = section_ints v in
+          let verified_section = verified_section fd m ints in
           let toc = pread_exn fd ~off:header_len ~len:toc_len "TOC" in
           meter m (fun m -> Metrics.add m.mt_read (header_len + toc_len));
           if Binio.crc32 toc <> toc_crc then corrupt "TOC checksum mismatch";
           let entries = parse_entries ~file_size toc in
-          let has_doc, mcount, lsn = decode_meta (verified_section fd m entries "meta") in
+          let has_doc, mcount, lsn = decode_meta (verified_section entries "meta") in
           let summary =
-            let r = verified_section fd m entries "summary" in
+            let r = verified_section entries "summary" in
             let s = Codec.r_summary r in
             Binio.expect_end r;
             s
           in
-          let mods = decode_catalog_section (verified_section fd m entries "catalog") mcount in
-          let declared, dormant =
-            declared_of entries (verified_section fd m entries) mods
-          in
+          let mods = decode_catalog_section (verified_section entries "catalog") mcount in
+          let declared, dormant = declared_of entries (verified_section entries) mods in
           (* Partition directories are small and drive every subsequent
              page-in, so they are decoded (and CRC-verified) up front.
              Extent/partition payloads are only checked as they page in;
@@ -651,7 +658,7 @@ module Reader = struct
                     (name, xam, None)
                 | Some _ ->
                     let pt_nid, pt_col, dirs =
-                      r_pdir (verified_section fd m entries (pdir_section name))
+                      r_pdir (verified_section entries (pdir_section name))
                     in
                     List.iteri
                       (fun i _ -> ignore (find_entry entries (part_section name i)))
@@ -661,7 +668,7 @@ module Reader = struct
           in
           let doc =
             if has_doc then (
-              let r = verified_section fd m entries "doc" in
+              let r = verified_section entries "doc" in
               let d = Codec.r_doc r in
               Binio.expect_end r;
               Some d)
@@ -671,6 +678,7 @@ module Reader = struct
             rd_fd = fd;
             rd_lock = Mutex.create ();
             rd_entries = entries;
+            rd_ints = ints;
             rd_doc = doc;
             rd_summary = summary;
             rd_mods = mods;
@@ -713,7 +721,7 @@ module Reader = struct
         if t.rd_closed then raise (fail ~kind:"closed" "snapshot reader is closed");
         match
           let e = find_entry t.rd_entries sect in
-          let r = verified_section t.rd_fd t.rd_m t.rd_entries sect in
+          let r = verified_section t.rd_fd t.rd_m t.rd_ints t.rd_entries sect in
           let rel = Codec.r_rel r in
           Binio.expect_end r;
           (e.e_len, rel)

@@ -8,7 +8,7 @@
     reading that description back — never re-parsing XML, never
     re-materializing extents.
 
-    {2 File format (version 2)}
+    {2 File format (version 3)}
 
     {v
     magic   8 bytes   "XAMSNAP\x01"
@@ -16,6 +16,10 @@
     TOC               one entry per section: name, offset, length, CRC-32
     payload           section bytes, one section per TOC entry
     v}
+
+    The header and TOC hold 8-byte little-endian integers in every
+    version. Section payloads of a version 3 file hold LEB128 varints
+    ({!Binio.Varint}); those of versions 1 and 2 hold 8-byte ones.
 
     Sections are ["meta"], ["summary"], ["catalog"], optionally ["doc"]
     and ["dormant"] (each dormant module with its position in the
@@ -27,9 +31,23 @@
     section is independently checksummed, so the paging reader fetches
     and verifies {e partitions}, not whole extents.
 
-    Version 1 files (extent sections only) still load: a v1 extent is
-    simply a module without a partition directory. Writers always emit
-    version 2.
+    The ["doc"] section of version 3 stores only what cannot be
+    derived:
+
+    {v
+    name                      string
+    labels                    count, then each distinct label, in order of first use
+    per node, in handle order kind byte, label index, value (attribute and
+                              text nodes only), subtree end - handle
+    v}
+
+    Parent, depth, ordinal and post are derived from the subtree ends
+    when the section is read. Version 2 stored every column per node
+    (post, depth, parent, ordinal, kind, label, value, subtree end).
+
+    Readers accept versions 1, 2 and 3. A v1 file (extent sections only)
+    is a v2 file without partition directories: a v1 extent is a module
+    without one. Writers always emit version 3.
 
     {2 Guarantees}
 

@@ -29,3 +29,14 @@ let int_bytes v =
   let v = Int64.of_int v in
   String.init 8 (fun shift ->
       Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * shift)) 0xffL)))
+
+(* LEB128 over the 63 bits of an int: seven bits a byte, low first, the
+   continuation bit on every byte but the last. Computed on the unsigned
+   63-bit value by division, not by shifting. *)
+let varint_bytes v =
+  let rec go u acc =
+    let low = Int64.to_int (Int64.rem u 128L) and rest = Int64.div u 128L in
+    if rest = 0L then List.rev (Char.chr low :: acc)
+    else go rest (Char.chr (low + 128) :: acc)
+  in
+  String.of_seq (List.to_seq (go (Int64.logand (Int64.of_int v) 0x7FFF_FFFF_FFFF_FFFFL) []))

@@ -328,48 +328,25 @@ let test_corrupt_partition_quarantines_alone () =
 (* --- Version-1 snapshots still load --------------------------------------- *)
 
 let test_v1_snapshot_loads () =
-  (* A v1 file is exactly a v2 file with no partition directories and the
-     version field set to 1 (the version int is outside every CRC, so
-     patching it is safe). Write one from the stripped catalog and
-     require both open paths to read it back losslessly. *)
-  let path = tmp_path "v1" in
-  (match Snapshot.save ~doc path stripped with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "save failed: %s" e);
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let data = read_file path in
-      Alcotest.(check bool) "stripped catalogs serialize without pdirs" true
-        (List.for_all
-           (fun (n, _, _) ->
-             String.length n < 5 || String.sub n 0 5 <> "pdir:")
-           (toc_entries data));
-      let b = Bytes.of_string data in
-      Alcotest.(check int) "writer emits version 2" 2 (get_int data 8);
-      Bytes.set b 8 '\001';
-      write_file path (Bytes.to_string b);
-      (match Snapshot.load_with_lsn path with
-      | Error e -> Alcotest.failf "v1 load failed: %s" e
-      | Ok (_, cat, _) ->
-          Alcotest.(check bool) "v1 eager load round-trips" true
-            (List.for_all2
-               (fun (a : Store.module_) (b : Store.module_) ->
-                 a.Store.name = b.Store.name && a.Store.extent = b.Store.extent)
-               stripped.Store.modules cat.Store.modules));
-      match Snapshot.Reader.open_ path with
-      | Error e -> Alcotest.failf "v1 reader open failed: %s" e
-      | Ok r ->
-          Fun.protect
-            ~finally:(fun () -> Snapshot.Reader.close r)
-            (fun () ->
-              let cat = Store.materialize_lazy (Snapshot.Reader.lazy_catalog r) in
-              Alcotest.(check bool) "v1 paging load round-trips" true
-                (List.for_all2
-                   (fun (a : Store.module_) (b : Store.module_) ->
-                     a.Store.name = b.Store.name
-                     && a.Store.extent = b.Store.extent)
-                   stripped.Store.modules cat.Store.modules)))
+  (* A v1 file is a v2 file with no partition directories and the
+     version word set to 1. Writers emit version 3 now, so the v1 file is
+     committed: the stripped catalog below with the document, written by
+     the version 2 writer and its version word patched to 1. It must load
+     to exactly that image through both open paths, and so must its
+     rewrite as version 3. *)
+  let path = Snapshot_images.fixture "snapshot_v1.snap" in
+  let data = Snapshot_images.read_file path in
+  Alcotest.(check int) "the fixture is version 1" 1 (Snapshot_images.version_of data);
+  Alcotest.(check bool) "a v1 file has no partition directories" true
+    (List.for_all
+       (fun (n, _, _) -> String.length n < 5 || String.sub n 0 5 <> "pdir:")
+       (toc_entries data));
+  let declared =
+    List.map (fun (m : Store.module_) -> (m.Store.name, m.Store.xam)) stripped.Store.modules
+  in
+  ignore
+    (Snapshot_images.check_loads ~tmp:(tmp_path "v1") path
+       { Snapshot.doc = Some doc; catalog = stripped; lsn = 0; declared; dormant = [] })
 
 let () =
   Alcotest.run "partition"

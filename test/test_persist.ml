@@ -63,26 +63,40 @@ let catalog_equal (a : Store.catalog) (b : Store.catalog) =
 
 (* --- Binio primitives ---------------------------------------------------- *)
 
+(* Every stream property holds under both integer encodings. *)
+let encodings = [ Binio.Fixed; Binio.Varint ]
+
+let int_gen =
+  QCheck2.Gen.(
+    oneof [ oneofl [ min_int; max_int; -1; 0; 127; 128 ]; small_signed_int; int ])
+
 let int_roundtrip_prop =
-  QCheck2.Test.make ~name:"int encode/decode roundtrip" ~count:500
-    QCheck2.Gen.int (fun i ->
-      let w = Binio.writer () in
-      Binio.w_int w i;
-      let r = Binio.reader (Binio.contents w) in
-      let got = Binio.r_int r in
-      Binio.expect_end r;
-      got = i)
+  QCheck2.Test.make ~name:"int encode/decode roundtrip" ~count:500 int_gen (fun i ->
+      List.for_all
+        (fun ints ->
+          let w = Binio.writer ~ints () in
+          Binio.w_int w i;
+          Binio.w_sint w i;
+          let r = Binio.reader ~ints (Binio.contents w) in
+          let got = Binio.r_int r in
+          let got_s = Binio.r_sint r in
+          Binio.expect_end r;
+          got = i && got_s = i)
+        encodings)
 
 let str_roundtrip_prop =
   QCheck2.Test.make ~name:"string encode/decode roundtrip" ~count:300
-    QCheck2.Gen.(string_size ~gen:(char_range '\000' '\255') (int_bound 64))
+    QCheck2.Gen.(string_size ~gen:(char_range '\000' '\255') (int_bound 200))
     (fun s ->
-      let w = Binio.writer () in
-      Binio.w_str w s;
-      let r = Binio.reader (Binio.contents w) in
-      let got = Binio.r_str r in
-      Binio.expect_end r;
-      String.equal got s)
+      List.for_all
+        (fun ints ->
+          let w = Binio.writer ~ints () in
+          Binio.w_str w s;
+          let r = Binio.reader ~ints (Binio.contents w) in
+          let got = Binio.r_str r in
+          Binio.expect_end r;
+          String.equal got s)
+        encodings)
 
 let test_binio_corrupt () =
   let corrupt f =
@@ -106,7 +120,24 @@ let test_binio_corrupt () =
          ignore (Binio.r_u8 r);
          Binio.expect_end r));
   Alcotest.(check bool) "out-of-bounds slice" true
-    (corrupt (fun () -> Binio.reader ~pos:2 ~len:10 "abc"))
+    (corrupt (fun () -> Binio.reader ~pos:2 ~len:10 "abc"));
+  let varint data = Binio.reader ~ints:Binio.Varint data in
+  List.iter
+    (fun (what, data) ->
+      Alcotest.(check bool) (what ^ " (r_int)") true
+        (corrupt (fun () -> Binio.r_int (varint data)));
+      Alcotest.(check bool) (what ^ " (r_sint)") true
+        (corrupt (fun () -> Binio.r_sint (varint data))))
+    [ ("empty varint", "");
+      ("varint cut after a continuation byte", "\x80");
+      ("10-byte varint", String.make 9 '\x80' ^ "\x00");
+      ("varint overflowing 63 bits", String.make 9 '\xff' ^ "\x01") ];
+  Alcotest.(check int) "the largest 9-byte varint is -1, not an overflow" (-1)
+    (Binio.r_int (varint (String.make 8 '\xff' ^ "\x7f")));
+  let w = Binio.writer ~ints:Binio.Varint () in
+  Binio.w_int w max_int;
+  Alcotest.(check bool) "oversized varint string length" true
+    (corrupt (fun () -> Binio.r_str (varint (Binio.contents w))))
 
 let test_crc32 () =
   (* Known vector: CRC-32("123456789") = 0xCBF43926. *)
@@ -167,16 +198,19 @@ let spilling_writer_prop =
         (list_size (int_bound 30) item))
     (fun (before, filler, after) ->
       let items = before @ (filler :: after) in
-      let out = Buffer.create 64 in
-      let plain = Binio.writer () in
-      let spill = Binio.spilling (fun b n -> Buffer.add_subbytes out b 0 n) in
-      List.iter
-        (fun w ->
-          List.iter (function `I i -> Binio.w_int w i | `S s -> Binio.w_str w s) items)
-        [ plain; spill ];
-      Binio.flush spill;
-      Binio.size spill = Binio.size plain
-      && String.equal (Buffer.contents out) (Binio.contents plain))
+      List.for_all
+        (fun ints ->
+          let out = Buffer.create 64 in
+          let plain = Binio.writer ~ints () in
+          let spill = Binio.spilling ~ints (fun b n -> Buffer.add_subbytes out b 0 n) in
+          List.iter
+            (fun w ->
+              List.iter (function `I i -> Binio.w_int w i | `S s -> Binio.w_str w s) items)
+            [ plain; spill ];
+          Binio.flush spill;
+          Binio.size spill = Binio.size plain
+          && String.equal (Buffer.contents out) (Binio.contents plain))
+        encodings)
 
 let w_int_reference_prop =
   QCheck2.Test.make ~name:"w_int emits the reference's 8 bytes" ~count:500
@@ -186,15 +220,46 @@ let w_int_reference_prop =
       Binio.w_int w v;
       String.equal (Binio.contents w) (Binio_ref.int_bytes v))
 
+let varint_reference_prop =
+  QCheck2.Test.make ~name:"varint w_int emits the reference's LEB128 bytes" ~count:500
+    int_gen (fun v ->
+      let w = Binio.writer ~ints:Binio.Varint () in
+      Binio.w_int w v;
+      String.equal (Binio.contents w) (Binio_ref.varint_bytes v))
+
+(* Sizes and bytes at the edges: one byte below 128, nine for anything
+   negative through [w_int], and zigzag folding small magnitudes of
+   either sign into one byte through [w_sint]. *)
+let test_varint_bytes () =
+  let bytes w v =
+    let b = Binio.writer ~ints:Binio.Varint () in
+    w b v;
+    Binio.contents b
+  in
+  List.iter
+    (fun (v, want) ->
+      Alcotest.(check string) (Printf.sprintf "w_int %d" v) want (bytes Binio.w_int v))
+    [ (0, "\x00"); (1, "\x01"); (127, "\x7f"); (128, "\x80\x01"); (300, "\xac\x02");
+      (max_int, String.make 8 '\xff' ^ "\x3f"); (-1, String.make 8 '\xff' ^ "\x7f") ];
+  List.iter
+    (fun (v, want) ->
+      Alcotest.(check string) (Printf.sprintf "w_sint %d" v) want (bytes Binio.w_sint v))
+    [ (0, "\x00"); (-1, "\x01"); (1, "\x02"); (-64, "\x7f"); (64, "\x80\x01");
+      (max_int, "\xfe" ^ String.make 7 '\xff' ^ "\x7f");
+      (min_int, String.make 8 '\xff' ^ "\x7f") ]
+
 (* --- Codec round-trips --------------------------------------------------- *)
 
-let via w r x =
-  let b = Binio.writer () in
+let via ?(ints = Binio.Fixed) w r x =
+  let b = Binio.writer ~ints () in
   w b x;
-  let rd = Binio.reader (Binio.contents b) in
+  let rd = Binio.reader ~ints (Binio.contents b) in
   let got = r rd in
   Binio.expect_end rd;
   got
+
+(* [x] round-trips under both encodings. *)
+let via_both w r x = List.map (fun ints -> via ~ints w r x) encodings
 
 let nid_gen =
   QCheck2.Gen.(
@@ -217,26 +282,45 @@ let value_gen =
 
 let value_roundtrip_prop =
   QCheck2.Test.make ~name:"value codec roundtrip" ~count:300 value_gen (fun v ->
-      via Codec.w_value Codec.r_value v = v)
+      List.for_all (( = ) v) (via_both Codec.w_value Codec.r_value v))
+
+(* [Value.Int] is the one signed integer of the codecs: zigzag keeps
+   -1 as short as 0, and the extremes take the full nine bytes. *)
+let test_int_value_zigzag () =
+  List.iter
+    (fun (v, bytes) ->
+      let b = Binio.writer ~ints:Binio.Varint () in
+      Codec.w_value b (V.Int v);
+      Alcotest.(check int) (Printf.sprintf "Int %d: tag and varint bytes" v) (1 + bytes)
+        (Binio.size b);
+      Alcotest.(check bool) (Printf.sprintf "Int %d round-trips" v) true
+        (via ~ints:Binio.Varint Codec.w_value Codec.r_value (V.Int v) = V.Int v))
+    [ (min_int, 9); (max_int, 9); (-1, 1); (0, 1) ]
 
 let test_codec_structures () =
   let doc = bib () in
   let s = S.of_doc doc in
   Alcotest.(check bool) "summary roundtrips" true
-    (S.export (via Codec.w_summary Codec.r_summary s) = S.export s);
+    (List.for_all
+       (fun s' -> S.export s' = S.export s)
+       (via_both Codec.w_summary Codec.r_summary s));
   Alcotest.(check bool) "doc roundtrips" true
-    (doc_equal (via Codec.w_doc Codec.r_doc doc) doc);
+    (doc_equal (via ~ints:Binio.Varint Codec.w_doc Codec.r_doc doc) doc);
+  Alcotest.(check bool) "the document layout is written with varints only" true
+    (match Codec.w_doc (Binio.writer ()) doc with
+    | exception Invalid_argument _ -> true
+    | () -> false);
   let cat = bib_catalog doc in
   List.iter
     (fun (m : Store.module_) ->
       Alcotest.(check bool)
         (Printf.sprintf "pattern of %s roundtrips" m.Store.name)
         true
-        (P.equal (via Codec.w_pattern Codec.r_pattern m.Store.xam) m.Store.xam);
+        (List.for_all (P.equal m.Store.xam) (via_both Codec.w_pattern Codec.r_pattern m.Store.xam));
       Alcotest.(check bool)
         (Printf.sprintf "extent of %s roundtrips" m.Store.name)
         true
-        (Rel.equal_unordered (via Codec.w_rel Codec.r_rel m.Store.extent) m.Store.extent))
+        (List.for_all (( = ) m.Store.extent) (via_both Codec.w_rel Codec.r_rel m.Store.extent)))
     cat.Store.modules
 
 let pattern_roundtrip_prop =
@@ -249,7 +333,7 @@ let pattern_roundtrip_prop =
   in
   QCheck2.Test.make ~name:"generated pattern codec roundtrip"
     ~count:(List.length patterns) (QCheck2.Gen.oneofl patterns) (fun p ->
-      P.equal (via Codec.w_pattern Codec.r_pattern p) p)
+      List.for_all (P.equal p) (via_both Codec.w_pattern Codec.r_pattern p))
 
 (* --- Snapshot save/load -------------------------------------------------- *)
 
@@ -583,28 +667,65 @@ let put_int b off v =
       (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL)))
   done
 
-(* [data] with section [name]'s payload replaced by [f payload] (same
-   length), its CRC and the TOC CRC fixed up: a CRC-valid forgery. *)
+(* [data] with section [name]'s payload replaced by [f payload] (of any
+   length): the sections after it move, and every offset, the section's
+   CRC and the TOC CRC are fixed up — a CRC-valid forgery. The TOC is
+   fixed-width apart from the names, so its length does not change. *)
 let forge_section data name f =
-  let toc_start = 32 in
   let toc_len = get_int data 16 in
-  (* TOC: entry count, then per entry name length, name, off, len, crc. *)
-  let rec find k pos =
-    if k = get_int data toc_start then Alcotest.failf "no %s section" name
-    else
-      let name_len = get_int data pos in
-      let fields = pos + 8 + name_len in
-      if String.sub data (pos + 8) name_len = name then fields
-      else find (k + 1) (fields + 24)
+  let r = Binio.reader ~pos:32 ~len:toc_len data in
+  (* TOC: entry count, then per entry name, offset, length, CRC. *)
+  let sections =
+    List.init (Binio.r_int r) (fun _ ->
+        let sname = Binio.r_str r in
+        let off = Binio.r_int r in
+        let len = Binio.r_int r in
+        ignore (Binio.r_int r);
+        (sname, String.sub data off len))
   in
-  let fields = find 0 (toc_start + 8) in
-  let off = get_int data fields and len = get_int data (fields + 8) in
-  let section = f (String.sub data off len) in
-  let b = Bytes.of_string data in
-  Bytes.blit_string section 0 b off len;
-  put_int b (fields + 16) (Binio.crc32 section);
-  put_int b 24 (Binio.crc32 ~pos:toc_start ~len:toc_len (Bytes.to_string b));
-  Bytes.to_string b
+  if not (List.mem_assoc name sections) then Alcotest.failf "no %s section" name;
+  let sections = List.map (fun (n, p) -> (n, if n = name then f p else p)) sections in
+  let toc = Binio.writer () in
+  Binio.w_int toc (List.length sections);
+  ignore
+    (List.fold_left
+       (fun off (n, p) ->
+         Binio.w_str toc n;
+         Binio.w_int toc off;
+         Binio.w_int toc (String.length p);
+         Binio.w_int toc (Binio.crc32 p);
+         off + String.length p)
+       (32 + toc_len) sections);
+  let toc = Binio.contents toc in
+  let head = Binio.writer () in
+  List.iter (Binio.w_int head) [ get_int data 8; toc_len; Binio.crc32 toc ];
+  String.concat "" (String.sub data 0 8 :: Binio.contents head :: toc :: List.map snd sections)
+
+(* Both open paths reject [data] with an [Error], never an exception,
+   and the error names [because] when it is given. *)
+let rejected ?(because = "") what data =
+  let p = tmp_path "hostile" in
+  write_file p data;
+  let says e =
+    let n = String.length because in
+    let rec at i = i + n <= String.length e && (String.sub e i n = because || at (i + 1)) in
+    at 0 || Alcotest.failf "%s: the error %S does not say %S" what e because
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove p)
+    (fun () ->
+      Alcotest.(check bool) (what ^ ": load_with_lsn") true
+        (match Snapshot.load_with_lsn p with
+        | Error e -> says e
+        | Ok _ -> false
+        | exception e -> Alcotest.failf "%s: load raised %s" what (Printexc.to_string e));
+      Alcotest.(check bool) (what ^ ": Reader.open_") true
+        (match Snapshot.Reader.open_ p with
+        | Error e -> says e
+        | Ok r ->
+            Snapshot.Reader.close r;
+            false
+        | exception e -> Alcotest.failf "%s: reader raised %s" what (Printexc.to_string e)))
 
 let test_hostile_toc_geometry () =
   let doc = bib () in
@@ -624,30 +745,9 @@ let test_hostile_toc_geometry () =
         put_int b 24 (Binio.crc32 ~pos:toc_start ~len:toc_len (Bytes.to_string b));
         Bytes.to_string b
       in
-      let reject what hostile =
-        let p = tmp_path "hostile" in
-        write_file p hostile;
-        Fun.protect
-          ~finally:(fun () -> Sys.remove p)
-          (fun () ->
-            Alcotest.(check bool) (what ^ " rejected by load") true
-              (match Snapshot.load_with_lsn p with
-              | Error _ -> true
-              | Ok _ -> false
-              | exception e ->
-                  Alcotest.failf "load raised %s" (Printexc.to_string e));
-            Alcotest.(check bool) (what ^ " rejected by reader") true
-              (match Snapshot.Reader.open_ p with
-              | Error _ -> true
-              | Ok r ->
-                  Snapshot.Reader.close r;
-                  false
-              | exception e ->
-                  Alcotest.failf "reader raised %s" (Printexc.to_string e)))
-      in
-      reject "overflowing section offset" (patched off_field (max_int - 4));
-      reject "overflowing section length" (patched len_field (max_int - 64));
-      reject "negative section offset" (patched off_field (-8)))
+      rejected "overflowing section offset" (patched off_field (max_int - 4));
+      rejected "overflowing section length" (patched len_field (max_int - 64));
+      rejected "negative section offset" (patched off_field (-8)))
 
 let test_hostile_counts () =
   (* Element counts inside a CRC-valid section must be bounded against the
@@ -662,48 +762,62 @@ let test_hostile_counts () =
           Alcotest.failf "%s raised %s" what (Printexc.to_string e)
       | _ -> false)
   in
-  let rel_bytes =
-    let w = Binio.writer () in
-    Binio.w_int w 1;
-    Binio.w_str w "c";
-    Binio.w_u8 w 0;
-    (* one atomic column, then an absurd tuple count *)
-    Binio.w_int w max_int;
-    Binio.contents w
-  in
-  corrupt_only "huge tuple count" (fun () -> Codec.r_rel (Binio.reader rel_bytes));
-  let summary_bytes =
-    let w = Binio.writer () in
-    Binio.w_int w (max_int / 8);
-    Binio.contents w
-  in
-  corrupt_only "huge summary row count" (fun () ->
-      Codec.r_summary (Binio.reader summary_bytes));
-  let doc_bytes =
-    let w = Binio.writer () in
-    Binio.w_str w "d";
-    Binio.w_int w (max_int / 2);
-    Binio.contents w
-  in
-  corrupt_only "huge document node count" (fun () ->
-      Codec.r_doc (Binio.reader doc_bytes));
-  let dewey_bytes =
-    let w = Binio.writer () in
-    Binio.w_u8 w 3;
-    Binio.w_int w max_int;
-    Binio.contents w
-  in
-  corrupt_only "huge dewey component count" (fun () ->
-      Codec.r_nid (Binio.reader dewey_bytes))
+  (* Each payload in both integer encodings: the codecs are shared, and
+     the count guards scale with the stream's smallest integer. *)
+  List.iter
+    (fun ints ->
+      let enc = match ints with Binio.Fixed -> "8-byte integers" | Binio.Varint -> "varints" in
+      let case what bytes r =
+        let w = Binio.writer ~ints () in
+        bytes w;
+        corrupt_only (Printf.sprintf "%s (%s)" what enc) (fun () ->
+            r (Binio.reader ~ints (Binio.contents w)))
+      in
+      case "huge tuple count"
+        (fun w ->
+          (* one atomic column, then an absurd tuple count *)
+          Binio.w_int w 1;
+          Binio.w_str w "c";
+          Binio.w_u8 w 0;
+          Binio.w_int w max_int)
+        Codec.r_rel;
+      case "huge summary row count" (fun w -> Binio.w_int w (max_int / 8)) Codec.r_summary;
+      case "huge document node count"
+        (fun w ->
+          Binio.w_str w "d";
+          (* the v3 layout has a one-label table before the node count *)
+          if ints = Binio.Varint then begin
+            Binio.w_int w 1;
+            Binio.w_str w "a"
+          end;
+          Binio.w_int w (max_int / 2))
+        Codec.r_doc;
+      case "huge dewey component count"
+        (fun w ->
+          Binio.w_u8 w 3;
+          Binio.w_int w max_int)
+        Codec.r_nid)
+    encodings;
+  corrupt_only "huge label count (varints)" (fun () ->
+      let w = Binio.writer ~ints:Binio.Varint () in
+      Binio.w_str w "d";
+      Binio.w_int w (max_int / 2);
+      Codec.r_doc (Binio.reader ~ints:Binio.Varint (Binio.contents w)))
 
-(* A CRC-valid document section whose node array is inconsistent (a
-   duplicate post label) must fail closed: [Doc.of_columns] rejects it, so
-   every open path reports a snapshot error instead of handing out a
-   document whose structural predicates lie. *)
+(* The document and catalog the pinned snapshot files hold. *)
+let pinned_doc () = Xworkload.Gen_bib.generate_doc ~seed:7 ~books:10 ~theses:3 ()
+
+(* Version 2 document sections, which old files hold, still go through
+   the decoder that reads every column. A CRC-valid section whose node
+   array is inconsistent (one node's post, depth, parent or ordinal
+   forged) must fail closed: [Doc.of_columns] rejects it, so every open
+   path reports a snapshot error instead of handing out a document whose
+   structural predicates lie. The forgeries are made in the committed
+   version 2 file. *)
 let test_hostile_doc_section () =
-  let doc = Doc.of_string "<a><b><c/></b><d/></a>" in
-  let cat = bib_catalog doc in
-  (* The codec's document layout, re-encoded here so a node can be forged. *)
+  let doc = pinned_doc () in
+  (* The version 2 document layout, re-encoded here so a node can be
+     forged. *)
   let encode packed =
     let w = Binio.writer () in
     Binio.w_str w (Doc.name doc);
@@ -718,33 +832,135 @@ let test_hostile_doc_section () =
       packed;
     Binio.contents w
   in
-  with_snapshot ~doc cat (fun path ->
+  let data = read_file (Snapshot_images.fixture "snapshot_v2.snap") in
+  let packed = Doc_pack.pack doc in
+  List.iter
+    (fun (what, forge) ->
       let forged =
-        forge_section (read_file path) "doc" (fun section ->
-            let packed = Doc_pack.pack doc in
-            Alcotest.(check string) "re-encoding matches the codec" section
-              (encode packed);
-            (* handles: a = 0, b = 1, c = 2, d = 3; give d the post of c *)
-            packed.(3) <- { (packed.(3)) with Doc_pack.p_post = 1 };
-            encode packed)
+        forge_section data "doc" (fun section ->
+            Alcotest.(check string) "re-encoding matches the v2 codec" section (encode packed);
+            let copy = Array.copy packed in
+            copy.(3) <- forge copy;
+            encode copy)
       in
+      rejected ~because:"document" what forged;
       let p = tmp_path "hostile_doc" in
       write_file p forged;
       Fun.protect
         ~finally:(fun () -> Sys.remove p)
         (fun () ->
-          Alcotest.(check bool) "rejected by load" true
-            (match Snapshot.load_with_lsn p with Error _ -> true | Ok _ -> false);
-          Alcotest.(check bool) "rejected by the paging reader" true
-            (match Snapshot.Reader.open_ p with
-            | Error _ -> true
-            | Ok r ->
-                Snapshot.Reader.close r;
-                false);
           match Engine.of_snapshot_r p with
           | Error (Xerror.Snapshot_error _) -> ()
           | Error e -> Alcotest.failf "wrong error class: %s" (Xerror.to_string e)
-          | Ok _ -> Alcotest.fail "opened a snapshot with an inconsistent document"))
+          | Ok _ -> Alcotest.failf "%s: opened a snapshot with an inconsistent document" what))
+    [ ("the post of another node", fun p ->
+          { (p.(3)) with Doc_pack.p_post = p.(2).Doc_pack.p_post });
+      ("a depth off by one", fun p ->
+          { (p.(3)) with Doc_pack.p_depth = p.(3).Doc_pack.p_depth + 1 });
+      ("a parent that is not the open node", fun p ->
+          { (p.(3)) with Doc_pack.p_parent = p.(3).Doc_pack.p_parent + 1 });
+      ("an ordinal off by one", fun p ->
+          { (p.(3)) with Doc_pack.p_ordinal = p.(3).Doc_pack.p_ordinal + 1 }) ]
+
+(* Version 3 sections are varints with a document of only what cannot be
+   derived, so their hostile forms differ: varints too long to be an int,
+   a label index past the table, subtree ends that do not nest, counts no
+   section could hold, and a document section cut at every byte. Each,
+   CRC-valid, must fail closed through both open paths. *)
+let test_hostile_v3_sections () =
+  let doc = Doc.of_string "<a x=\"1\"><b>t</b><c/></a>" in
+  let cat = bib_catalog doc in
+  (* handles: a 0, @x 1, b 2, the text "t" 3, c 4 *)
+  let labels = Array.init 5 (Doc.label doc) in
+  (* The v3 document layout by hand: [(kind, label index, value, end - i)]. *)
+  let encode nodes =
+    let w = Binio.writer ~ints:Binio.Varint () in
+    Binio.w_str w (Doc.name doc);
+    Binio.w_int w (Array.length labels);
+    Array.iter (Binio.w_str w) labels;
+    Binio.w_int w (List.length nodes);
+    List.iter
+      (fun (kind, label, value, span) ->
+        Binio.w_u8 w kind;
+        Binio.w_int w label;
+        Option.iter (Binio.w_str w) value;
+        Binio.w_int w span)
+      nodes;
+    Binio.contents w
+  in
+  let good =
+    [ (0, 0, None, 5); (1, 1, Some "1", 1); (0, 2, None, 2); (2, 3, Some "t", 1); (0, 4, None, 1) ]
+  in
+  (* [good] with node [i] replaced by [f] of it *)
+  let forged i f = encode (List.mapi (fun j n -> if j = i then f n else n) good) in
+  let varints ints =
+    let w = Binio.writer ~ints:Binio.Varint () in
+    List.iter (Binio.w_int w) ints;
+    Binio.contents w
+  in
+  with_snapshot ~doc cat (fun path ->
+      let data = read_file path in
+      Alcotest.(check int) "the writer emits version 3" 3 (Snapshot_images.version_of data);
+      let with_doc payload = forge_section data "doc" (fun _ -> payload) in
+      let section = encode good in
+      Alcotest.(check bool) "the hand encoding is the codec's" true
+        (String.equal (with_doc section) data);
+      rejected ~because:"varint" "a 10-byte varint"
+        (with_doc (String.make 9 '\x80' ^ "\x00" ^ section));
+      rejected ~because:"varint" "a varint overflowing 63 bits"
+        (with_doc (String.make 9 '\xff' ^ "\x01" ^ section));
+      rejected ~because:"outside a table" "a label index past the table"
+        (with_doc (forged 4 (fun (k, _, v, s) -> (k, 5, v, s))));
+      rejected ~because:"subtree end" "subtree ends that do not nest"
+        (with_doc (forged 2 (fun (k, l, v, _) -> (k, l, v, 4))));
+      rejected ~because:"subtree end" "an empty subtree"
+        (with_doc (forged 4 (fun (k, l, v, _) -> (k, l, v, 0))));
+      (* the attribute moved after b's subtree *)
+      rejected ~because:"attribute after" "an attribute after a non-attribute sibling"
+        (with_doc
+           (encode
+              [ (0, 0, None, 5); (0, 2, None, 2); (2, 3, Some "t", 1); (1, 1, Some "1", 1);
+                (0, 4, None, 1) ]));
+      (* the name, an empty label table, then the count *)
+      let name_bytes = String.length (Doc.name doc) + 1 in
+      rejected ~because:"node count" "a huge node count"
+        (with_doc (String.sub section 0 name_bytes ^ varints [ 0; max_int / 2 ]));
+      for keep = 0 to String.length section - 1 do
+        rejected
+          (Printf.sprintf "the document section cut to %d bytes" keep)
+          (with_doc (String.sub section 0 keep))
+      done;
+      let partitioned =
+        (List.find (fun (m : Store.module_) -> m.Store.parts <> None) cat.Store.modules).Store.name
+      in
+      (* nid, column, one partition of path 0 promising [max_int] positions *)
+      rejected ~because:"position count" "a huge position count"
+        (forge_section data ("pdir:" ^ partitioned) (fun _ -> varints [ 0; 0; 1; 0; max_int ]));
+      (* A partition is decoded when it pages in: the eager read rejects
+         a huge tuple count at once, the paging reader when the
+         partition is forced, as a module fault. *)
+      let hostile_part =
+        forge_section data ("part:" ^ partitioned ^ ":0") (fun _ ->
+            (* one atomic column, then an absurd tuple count *)
+            varints [ 1; 1 ] ^ "c\x00" ^ varints [ max_int ])
+      in
+      let p = tmp_path "hostile_part" in
+      write_file p hostile_part;
+      Fun.protect
+        ~finally:(fun () -> Sys.remove p)
+        (fun () ->
+          Alcotest.(check bool) "a huge tuple count: load_with_lsn" true
+            (match Snapshot.load_with_lsn p with Error _ -> true | Ok _ -> false);
+          Alcotest.(check bool) "a huge tuple count: paging reader faults" true
+            (match Snapshot.Reader.open_ p with
+            | Error _ -> true
+            | Ok r ->
+                Fun.protect
+                  ~finally:(fun () -> Snapshot.Reader.close r)
+                  (fun () ->
+                    match Store.materialize_lazy (Snapshot.Reader.lazy_catalog r) with
+                    | exception Store.Module_fault _ -> true
+                    | _ -> false))))
 
 (* The optional dormant section: absent when there is nothing dormant
    (so [write] with none is byte-identical to [save]), read back exactly
@@ -800,11 +1016,14 @@ let test_dormant_section () =
           (Result.is_error (Snapshot.Reader.open_ path))
       in
       (* the second entry's position (3) forged onto the first: positions
-         no longer ascend *)
+         no longer ascend. The section opens with the entry count and the
+         first position, one varint byte each. *)
       write_file path
         (forge_section (read_file path) "dormant" (fun section ->
+             Alcotest.(check string) "count 2, first position 0" "\002\000"
+               (String.sub section 0 2);
              let b = Bytes.of_string section in
-             put_int b 8 3;
+             Bytes.set b 1 '\003';
              Bytes.to_string b));
       fails_closed "repeated position";
       (* a declared list the catalog does not fit: a dormant module past
@@ -818,29 +1037,39 @@ let test_dormant_section () =
 (* The snapshot format pinned by content: a fixed document and catalog
    must keep encoding to exactly these bytes, with and without a dormant
    module. A codec change that alters one byte of the format fails here
-   before any round-trip test could notice. *)
+   before any round-trip test could notice. The same two images written
+   by the version 2 writer are committed under fixtures/ (their digests
+   are the ones this test pinned for version 2): each must still load to
+   its image through both open paths, and rewriting it must give the
+   pinned version 3 bytes. *)
 let test_pinned_snapshot_bytes () =
-  let doc = Xworkload.Gen_bib.generate_doc ~seed:7 ~books:10 ~theses:3 () in
+  let doc = pinned_doc () in
   let cat = bib_catalog doc in
   let live =
     List.map (fun (m : Store.module_) -> (m.Store.name, m.Store.xam)) cat.Store.modules
   in
   let xam = snd (List.hd live) in
-  let digest declared dormant =
-    let path = tmp_path "pinned" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () ->
-        match
-          Snapshot.write path
-            { Snapshot.doc = Some doc; catalog = cat; lsn = 5; declared; dormant }
-        with
-        | Ok _ -> Digest.to_hex (Digest.string (read_file path))
-        | Error e -> Alcotest.failf "write failed: %s" e)
-  in
-  Alcotest.(check string) "no dormant module" "475d330052794e85cbe9be660460f729" (digest live []);
-  Alcotest.(check string) "one dormant module" "4231f9075381741d004b23a9b6580960"
-    (digest (live @ [ ("gone", xam) ]) [ ("gone", "path vanished") ])
+  let digest_of path = Digest.to_hex (Digest.string (read_file path)) in
+  List.iter
+    (fun (what, fixture, declared, dormant, v2_digest, v3_digest) ->
+      let image = { Snapshot.doc = Some doc; catalog = cat; lsn = 5; declared; dormant } in
+      let path = tmp_path "pinned" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          (match Snapshot.write path image with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "write failed: %s" e);
+          Alcotest.(check string) (what ^ ": version 3 bytes") v3_digest (digest_of path));
+      let v2 = Snapshot_images.fixture fixture in
+      Alcotest.(check string) (what ^ ": the committed version 2 file") v2_digest (digest_of v2);
+      let rewritten = Snapshot_images.check_loads ~tmp:(tmp_path "rewrite") v2 image in
+      Alcotest.(check string) (what ^ ": its rewrite is the version 3 bytes") v3_digest rewritten)
+    [ ( "no dormant module", "snapshot_v2.snap", live, [],
+        "475d330052794e85cbe9be660460f729", "ebba262d5ce3e24a6a56f7c6a3e7bbb3" );
+      ( "one dormant module", "snapshot_v2_dormant.snap", live @ [ ("gone", xam) ],
+        [ ("gone", "path vanished") ],
+        "4231f9075381741d004b23a9b6580960", "0443fd01d0273f82c80f429a1f01891c" ) ]
 
 (* --- Engine entry points ------------------------------------------------- *)
 
@@ -860,15 +1089,21 @@ let test_engine_roundtrip () =
       let eager = Xerror.get_exn (Engine.of_snapshot_r path) in
       (* A deliberately tight byte budget: partitions thrash in and out,
          which must stay correctness-neutral. *)
+      let obs = Xobs.Obs.create () in
       let lazy_ =
         Xerror.get_exn
-          (Engine.of_snapshot_r ~lazy_extents:true ~extent_cache:256 path)
+          (Engine.of_snapshot_r ~obs ~lazy_extents:true ~extent_cache:256 path)
       in
       let s = S.of_doc doc in
+      (* Patterns returning books, titles and authors: each label's own
+         modules, so the workload pages several sections in turn. *)
       let patterns =
-        Xworkload.Pattern_gen.generate_many ~seed:17 s
-          { Xworkload.Pattern_gen.default with return_labels = [ "book" ] }
-          ~count:15
+        List.concat_map
+          (fun label ->
+            Xworkload.Pattern_gen.generate_many ~seed:17 s
+              { Xworkload.Pattern_gen.default with return_labels = [ label ] }
+              ~count:15)
+          [ "book"; "title"; "author" ]
       in
       Alcotest.(check bool) "generated a workload" true (patterns <> []);
       let answered = ref 0 in
@@ -889,7 +1124,24 @@ let test_engine_roundtrip () =
           agree "eager snapshot answers match" r0 (answer eager);
           agree "lazy snapshot answers match" r0 (answer lazy_))
         patterns;
-      Alcotest.(check bool) "some patterns were answerable" true (!answered > 0))
+      Alcotest.(check bool) "some patterns were answerable" true (!answered > 0);
+      (* The budget must really be tight: more misses than there are
+         sections to page in means some were evicted and paged in again. *)
+      let sections =
+        List.fold_left
+          (fun acc (m : Store.module_) ->
+            acc + match m.Store.parts with Some p -> List.length p.Store.pt_parts | None -> 1)
+          0 (Engine.catalog base).Store.modules
+      in
+      let misses =
+        match
+          List.assoc_opt "persist_extent_cache_misses_total"
+            (List.map (fun (n, _, v) -> (n, v)) (Xobs.Metrics.metrics obs.Xobs.Obs.metrics))
+        with
+        | Some (Xobs.Metrics.Counter c) -> Xobs.Metrics.counter_value c
+        | _ -> Alcotest.fail "no cache miss counter"
+      in
+      Alcotest.(check bool) "the tight cache evicts" true (misses > sections))
 
 let test_engine_hot_swap () =
   let doc = bib () in
@@ -1088,10 +1340,14 @@ let () =
           Alcotest.test_case "crc32 at every short length and offset" `Quick
             test_crc32_reference_edges;
           QCheck_alcotest.to_alcotest w_int_reference_prop;
+          QCheck_alcotest.to_alcotest varint_reference_prop;
+          Alcotest.test_case "varint bytes at the edges" `Quick test_varint_bytes;
           QCheck_alcotest.to_alcotest spilling_writer_prop ] );
       ( "codec",
         [ QCheck_alcotest.to_alcotest value_roundtrip_prop;
           QCheck_alcotest.to_alcotest pattern_roundtrip_prop;
+          Alcotest.test_case "Value.Int through the zigzag varint" `Quick
+            test_int_value_zigzag;
           Alcotest.test_case "summary/doc/catalog structures" `Quick
             test_codec_structures ] );
       ( "snapshot",
@@ -1125,7 +1381,9 @@ let () =
           Alcotest.test_case "hostile element counts" `Quick
             test_hostile_counts;
           Alcotest.test_case "hostile document section" `Quick
-            test_hostile_doc_section ] );
+            test_hostile_doc_section;
+          Alcotest.test_case "hostile version 3 sections" `Quick
+            test_hostile_v3_sections ] );
       ( "engine",
         [ Alcotest.test_case "save / reopen equivalence" `Quick
             test_engine_roundtrip;

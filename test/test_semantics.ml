@@ -451,6 +451,53 @@ let summary_prop =
         (generator_doc seed :: edit_versions rng (random_doc rng));
       true)
 
+(* --- Snapshot codecs are the identity ------------------------------------
+   The version 3 document layout stores no parent, depth, ordinal or post
+   and derives them on decode; extents go through the same codec under
+   both integer encodings. On the same documents as the summary property,
+   with each version's path-partitioned catalog. *)
+
+let roundtrip ints w r x =
+  let b = Xpersist.Binio.writer ~ints () in
+  w b x;
+  let rd = Xpersist.Binio.reader ~ints (Xpersist.Binio.contents b) in
+  let got = r rd in
+  Xpersist.Binio.expect_end rd;
+  got
+
+let codec_identity d =
+  let module Codec = Xpersist.Codec in
+  let module Store = Xstorage.Store in
+  let d' = roundtrip Xpersist.Binio.Varint Codec.w_doc Codec.r_doc d in
+  let rels (m : Store.module_) =
+    m.Store.extent
+    :: (match m.Store.parts with
+       | None -> []
+       | Some p -> List.map (fun (q : Store.partition) -> q.Store.p_rel) p.Store.pt_parts)
+  in
+  let rel_ok rel =
+    List.for_all
+      (fun ints -> roundtrip ints Codec.w_rel Codec.r_rel rel = rel)
+      [ Xpersist.Binio.Fixed; Xpersist.Binio.Varint ]
+  in
+  let catalog = Store.catalog_of d (Xstorage.Models.path_partitioned (Xsummary.Summary.of_doc d)) in
+  String.equal (Doc.name d') (Doc.name d)
+  && Doc_pack.pack d' = Doc_pack.pack d
+  && List.for_all (fun m -> List.for_all rel_ok (rels m)) catalog.Store.modules
+
+let codec_prop =
+  QCheck2.Test.make ~name:"v3 document and extent codecs are the identity" ~count:50
+    ~long_factor:20 QCheck2.Gen.int
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      List.iter
+        (fun d ->
+          if not (codec_identity d) then
+            QCheck2.Test.fail_reportf "seed %d: codecs do not round-trip %s" seed
+              (T.serialize (Doc.to_tree d (Doc.root d))))
+        (generator_doc seed :: edit_versions rng (random_doc rng));
+      true)
+
 let () =
   Alcotest.run "semantics"
     [ ( "semantics",
@@ -468,4 +515,5 @@ let () =
       ( "props",
         [ QCheck_alcotest.to_alcotest agreement_prop;
           QCheck_alcotest.to_alcotest oracle_prop ] );
-      ("summary", [ QCheck_alcotest.to_alcotest summary_prop ]) ]
+      ("summary", [ QCheck_alcotest.to_alcotest summary_prop ]);
+      ("codec", [ QCheck_alcotest.to_alcotest codec_prop ]) ]
