@@ -988,11 +988,11 @@ let obs_exp () =
   | Some f -> write_file f (Xobs.Export.slowlog_jsonl slowlog) "trace JSONL"
   | None -> ()
 
-(* Persistence: cold-opening a snapshot (eager and paging) against the
-   only alternative the engine had before — re-parsing the XML and
-   re-materializing every extent. Also checks that all three roads give
-   the same answers to the same pattern workload, which is the round-trip
-   guarantee BENCH_5.json records alongside the timings. *)
+(* Persistence: cold-opening a snapshot against the only alternative
+   the engine had before — re-parsing the XML and re-materializing every
+   extent. Also checks that both roads give the same answers to the same
+   pattern workload, which is the round-trip guarantee BENCH_5.json
+   records alongside the timings. *)
 let persist_exp () =
   header "persist: snapshot cold-open vs XML re-parse + re-materialization";
   let module Engine = Xengine.Engine in
@@ -1002,8 +1002,8 @@ let persist_exp () =
       ("xmark", Xworkload.Gen_xmark.generate_doc ~seed:13
                   (Xworkload.Gen_xmark.of_factor 0.05)) ]
   in
-  Printf.printf "%-8s %10s %12s %12s %12s %10s %10s %7s %8s\n" "corpus" "nodes"
-    "reparse ms" "eager ms" "lazy ms" "xml" "snap" "snap/xml" "match";
+  Printf.printf "%-8s %10s %12s %12s %10s %10s %7s %8s\n" "corpus" "nodes"
+    "reparse ms" "eager ms" "xml" "snap" "snap/xml" "match";
   List.iter
     (fun (name, doc) ->
       let xml = Xdm.Xml_tree.serialize ~decl:true (Doc.to_tree doc 0) in
@@ -1027,20 +1027,13 @@ let persist_exp () =
             bench_ms ~repeats:3 (fun () ->
                 Xengine.Xerror.get_exn (Engine.of_snapshot_r snap))
           in
-          let lazy_ms =
-            bench_ms ~repeats:3 (fun () ->
-                Xengine.Xerror.get_exn (Engine.of_snapshot_r ~lazy_extents:true snap))
-          in
-          (* Same answers down all three roads. *)
+          (* Same answers down both roads. *)
           let pats =
             Xworkload.Pattern_gen.generate_many ~seed:21 summary
               { Xworkload.Pattern_gen.default with size = 4; optional_p = 0.2 }
               ~count:10
           in
           let eager = Xengine.Xerror.get_exn (Engine.of_snapshot_r snap) in
-          let lazily =
-            Xengine.Xerror.get_exn (Engine.of_snapshot_r ~lazy_extents:true snap)
-          in
           let answers e =
             List.map
               (fun p ->
@@ -1058,13 +1051,6 @@ let persist_exp () =
                 | None, None -> true
                 | _ -> false)
               reference (answers eager)
-            && List.for_all2
-                 (fun a b ->
-                   match (a, b) with
-                   | Some ra, Some rb -> Rel.equal_unordered ra rb
-                   | None, None -> true
-                   | _ -> false)
-                 reference (answers lazily)
           in
           if not matches then begin
             Printf.eprintf "FATAL: %s: snapshot answers diverge from in-memory\n"
@@ -1073,8 +1059,8 @@ let persist_exp () =
           end;
           let xml_bytes = String.length xml in
           let per_xml_byte = float_of_int bytes /. float_of_int xml_bytes in
-          Printf.printf "%-8s %10d %12.2f %12.2f %12.2f %10s %10s %7.2f %8s\n" name
-            (Doc.size doc) reparse_ms eager_ms lazy_ms (fmt_bytes xml_bytes) (fmt_bytes bytes)
+          Printf.printf "%-8s %10d %12.2f %12.2f %10s %10s %7.2f %8s\n" name
+            (Doc.size doc) reparse_ms eager_ms (fmt_bytes xml_bytes) (fmt_bytes bytes)
             per_xml_byte
             (if matches then "yes" else "NO");
           let m metric value units =
@@ -1088,11 +1074,8 @@ let persist_exp () =
           m "xml_bytes" (float_of_int xml_bytes) "bytes";
           m "snapshot_bytes_per_xml_byte" per_xml_byte "ratio";
           m "snapshot_open_eager_ms" eager_ms "ms";
-          m "snapshot_open_lazy_ms" lazy_ms "ms";
           if eager_ms > 0.0 then
             m "cold_open_speedup_eager" (reparse_ms /. eager_ms) "x";
-          if lazy_ms > 0.0 then
-            m "cold_open_speedup_lazy" (reparse_ms /. lazy_ms) "x";
           m "answers_match" (if matches then 1.0 else 0.0) "bool"))
     corpora
 

@@ -373,12 +373,6 @@ let open_cmd =
     Arg.(required & pos 0 (some file) None
          & info [] ~docv:"SNAP" ~doc:"Snapshot file written by $(b,uload save)")
   in
-  let lazy_arg =
-    Arg.(value & flag
-         & info [ "lazy" ]
-             ~doc:"Page extents in on demand through an LRU buffer cache \
-                   instead of loading the snapshot eagerly")
-  in
   let explain_arg =
     Arg.(value & flag & info [ "explain" ] ~doc:"Print each pattern's EXPLAIN")
   in
@@ -406,9 +400,9 @@ let open_cmd =
          & info [ "wal" ] ~docv:"DIR"
              ~doc:"With $(b,--recover): WAL directory (default $(i,SNAP).wal)")
   in
-  let run snap src lazy_extents recover wal explain metrics json =
+  let run snap src recover wal explain metrics json =
     let obs = Xobs.Obs.create ~tracing:explain () in
-    match Xengine.Engine.of_snapshot_r ~obs ~lazy_extents snap with
+    match Xengine.Engine.of_snapshot_r ~obs snap with
     | Error e -> die_xerror ~json e
     | Ok engine ->
         let replayed =
@@ -425,7 +419,6 @@ let open_cmd =
         in
         run_engine_query ~explain ~metrics ~json engine src;
         if json then
-          let faults = Xengine.Engine.partition_faults engine in
           print_endline
             (Xobs.Json.to_string
                (Xobs.Json.Obj
@@ -436,15 +429,6 @@ let open_cmd =
                             Xobs.Json.Num
                               (float_of_int (Xengine.Engine.snapshot_lsn engine)) );
                           ("replayed", Xobs.Json.Num (float_of_int replayed));
-                          ( "partition_faults",
-                            Xobs.Json.Arr
-                              (List.map
-                                 (fun (m, i, reason) ->
-                                   Xobs.Json.Obj
-                                     [ ("module", Xobs.Json.Str m);
-                                       ("partition", Xobs.Json.Num (float_of_int i));
-                                       ("reason", Xobs.Json.Str reason) ])
-                                 faults) );
                           ( "quarantined",
                             Xobs.Json.Arr
                               (List.map
@@ -456,7 +440,7 @@ let open_cmd =
        ~doc:"Open a persisted snapshot — no XML re-parse, no \
              re-materialization — and evaluate an XQuery against it; \
              $(b,--recover) first replays the WAL")
-    Term.(const run $ snap_arg $ query_arg $ lazy_arg $ recover_arg
+    Term.(const run $ snap_arg $ query_arg $ recover_arg
           $ wal_opt_arg $ explain_arg $ metrics_arg $ json_arg)
 
 (* --- put / delete / update / checkpoint / churn ---------------------------
@@ -833,10 +817,6 @@ let serve_cmd =
          & info [ "default-deadline-ms" ] ~docv:"MS"
              ~doc:"Default per-request deadline when the request sets none")
   in
-  let lazy_arg =
-    Arg.(value & flag
-         & info [ "lazy" ] ~doc:"Open tenant snapshots with lazy extent paging")
-  in
   let debug_arg =
     Arg.(value & flag
          & info [ "debug" ]
@@ -872,8 +852,8 @@ let serve_cmd =
                    reaches K records (0 = never); writes keep flowing \
                    while the checkpoint runs")
   in
-  let run tenants host port socket queue domains batch deadline lazy_tenants
-      debug access_log trace slow_ms checkpoint_every =
+  let run tenants host port socket queue domains batch deadline debug
+      access_log trace slow_ms checkpoint_every =
     let listen =
       match socket with
       | Some path -> Xserve.Proto.Unix_sock path
@@ -884,7 +864,6 @@ let serve_cmd =
         Xserve.Server.queue_depth = queue;
         domains;
         batch_max = batch;
-        lazy_tenants;
         debug;
         access_log;
         checkpoint_every;
@@ -924,7 +903,7 @@ let serve_cmd =
              control (429 under overload), /metrics in Prometheus format, \
              graceful drain on SIGTERM (exit 0)")
     Term.(const run $ tenant_arg $ host_arg $ port_arg $ socket_arg $ queue_arg
-          $ domains_arg $ batch_arg $ deadline_arg $ lazy_arg $ debug_arg
+          $ domains_arg $ batch_arg $ deadline_arg $ debug_arg
           $ access_log_arg $ trace_arg $ slow_ms_arg $ ckpt_every_arg)
 
 let client_cmd =

@@ -5,8 +5,9 @@
     document order of enumeration) of tuples collecting the stored
     attributes of [p]'s return nodes under every embedding of [p] in [d] —
     with the optional-edge (3b) and nested-edge extensions. The output
-    schema is {!Pattern.schema}. {!Compile} produces algebraic plans whose
-    evaluation must agree with it.
+    schema is {!Pattern.schema}. The test suite's [Compile]
+    ([test/compile.ml]) produces algebraic plans whose evaluation must
+    agree with it.
 
     The reference semantics lives in the test suite ([test/embed_oracle.ml]):
     a direct transcription of the definition that lists candidates,

@@ -386,14 +386,29 @@ and compile_streaming ctx plan : t =
   | Logical.Join { kind = Logical.Inner | Logical.LeftOuter | Logical.Semi as kind;
                    pred; left; right; _ } -> (
       let pl = compile env left and pr = compile env right in
-      (* Hash join on top-level equality columns. *)
+      (* Hash join on top-level equality columns, nested loops otherwise. *)
       match pred with
       | Pred.Cmp (Pred.Col lp, Pred.Eq, Pred.Col rp)
         when top_col pl.schema lp <> None && top_col pr.schema rp <> None ->
           let li = Option.get (top_col pl.schema lp) in
           let ri = Option.get (top_col pr.schema rp) in
-          hash_join kind pl pr li ri
-      | _ -> nested_loop_join kind pred pl pr)
+          join kind pl pr ~matches:(fun rights ->
+              let table = Hashtbl.create 64 in
+              List.iter
+                (fun rt ->
+                  let v = Rel.atom_field rt ri in
+                  if not (Value.is_null v) then Hashtbl.add table (Value.hash v) (v, rt))
+                rights;
+              fun lt ->
+                let v = Rel.atom_field lt li in
+                Hashtbl.find_all table (Value.hash v)
+                |> List.rev
+                |> List.filter_map (fun (rv, rt) ->
+                       if Value.equal v rv then Some rt else None))
+      | _ ->
+          let joined = Rel.concat_schemas pl.schema pr.schema in
+          join kind pl pr ~matches:(fun rights lt ->
+              List.filter (fun rt -> Pred.eval joined (Rel.concat_tuples lt rt) pred) rights))
   | Logical.Struct_join { kind = Logical.Inner as kind; axis; lpath; rpath; left; right; _ }
     ->
       struct_join_stream env kind axis lpath rpath left right
@@ -411,7 +426,10 @@ and compile_streaming ctx plan : t =
               (p.open_ ())) }
   | _ -> raise Fallback
 
-and hash_join kind pl pr li ri : t =
+(* An Inner, LeftOuter or Semi join. On open the right input is drained
+   and handed to [matches], which returns the lookup giving each left
+   tuple its matching right tuples in right-input order. *)
+and join kind pl pr ~matches : t =
   let schema =
     match kind with
     | Logical.Semi -> pl.schema
@@ -421,56 +439,7 @@ and hash_join kind pl pr li ri : t =
     order = pl.order;
     open_ =
       (fun () ->
-        let table = Hashtbl.create 64 in
-        List.iter
-          (fun rt ->
-            let v = Rel.atom_field rt ri in
-            if not (Value.is_null v) then Hashtbl.add table (Value.hash v) (v, rt))
-          (drain (pr.open_ ()));
-        let matches lt =
-          let v = Rel.atom_field lt li in
-          Hashtbl.find_all table (Value.hash v)
-          |> List.rev
-          |> List.filter_map (fun (rv, rt) -> if Value.equal v rv then Some rt else None)
-        in
-        let cl = pl.open_ () in
-        let pending = ref [] in
-        let null_right = Rel.null_tuple pr.schema in
-        let rec next () =
-          match !pending with
-          | t :: more ->
-              pending := more;
-              Some t
-          | [] -> (
-              match cl () with
-              | None -> None
-              | Some lt -> (
-                  let ms = matches lt in
-                  match kind with
-                  | Logical.Semi -> if ms = [] then next () else Some lt
-                  | Logical.LeftOuter ->
-                      pending :=
-                        (match ms with
-                        | [] -> [ Rel.concat_tuples lt null_right ]
-                        | _ -> List.map (fun rt -> Rel.concat_tuples lt rt) ms);
-                      next ()
-                  | _ ->
-                      pending := List.map (fun rt -> Rel.concat_tuples lt rt) ms;
-                      next ()))
-        in
-        next) }
-
-and nested_loop_join kind pred pl pr : t =
-  let joined = Rel.concat_schemas pl.schema pr.schema in
-  let schema = match kind with Logical.Semi -> pl.schema | _ -> joined in
-  { schema;
-    order = pl.order;
-    open_ =
-      (fun () ->
-        let rights = drain (pr.open_ ()) in
-        let matches lt =
-          List.filter (fun rt -> Pred.eval joined (Rel.concat_tuples lt rt) pred) rights
-        in
+        let matches = matches (drain (pr.open_ ())) in
         let cl = pl.open_ () in
         let pending = ref [] in
         let null_right = Rel.null_tuple pr.schema in

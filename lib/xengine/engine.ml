@@ -120,9 +120,6 @@ type cached = {
 
 type t = {
   mutable catalog : Store.catalog;
-      (* the resident catalog; for a lazy engine this is the skeleton
-         (empty extents) and [lazy_catalog] holds the real one *)
-  mutable lazy_catalog : Store.lazy_catalog option;
   generation : int Atomic.t;
   mutable base_env : Eval.env;
       (* the unwrapped storage env; [env = env_wrap base_env]. Kept so
@@ -148,9 +145,6 @@ type t = {
   mutable dormant : (string * string) list;
       (* the declared modules maintenance dropped (name, reason), in
          declared order, retried for resurrection on every later apply *)
-  mutable reader_faults : unit -> (string * int * string) list;
-      (* partition page-in faults from the backing snapshot reader, if
-         this engine was opened lazily *)
   max_views : int;
   budget : budget;
   env_wrap : Eval.env -> Eval.env;
@@ -247,16 +241,14 @@ let declared_of (catalog : Store.catalog) =
     (fun (m : Store.module_) -> (m.Store.name, m.Store.xam))
     catalog.Store.modules
 
-(* The record behind [create] and [create_lazy]: [catalog] is the
-   resident catalog (a lazy engine's skeleton), [base_env] the storage
-   lookup over it or over [lazy_catalog]. *)
 let plan_cache_capacity = 128
 
-let make ?(max_views = 3) ?(budget = unlimited) ?(env_wrap = Fun.id) ?obs ?doc
-    ~lazy_catalog ~base_env catalog =
+let create ?(max_views = 3) ?(budget = unlimited) ?(env_wrap = Fun.id) ?obs ?doc
+    catalog =
+  Option.iter (fun e -> raise (Xerror.Error e)) (catalog_error catalog);
   let obs = match obs with Some o -> o | None -> Obs.create () in
+  let base_env = Store.env catalog in
   { catalog;
-    lazy_catalog;
     generation = Atomic.make 0;
     base_env;
     env = env_wrap base_env;
@@ -269,29 +261,12 @@ let make ?(max_views = 3) ?(budget = unlimited) ?(env_wrap = Fun.id) ?obs ?doc
     wal = None;
     declared = declared_of catalog;
     dormant = [];
-    reader_faults = (fun () -> []);
     max_views;
     budget;
     env_wrap;
     quarantined = Hashtbl.create 8;
     obs;
     m = register_metrics obs.Obs.metrics }
-
-let create ?max_views ?budget ?env_wrap ?obs ?doc catalog =
-  Option.iter (fun e -> raise (Xerror.Error e)) (catalog_error catalog);
-  make ?max_views ?budget ?env_wrap ?obs ?doc ~lazy_catalog:None
-    ~base_env:(Store.env catalog) catalog
-
-let create_lazy ?max_views ?budget ?env_wrap ?obs ?doc lc =
-  (* The resident part is the skeleton — summary and xams, empty extents;
-     everything that scans goes through [Store.lazy_env], which pages
-     extents in from the backing reader. Validation is structural and
-     never forces a page. *)
-  Option.iter
-    (fun e -> raise (Xerror.Error e))
-    (validation_error (Store.validate_lazy lc));
-  make ?max_views ?budget ?env_wrap ?obs ?doc ~lazy_catalog:(Some lc)
-    ~base_env:(Store.lazy_env lc) (Store.skeleton lc)
 
 let of_doc ?max_views ?budget ?env_wrap ?obs doc specs =
   create ?max_views ?budget ?env_wrap ?obs ~doc (Store.catalog_of doc specs)
@@ -325,9 +300,7 @@ let quarantined_names t = List.map fst (quarantined t)
    list it came from and the dormant part of that list. Entries of
    earlier generations become unreachable (the key embeds the
    generation) and age out of the LRU. A catalog swap is a new storage
-   world: the quarantine set restarts from the dormant modules, and a
-   lazy engine becomes an ordinary resident one — the installed catalog
-   is what [env] scans from now on. *)
+   world: the quarantine set restarts from the dormant modules. *)
 let swap_catalog t ~declared ~dormant catalog =
   match catalog_error catalog with
   | Some e -> Error e
@@ -336,7 +309,6 @@ let swap_catalog t ~declared ~dormant catalog =
           Hashtbl.reset t.quarantined;
           List.iter (fun (n, r) -> Hashtbl.replace t.quarantined n r) dormant;
           t.catalog <- catalog;
-          t.lazy_catalog <- None;
           t.declared <- declared;
           t.dormant <- dormant;
           Atomic.incr t.generation;
@@ -349,24 +321,8 @@ let swap_catalog t ~declared ~dormant catalog =
 let set_catalog_r t catalog =
   swap_catalog t ~declared:(declared_of catalog) ~dormant:[] catalog
 
-(* The full catalog, extents included. For a lazy engine the resident
-   catalog is only the skeleton (empty extents), so anything that needs
-   real extents — snapshot saves, module appends, maintenance — must page
-   the whole lazy catalog in first. A fault while paging surfaces as the
-   typed storage error. *)
-let full_catalog resident = function
-  | None -> resident
-  | Some lc -> (
-      match Store.materialize_lazy lc with
-      | catalog -> catalog
-      | exception Store.Module_fault { name; reason } ->
-          raise
-            (Xerror.Error (Xerror.Storage_fault { module_name = name; reason })))
-
-let materialized_catalog t = full_catalog t.catalog t.lazy_catalog
-
 let add_module t (m : Store.module_) =
-  let catalog = materialized_catalog t in
+  let catalog = t.catalog in
   Xerror.get_exn
     (swap_catalog t
        ~declared:(t.declared @ [ (m.Store.name, m.Store.xam) ])
@@ -390,25 +346,16 @@ let restore t ~lsn ~declared ~dormant =
 
 (* Capture one consistent image under the state lock — installs swap
    the document, catalog, LSN and dormant set together under it — and
-   write it with no engine lock held. [full_catalog], not the resident
-   one: a lazily-opened engine's resident catalog is the skeleton, and
-   serializing that would write a checksum-valid snapshot full of empty
-   extents over real data. Returns the bytes written and the LSN the
-   file covers. *)
+   write it with no engine lock held. Returns the bytes written and the
+   LSN the file covers. *)
 let write_snapshot t path =
-  let doc, resident, lazy_cat, lsn, declared, dormant =
-    with_lock t (fun () ->
-        (t.doc, t.catalog, t.lazy_catalog, t.lsn, t.declared, t.dormant))
+  let doc, catalog, lsn, declared, dormant =
+    with_lock t (fun () -> (t.doc, t.catalog, t.lsn, t.declared, t.dormant))
   in
   match
     Xpersist.Snapshot.write ~metrics:t.obs.Obs.metrics path
-      { Xpersist.Snapshot.doc;
-        catalog = full_catalog resident lazy_cat;
-        lsn;
-        declared;
-        dormant }
+      { Xpersist.Snapshot.doc; catalog; lsn; declared; dormant }
   with
-  | exception Xerror.Error e -> Error e
   | Error reason -> Error (snapshot_error path reason)
   | Ok bytes -> Ok (bytes, lsn)
 
@@ -438,43 +385,14 @@ let load_snapshot_r t path =
   | Ok { catalog; declared; dormant; _ } ->
       swap_catalog t ~declared ~dormant catalog
 
-let of_snapshot_r ?max_views ?budget ?env_wrap ?obs ?(lazy_extents = false)
-    ?extent_cache ?label path =
-  let module Reader = Xpersist.Snapshot.Reader in
+let of_snapshot_r ?max_views ?budget ?env_wrap ?obs path =
   let obs = match obs with Some o -> o | None -> Obs.create () in
-  try
-    if lazy_extents then
-      match
-        Reader.open_ ?cache_capacity:extent_cache ~metrics:obs.Obs.metrics
-          ?owner:label path
-      with
-      | Error reason -> Error (snapshot_error path reason)
-      | Ok reader -> (
-          match
-            create_lazy ?max_views ?budget ?env_wrap ~obs ?doc:(Reader.doc reader)
-              (Reader.lazy_catalog reader)
-          with
-          | t ->
-              t.reader_faults <- (fun () -> Reader.partition_faults reader);
-              Ok
-                (restore t ~lsn:(Reader.lsn reader)
-                   ~declared:(Reader.declared reader)
-                   ~dormant:(Reader.dormant reader))
-          | exception e ->
-              (* The engine never took ownership (catalog validation
-                 failed, say); the caller has no handle, so close the
-                 reader — and its file descriptor — here. *)
-              Reader.close reader;
-              raise e)
-    else
-      match Xpersist.Snapshot.read ~metrics:obs.Obs.metrics path with
-      | Error reason -> Error (snapshot_error path reason)
-      | Ok { doc; catalog; lsn; declared; dormant } ->
-          Ok
-            (restore
-               (create ?max_views ?budget ?env_wrap ~obs ?doc catalog)
-               ~lsn ~declared ~dormant)
-  with Xerror.Error e -> Error e
+  match Xpersist.Snapshot.read ~metrics:obs.Obs.metrics path with
+  | Error reason -> Error (snapshot_error path reason)
+  | Ok { doc; catalog; lsn; declared; dormant } -> (
+      match create ?max_views ?budget ?env_wrap ~obs ?doc catalog with
+      | t -> Ok (restore t ~lsn ~declared ~dormant)
+      | exception Xerror.Error e -> Error e)
 
 (* A module faulted while being read: remember it, bump the generation so
    every cached plan that might mention it dies, and let the caller
@@ -561,7 +479,7 @@ let summary_paths s =
    every op would have. Under a trace, each stage (summary, materialize,
    partition, validate, splice) is a child span of [tr]. *)
 let maintain t (tr : tr) doc =
-  let prev = materialized_catalog t in
+  let prev = t.catalog in
   let summary, phi = in_span tr "summary" (fun _ -> Summary.build doc) in
   let built =
     in_span tr "materialize" (fun _ ->
@@ -645,7 +563,6 @@ let install_update t doc catalog ~lsn (info : minfo) =
   with_lock t (fun () ->
       t.doc <- Some doc;
       t.catalog <- catalog;
-      t.lazy_catalog <- None;
       t.base_env <- Store.env catalog;
       t.env <- t.env_wrap t.base_env;
       t.dormant <- info.mt_dormant;
@@ -856,7 +773,6 @@ let snapshot_lsn t = t.snapshot_lsn
 let wal_dir t = Option.map Wal.Writer.dir t.wal
 let document t = t.doc
 let dormant_modules t = t.dormant
-let partition_faults t = t.reader_faults ()
 
 let cache_key t pattern =
   Printf.sprintf "%s@%d"
@@ -944,25 +860,14 @@ let normalize_schema pattern (rel : Rel.t) =
    needs. Scans of unconstrained or undirectoried modules are untouched. *)
 
 let partition_dirs t name =
-  match t.lazy_catalog with
-  | Some lc ->
-      List.find_map
-        (fun (lm : Store.lazy_module) ->
-          if String.equal lm.Store.lm_name name then
-            Option.map
-              (fun (lp : Store.lazy_parts) -> (lp.Store.lpt_nid, lp.Store.lpt_paths))
-              lm.Store.lm_parts
-          else None)
-        lc.Store.lc_modules
-  | None ->
-      List.find_map
-        (fun (m : Store.module_) ->
-          if String.equal m.Store.name name then
-            Option.map
-              (fun (p : Store.parts) -> (p.Store.pt_nid, Store.partition_paths p))
-              m.Store.parts
-          else None)
-        t.catalog.Store.modules
+  List.find_map
+    (fun (m : Store.module_) ->
+      if String.equal m.Store.name name then
+        Option.map
+          (fun (p : Store.parts) -> (p.Store.pt_nid, Store.partition_paths p))
+          m.Store.parts
+      else None)
+    t.catalog.Store.modules
 
 let prune_for t (r : Rewrite.rewriting) =
   Store.plan_pruning ~views_used:r.Rewrite.views_used ~parts_of:(partition_dirs t)
@@ -971,8 +876,8 @@ let prune_for t (r : Rewrite.rewriting) =
 (* An env serving pruned extents for the overridden modules and falling
    through to storage otherwise — re-wrapped with [env_wrap], so fault
    injection (or any other storage wrapper) sees pruned scans exactly
-   like whole-extent ones. Assembly is lazy: a plan the executor never
-   gets to scan (budget stop, earlier fault) pages nothing in. *)
+   like whole-extent ones. Assembly is deferred: a plan the executor
+   never gets to scan (budget stop, earlier fault) assembles nothing. *)
 let pruned_env t overrides =
   if overrides = [] then t.env
   else begin
@@ -981,20 +886,11 @@ let pruned_env t overrides =
       (fun (name, allowed) ->
         let rel =
           lazy
-            (match t.lazy_catalog with
-            | Some lc ->
-                Option.map
-                  (fun lm -> Store.pruned_extent_lazy lm ~allowed)
-                  (List.find_opt
-                     (fun (lm : Store.lazy_module) ->
-                       String.equal lm.Store.lm_name name)
-                     lc.Store.lc_modules)
-            | None ->
-                Option.map
-                  (fun m -> Store.pruned_extent m ~allowed)
-                  (List.find_opt
-                     (fun (m : Store.module_) -> String.equal m.Store.name name)
-                     t.catalog.Store.modules))
+            (Option.map
+               (fun m -> Store.pruned_extent m ~allowed)
+               (List.find_opt
+                  (fun (m : Store.module_) -> String.equal m.Store.name name)
+                  t.catalog.Store.modules))
         in
         Hashtbl.replace tbl name rel)
       overrides;

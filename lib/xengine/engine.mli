@@ -115,24 +115,11 @@ val of_snapshot_r :
   ?budget:budget ->
   ?env_wrap:(Xalgebra.Eval.env -> Xalgebra.Eval.env) ->
   ?obs:Xobs.Obs.t ->
-  ?lazy_extents:bool ->
-  ?extent_cache:int ->
-  ?label:string ->
   string ->
   (t, Xerror.t) Stdlib.result
-(** Open an engine over a snapshot file. With [lazy_extents] (default
-    [false]) extents — and, for path-partitioned modules, individual
-    partitions — page in on demand through an LRU buffer cache with an
-    [extent_cache]-byte budget ({!Xpersist.Snapshot.Reader.open_}):
-    the engine keeps the catalog's {!Xstorage.Store.skeleton} resident
-    (summary and xams, all that planning reads) and scans extents
-    through {!Xstorage.Store.lazy_env}. An extent whose checksum fails
-    on page-in is absorbed by the ordinary quarantine and re-plan
-    machinery. Otherwise the whole snapshot loads eagerly.
-    [label] names the owner of this engine (the serving layer passes
-    the tenant name): a lazy reader then counts its page-ins and
-    partition faults into per-tenant labeled metric families.
-    The snapshot's document becomes the engine's fallback document, its
+(** Open an engine over a snapshot file: the whole snapshot is verified
+    and decoded ({!Xpersist.Snapshot.read}), extents included, so the
+    engine's catalog is resident from the start. The snapshot's document becomes the engine's fallback document, its
     LSN the engine's, and its dormant modules rejoin the declared list
     (quarantined, as they were when saved).
     [Error (Snapshot_error _)] when the file fails verification,
@@ -141,13 +128,8 @@ val of_snapshot_r :
 val save_snapshot_r : t -> string -> (int, Xerror.t) Stdlib.result
 (** Snapshot the engine's current state (fallback document, summary,
     catalog with extents, LSN, dormant modules) to a file, crash-safely:
-    temp file, fsync, atomic rename. Returns the bytes written. On a
-    lazily-opened engine ({!of_snapshot_r} with [lazy_extents]) the full
-    catalog is materialized first — every
-    extent pages in through the backing reader — so the snapshot always
-    carries the real extents, never the resident skeleton.
-    [Error (Snapshot_error _)] on failure, [Error (Storage_fault _)] when
-    paging an extent in faults. *)
+    temp file, fsync, atomic rename. Returns the bytes written.
+    [Error (Snapshot_error _)] on failure. *)
 
 val load_snapshot_r : t -> string -> (unit, Xerror.t) Stdlib.result
 (** Hot-swap the engine's catalog from a snapshot file: the snapshot is
@@ -312,12 +294,6 @@ val dormant_modules : t -> (string * string) list
 (** Declared modules maintenance dropped (name, reason), in declared
     order, still retried for resurrection on every apply. *)
 
-val partition_faults : t -> (string * int * string) list
-(** Per-partition page-in faults [(module, partition index, reason)]
-    recorded by the backing snapshot reader — non-empty only for engines
-    opened with [lazy_extents] whose snapshot pages turned out corrupt.
-    Mirrored by the [persist_partition_faults_total] metric. *)
-
 (** {1 Pattern queries} *)
 
 val query_r :
@@ -394,10 +370,7 @@ val query_string_batch :
 (** {1 Catalog management} *)
 
 val catalog : t -> Xstorage.Store.catalog
-(** The resident catalog. For a lazily-opened engine this is the
-    {!Xstorage.Store.skeleton} — summary and xams with {e empty} extents;
-    the real extents live behind the backing reader and are scanned
-    through the engine's environment. *)
+(** The catalog the engine plans and scans against, extents included. *)
 
 val summary : t -> Xsummary.Summary.t
 val env : t -> Xalgebra.Eval.env
@@ -408,8 +381,7 @@ val set_catalog_r :
     catalog can no longer be returned (the cache key embeds the
     generation) and age out of the LRU. The catalog's modules become the
     declared list, with none dormant. The quarantine set is cleared — a
-    new catalog is a new storage world, and a lazy engine becomes an
-    ordinary resident one over the installed catalog. The catalog is
+    new catalog is a new storage world. The catalog is
     validated first: [Error (Catalog_invalid _)] on modules whose
     patterns reference paths absent from the summary, and the engine
     keeps its current catalog. *)
@@ -417,10 +389,7 @@ val set_catalog_r :
 val add_module : t -> Xstorage.Store.module_ -> unit
 (** Append one module (e.g. a freshly built index) to the catalog and
     the declared list — a catalog swap that keeps the dormant modules.
-    On a lazy engine the current catalog is materialized first (all
-    extents page in), so the swapped-in catalog scans real data, not the
-    skeleton. Raises [Xerror.Error] when paging faults or the module
-    does not validate. *)
+    Raises [Xerror.Error] when the module does not validate. *)
 
 (** {1 Observability} *)
 

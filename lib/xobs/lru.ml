@@ -1,59 +1,35 @@
 (* Recency is a monotonically increasing tick per entry. Eviction scans
    for the minimal tick — O(capacity), which is trivial next to the
-   rewriting or disk-read work a cache miss costs (capacities are in the
-   hundreds). *)
+   rewriting work a cache miss costs (capacities are in the hundreds). *)
 
-(* Capacity is a *cost budget*, not an entry count: every entry carries a
-   cost (default 1) and eviction keeps the total at or under the budget.
-   With all-default costs the behaviour is exactly the historical
-   entry-count LRU; the snapshot reader charges per-partition byte sizes
-   instead, so its buffer-cache bound means bytes resident. *)
+type 'a entry = { value : 'a; mutable tick : int }
 
-type 'a entry = { value : 'a; cost : int; mutable tick : int }
-
-type lru_metrics = {
-  m_entries : Metrics.gauge;
-  m_cost : Metrics.gauge;
-  m_evictions : Metrics.counter;
-}
+type lru_metrics = { m_entries : Metrics.gauge; m_evictions : Metrics.counter }
 
 type 'a t = {
   capacity : int;
   table : (string, 'a entry) Hashtbl.t;
   mutable clock : int;
-  mutable total_cost : int;
-  mutable evicted : int;
   m : lru_metrics option;
 }
 
-let create ?metrics ?(metric_prefix = "plan_cache") capacity =
+let create ?metrics capacity =
   if capacity <= 0 then invalid_arg "Lru.create: capacity must be positive";
   let m =
     Option.map
       (fun reg ->
         { m_entries =
-            Metrics.gauge reg (metric_prefix ^ "_entries")
-              ~help:("live " ^ metric_prefix ^ " entries");
-          m_cost =
-            Metrics.gauge reg (metric_prefix ^ "_cost")
-              ~help:("total cost of live " ^ metric_prefix ^ " entries");
+            Metrics.gauge reg "plan_cache_entries" ~help:"live plan_cache entries";
           m_evictions =
-            Metrics.counter reg (metric_prefix ^ "_evictions_total")
-              ~help:(metric_prefix ^ " entries evicted by capacity") })
+            Metrics.counter reg "plan_cache_evictions_total"
+              ~help:"plan_cache entries evicted by capacity" })
       metrics
   in
-  { capacity;
-    table = Hashtbl.create (min capacity 1024);
-    clock = 0;
-    total_cost = 0;
-    evicted = 0;
-    m }
+  { capacity; table = Hashtbl.create (min capacity 1024); clock = 0; m }
 
 let sync_gauge t =
   match t.m with
-  | Some m ->
-      Metrics.set_gauge m.m_entries (float_of_int (Hashtbl.length t.table));
-      Metrics.set_gauge m.m_cost (float_of_int t.total_cost)
+  | Some m -> Metrics.set_gauge m.m_entries (float_of_int (Hashtbl.length t.table))
   | None -> ()
 
 let touch t e =
@@ -78,40 +54,16 @@ let evict_lru t =
   in
   match victim with
   | Some (key, _) ->
-      (match Hashtbl.find_opt t.table key with
-      | Some e -> t.total_cost <- t.total_cost - e.cost
-      | None -> ());
       Hashtbl.remove t.table key;
-      t.evicted <- t.evicted + 1;
       (match t.m with Some m -> Metrics.incr m.m_evictions | None -> ())
   | None -> ()
 
-let add ?(cost = 1) t key value =
-  let cost = max 0 cost in
-  (match Hashtbl.find_opt t.table key with
-  | Some old ->
-      t.total_cost <- t.total_cost - old.cost;
-      Hashtbl.remove t.table key
-  | None -> ());
-  (* Evict until the new entry fits. An entry costlier than the whole
-     budget still caches (alone): refusing it would make a single
-     oversized partition thrash on every access. *)
-  while t.total_cost + cost > t.capacity && Hashtbl.length t.table > 0 do
-    evict_lru t
-  done;
-  let e = { value; cost; tick = 0 } in
+let add t key value =
+  Hashtbl.remove t.table key;
+  if Hashtbl.length t.table >= t.capacity then evict_lru t;
+  let e = { value; tick = 0 } in
   touch t e;
-  t.total_cost <- t.total_cost + cost;
   Hashtbl.add t.table key e;
   sync_gauge t
 
 let length t = Hashtbl.length t.table
-let capacity t = t.capacity
-let total_cost t = t.total_cost
-let evictions t = t.evicted
-
-let clear t =
-  Hashtbl.reset t.table;
-  t.clock <- 0;
-  t.total_cost <- 0;
-  sync_gauge t

@@ -1,41 +1,21 @@
-(** A small string-keyed LRU map with cost-weighted entries.
+(** A small string-keyed LRU map with an entry-count capacity.
 
-    Backs the engine's plan cache and the snapshot reader's partition
-    buffer cache. Lookups refresh recency; inserts beyond capacity evict
-    least recently used entries. The capacity is a {e cost budget}: each
-    entry carries a cost (default 1, so with all-default costs the
-    capacity is simply a max entry count) and eviction keeps the sum of
-    live costs at or under the budget — the snapshot reader charges
-    per-partition byte sizes, making its bound a resident-bytes bound.
-    Not thread-safe — callers serialize access (the engine holds its own
-    lock, the snapshot reader its own mutex). *)
+    Backs the engine's plan cache. Lookups refresh recency; inserts
+    beyond capacity evict the least recently used entry. Not thread-safe
+    — callers serialize access (the engine holds its own lock). *)
 
 type 'a t
 
-val create : ?metrics:Metrics.registry -> ?metric_prefix:string -> int -> 'a t
+val create : ?metrics:Metrics.registry -> int -> 'a t
 (** [create capacity]; capacity must be positive. [metrics] keeps a
-    [<prefix>_entries] gauge, a [<prefix>_cost] gauge (total cost of
-    live entries) and a [<prefix>_evictions_total] counter in the given
-    registry up to date; [metric_prefix] defaults to ["plan_cache"]
-    (the historical engine names). *)
+    [plan_cache_entries] gauge and a [plan_cache_evictions_total]
+    counter in the given registry up to date. *)
 
 val find : 'a t -> string -> 'a option
 (** Lookup, refreshing the entry's recency on a hit. *)
 
-val add : ?cost:int -> 'a t -> string -> 'a -> unit
-(** Insert or replace, evicting least recently used entries until the
-    total cost fits the capacity. [cost] defaults to 1; negative costs
-    are clamped to 0. An entry costlier than the entire capacity still
-    inserts (after evicting everything else) — refusing it would make
-    a single oversized entry thrash on every access. *)
+val add : 'a t -> string -> 'a -> unit
+(** Insert or replace, evicting the least recently used entry when the
+    cache is full. *)
 
 val length : 'a t -> int
-val capacity : 'a t -> int
-
-val total_cost : 'a t -> int
-(** Sum of the live entries' costs — what eviction bounds. *)
-
-val evictions : 'a t -> int
-(** Entries evicted since creation. *)
-
-val clear : 'a t -> unit

@@ -1,6 +1,5 @@
 module Store = Xstorage.Store
 module Metrics = Xobs.Metrics
-module Lru = Xobs.Lru
 module Doc = Xdm.Doc
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Binio.Corrupt s)) fmt
@@ -9,8 +8,7 @@ let magic = "XAMSNAP\x01"
 
 (* v1: one "extent:<name>" section per module. v2 adds path-partitioned
    modules: a "pdir:<name>" partition directory plus one
-   "part:<name>:<i>" section per partition, each with its own TOC CRC so
-   a paging reader fetches and verifies partitions individually. v3
+   "part:<name>:<i>" section per partition, each with its own TOC CRC. v3
    writes every section payload with varint integers and a document
    section of only what cannot be derived; the header and TOC keep
    8-byte words. Writers emit v3; readers accept all three (a v1 extent
@@ -27,14 +25,7 @@ let header_len = 8 + 24
 
 (* --- Metrics ------------------------------------------------------------- *)
 
-type meters = {
-  mt_read : Metrics.counter;
-  mt_written : Metrics.counter;
-  mt_hits : Metrics.counter;
-  mt_misses : Metrics.counter;
-  mt_pfaults : Metrics.counter;
-  mt_open : Metrics.histogram;
-}
+type meters = { mt_read : Metrics.counter; mt_written : Metrics.counter }
 
 let meters = function
   | None -> None
@@ -42,13 +33,7 @@ let meters = function
       let c name help = Metrics.counter reg ~help name in
       Some
         { mt_read = c "persist_bytes_read_total" "snapshot bytes read from disk";
-          mt_written = c "persist_bytes_written_total" "snapshot bytes written to disk";
-          mt_hits = c "persist_extent_cache_hits_total" "extent buffer cache hits";
-          mt_misses = c "persist_extent_cache_misses_total" "extent buffer cache misses";
-          mt_pfaults =
-            c "persist_partition_faults_total" "partition page-ins that failed";
-          mt_open =
-            Metrics.histogram reg ~help:"snapshot open latency" "persist_open_seconds" }
+          mt_written = c "persist_bytes_written_total" "snapshot bytes written to disk" }
 
 let meter m f = match m with None -> () | Some m -> f m
 
@@ -186,9 +171,7 @@ let sections_of { doc; catalog; lsn; declared; dormant } =
                     Codec.w_rel b m.Store.extent) ]
           | Some p ->
               (* Partitioned: no extent section at all — the directory plus
-                 the per-partition payloads reassemble it exactly, and a
-                 paging reader must never be tempted to fetch the whole
-                 thing in one read. *)
+                 the per-partition payloads reassemble it exactly. *)
               section (pdir_section m.Store.name) (fun b -> w_pdir b p)
               :: List.mapi
                    (fun i (part : Store.partition) ->
@@ -539,281 +522,3 @@ let read ?metrics path =
 
 let load_with_lsn ?metrics path =
   Result.map (fun i -> (i.doc, i.catalog, i.lsn)) (read ?metrics path)
-
-(* --- Paging reader ------------------------------------------------------- *)
-
-module Reader = struct
-  (* Partition directory of one module, decoded at open time:
-     (partitioning nid, column, per-partition (summary path, extent
-     positions)). *)
-  type pdir = int * int * (int * int array) array
-
-  type t = {
-    rd_path : string;
-    rd_fd : Unix.file_descr;
-    rd_lock : Mutex.t;
-    rd_entries : entry list;
-    rd_ints : Binio.ints;  (* how this file's sections encode integers *)
-    rd_doc : Doc.t option;
-    rd_summary : Xsummary.Summary.t;
-    rd_mods : (string * Xam.Pattern.t * pdir option) list;
-    rd_lsn : int;
-    rd_declared : (string * Xam.Pattern.t) list;
-    rd_dormant : (string * string) list;
-    rd_cache : Xalgebra.Rel.t Lru.t;
-    mutable rd_part_faults : (string * int * string) list;
-    mutable rd_closed : bool;
-    rd_m : meters option;
-    (* When the reader is opened on behalf of a named owner (a serving
-       tenant), page-ins and partition faults are additionally counted
-       into labeled families so a multi-tenant /metrics attributes disk
-       activity and blast radius per tenant. *)
-    rd_owner : string option;
-    rd_pageins : Metrics.counter_family option;
-    rd_fault_kinds : Metrics.counter_family option;
-  }
-
-  let bump_pageins t =
-    match (t.rd_pageins, t.rd_owner) with
-    | Some f, Some o -> Metrics.incr (Metrics.counter_in f [ o ])
-    | _ -> ()
-
-  let bump_fault_kind t kind =
-    match (t.rd_fault_kinds, t.rd_owner) with
-    | Some f, Some o -> Metrics.incr (Metrics.counter_in f [ o; kind ])
-    | _ -> ()
-
-  (* Positioned read under the caller's lock (the fd's offset is shared
-     state). *)
-  let pread_exn fd ~off ~len what =
-    let buf = Bytes.create len in
-    ignore (Unix.lseek fd off Unix.SEEK_SET);
-    let got = ref 0 in
-    let eof = ref false in
-    while (not !eof) && !got < len do
-      let k = Unix.read fd buf !got (len - !got) in
-      if k = 0 then eof := true else got := !got + k
-    done;
-    if !got < len then corrupt "short read of %s: %d of %d bytes" what !got len;
-    Bytes.unsafe_to_string buf
-
-  let verified_section fd m ints entries name =
-    let e = find_entry entries name in
-    let bytes = pread_exn fd ~off:e.e_off ~len:e.e_len ("section " ^ name) in
-    meter m (fun m -> Metrics.add m.mt_read e.e_len);
-    if Binio.crc32 bytes <> e.e_crc then corrupt "section %S checksum mismatch" name;
-    Binio.reader ~ints bytes
-
-  (* The cache budget is in {e bytes} (of on-disk section length, a good
-     proxy for resident size), so paging in one huge partition charges
-     proportionally instead of counting the same as a tiny one. *)
-  let open_ ?(cache_capacity = 16 * 1024 * 1024) ?metrics ?owner path =
-    let m = meters metrics in
-    let pageins, fault_kinds =
-      match (metrics, owner) with
-      | Some reg, Some _ ->
-          ( Some
-              (Metrics.counter_family reg
-                 ~help:"extent/partition page-ins from disk, by tenant"
-                 "persist_partition_pageins" ~labels:[ "tenant" ]),
-            Some
-              (Metrics.counter_family reg
-                 ~help:"partition page-in failures, by tenant and fault kind"
-                 "persist_partition_faults_by_tenant" ~labels:[ "tenant"; "kind" ])
-          )
-      | _ -> (None, None)
-    in
-    guard (fun () ->
-        let t0 = Unix.gettimeofday () in
-        let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-        match
-          let file_size = (Unix.fstat fd).Unix.st_size in
-          let header = pread_exn fd ~off:0 ~len:(min header_len file_size) "header" in
-          let v, toc_len, toc_crc = parse_fixed_header ~file_size header in
-          let ints = section_ints v in
-          let verified_section = verified_section fd m ints in
-          let toc = pread_exn fd ~off:header_len ~len:toc_len "TOC" in
-          meter m (fun m -> Metrics.add m.mt_read (header_len + toc_len));
-          if Binio.crc32 toc <> toc_crc then corrupt "TOC checksum mismatch";
-          let entries = parse_entries ~file_size toc in
-          let has_doc, mcount, lsn = decode_meta (verified_section entries "meta") in
-          let summary =
-            let r = verified_section entries "summary" in
-            let s = Codec.r_summary r in
-            Binio.expect_end r;
-            s
-          in
-          let mods = decode_catalog_section (verified_section entries "catalog") mcount in
-          let declared, dormant = declared_of entries (verified_section entries) mods in
-          (* Partition directories are small and drive every subsequent
-             page-in, so they are decoded (and CRC-verified) up front.
-             Extent/partition payloads are only checked as they page in;
-             still fail fast on any that is missing outright. *)
-          let mods =
-            List.map
-              (fun (name, xam) ->
-                match find_entry_opt entries (pdir_section name) with
-                | None ->
-                    ignore (find_entry entries (extent_section name));
-                    (name, xam, None)
-                | Some _ ->
-                    let pt_nid, pt_col, dirs =
-                      r_pdir (verified_section entries (pdir_section name))
-                    in
-                    List.iteri
-                      (fun i _ -> ignore (find_entry entries (part_section name i)))
-                      dirs;
-                    (name, xam, Some ((pt_nid, pt_col, Array.of_list dirs) : pdir)))
-              mods
-          in
-          let doc =
-            if has_doc then (
-              let r = verified_section entries "doc" in
-              let d = Codec.r_doc r in
-              Binio.expect_end r;
-              Some d)
-            else None
-          in
-          { rd_path = path;
-            rd_fd = fd;
-            rd_lock = Mutex.create ();
-            rd_entries = entries;
-            rd_ints = ints;
-            rd_doc = doc;
-            rd_summary = summary;
-            rd_mods = mods;
-            rd_lsn = lsn;
-            rd_declared = declared;
-            rd_dormant = dormant;
-            rd_cache =
-              Lru.create ?metrics ~metric_prefix:"persist_extent_cache" cache_capacity;
-            rd_part_faults = [];
-            rd_closed = false;
-            rd_m = m;
-            rd_owner = owner;
-            rd_pageins = pageins;
-            rd_fault_kinds = fault_kinds }
-        with
-        | t ->
-            meter m (fun m -> Metrics.observe m.mt_open (Unix.gettimeofday () -. t0));
-            t
-        | exception e ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            raise e)
-
-  let path t = t.rd_path
-  let doc t = t.rd_doc
-  let lsn t = t.rd_lsn
-  let declared t = t.rd_declared
-  let dormant t = t.rd_dormant
-
-  (* Page one rel-bearing section through the buffer cache, keyed and
-     byte-costed by its section name/length. Caller holds [rd_lock].
-     [fail reason] builds the exception to raise (letting the caller
-     also record the failure). *)
-  let cached_rel_locked t sect ~(fail : kind:string -> string -> exn) =
-    match Lru.find t.rd_cache sect with
-    | Some rel ->
-        meter t.rd_m (fun m -> Metrics.incr m.mt_hits);
-        rel
-    | None -> (
-        meter t.rd_m (fun m -> Metrics.incr m.mt_misses);
-        if t.rd_closed then raise (fail ~kind:"closed" "snapshot reader is closed");
-        match
-          let e = find_entry t.rd_entries sect in
-          let r = verified_section t.rd_fd t.rd_m t.rd_ints t.rd_entries sect in
-          let rel = Codec.r_rel r in
-          Binio.expect_end r;
-          (e.e_len, rel)
-        with
-        | len, rel ->
-            Lru.add ~cost:(max len 1) t.rd_cache sect rel;
-            bump_pageins t;
-            rel
-        | exception Binio.Corrupt reason -> raise (fail ~kind:"corrupt" reason)
-        | exception Unix.Unix_error (err, fn, _) ->
-            raise (fail ~kind:"io" (Printf.sprintf "%s: %s" fn (Unix.error_message err)))
-        | exception Invalid_argument reason ->
-            raise (fail ~kind:"corrupt" ("malformed extent: " ^ reason))
-        | exception Out_of_memory ->
-            raise (fail ~kind:"resource" "extent decode exhausted memory")
-        | exception Stack_overflow ->
-            raise (fail ~kind:"resource" "extent decode over-nested"))
-
-  let extent t name () =
-    Mutex.lock t.rd_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.rd_lock)
-      (fun () ->
-        cached_rel_locked t (extent_section name)
-          ~fail:(fun ~kind:_ reason -> Store.Module_fault { name; reason }))
-
-  (* Page the [i]-th partition of [name] in. A corrupt partition is
-     recorded individually — siblings keep answering and the fault
-     report pins the blast radius to one partition, not the module. The
-     raised fault still carries the module name: that is the engine's
-     quarantine key. *)
-  let load_partition t name ~pt_col dirs i =
-    if i < 0 || i >= Array.length dirs then
-      invalid_arg (Printf.sprintf "partition index %d out of range for %S" i name);
-    let path, pos = dirs.(i) in
-    Mutex.lock t.rd_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.rd_lock)
-      (fun () ->
-        let fail ~kind reason =
-          t.rd_part_faults <- (name, i, reason) :: t.rd_part_faults;
-          meter t.rd_m (fun m -> Metrics.incr m.mt_pfaults);
-          bump_fault_kind t kind;
-          Store.Module_fault
-            { name; reason = Printf.sprintf "partition %d: %s" i reason }
-        in
-        let rel = cached_rel_locked t (part_section name i) ~fail in
-        if Xalgebra.Rel.cardinality rel <> Array.length pos then
-          raise (fail ~kind:"corrupt" "partition tuple count disagrees with the directory");
-        Store.mk_partition ~col:pt_col ~path ~pos rel)
-
-  let partition_faults t =
-    Mutex.lock t.rd_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.rd_lock)
-      (fun () -> List.rev t.rd_part_faults)
-
-  let lazy_catalog t =
-    { Store.lc_summary = t.rd_summary;
-      lc_modules =
-        List.map
-          (fun (name, xam, pdir) ->
-            match pdir with
-            | None ->
-                { Store.lm_name = name; lm_xam = xam;
-                  lm_extent = extent t name; lm_parts = None }
-            | Some (pt_nid, pt_col, dirs) ->
-                let load i = load_partition t name ~pt_col dirs i in
-                let lm_extent () =
-                  let parts = List.init (Array.length dirs) load in
-                  let schema =
-                    match parts with
-                    | p :: _ -> p.Store.p_rel.Xalgebra.Rel.schema
-                    | [] -> Xam.Binding.binding_schema xam
-                  in
-                  Store.merge_partitions schema parts
-                in
-                { Store.lm_name = name; lm_xam = xam; lm_extent;
-                  lm_parts =
-                    Some
-                      { Store.lpt_nid = pt_nid; lpt_col = pt_col;
-                        lpt_paths = Array.to_list (Array.map fst dirs);
-                        lpt_load = load } })
-          t.rd_mods }
-
-  let close t =
-    Mutex.lock t.rd_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.rd_lock)
-      (fun () ->
-        if not t.rd_closed then begin
-          t.rd_closed <- true;
-          try Unix.close t.rd_fd with Unix.Unix_error _ -> ()
-        end)
-end

@@ -18,7 +18,6 @@ type config = {
   domains : int;
   batch_max : int;
   default_budget : Engine.budget;
-  lazy_tenants : bool;
   max_conns : int;
   debug : bool;
   access_log : string option;
@@ -33,7 +32,6 @@ let default_config listen =
     domains = 1;
     batch_max = 16;
     default_budget = Engine.unlimited;
-    lazy_tenants = false;
     max_conns = 256;
     debug = false;
     access_log = None;
@@ -67,7 +65,7 @@ let await mb =
 
 type tenant = {
   tn_name : string;
-  mutable tn_path : string option;  (* snapshot path, for lazy open *)
+  mutable tn_path : string option;  (* snapshot path, opened on first use *)
   tn_lock : Mutex.t;
   mutable tn_engine : Engine.t option;
   mutable tn_checkpointing : bool;
@@ -261,10 +259,7 @@ let tenant_engine t tn =
                ~stage:"serve"
                (Printf.sprintf "tenant %s has no snapshot path" tn.tn_name))
       | Some path -> (
-          match
-            Engine.of_snapshot_r ~obs:t.obs ~lazy_extents:t.cfg.lazy_tenants
-              ~label:tn.tn_name path
-          with
+          match Engine.of_snapshot_r ~obs:t.obs path with
           | Ok e -> (
               (* Recover the tenant's WAL before serving: writes
                  acknowledged by a previous run must be visible. A WAL

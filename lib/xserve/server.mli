@@ -94,10 +94,7 @@
     [ok]/[shed]/[expired]/[error] (unknown tenant names are {e not} used
     as label values — they are client-controlled and unbounded), and
     [serve_tenant_request_seconds{tenant}] observing admitted requests
-    only. Tenant engines opened lazily carry their tenant name as the
-    engine label, so [persist_partition_pageins{tenant}] and
-    [persist_partition_faults_by_tenant{tenant,kind}] attribute paging
-    to tenants too. *)
+    only. *)
 
 type config = {
   listen : Proto.addr;  (** TCP port 0 picks an ephemeral port *)
@@ -106,7 +103,6 @@ type config = {
   batch_max : int;  (** max requests drained per dispatch *)
   default_budget : Xengine.Engine.budget;
       (** per-request budget when the request doesn't set one *)
-  lazy_tenants : bool;  (** open tenant snapshots with lazy extent paging *)
   max_conns : int;  (** concurrent connections before refusing new ones *)
   debug : bool;  (** serve the [/debug/*] endpoints *)
   access_log : string option;
@@ -118,9 +114,9 @@ type config = {
 
 val default_config : Proto.addr -> config
 (** [queue_depth 64], [domains 1], [batch_max 16], unlimited budget,
-    eager tenants, [max_conns 256], debug off, no access log, and a
-    background checkpoint every 1000 records of replay debt, which
-    bounds a tenant's WAL tail and so its recovery time. *)
+    [max_conns 256], debug off, no access log, and a background
+    checkpoint every 1000 records of replay debt, which bounds a
+    tenant's WAL tail and so its recovery time. *)
 
 type t
 

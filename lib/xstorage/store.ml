@@ -180,8 +180,8 @@ let partitioned ~phi doc m =
    in an extent can change and extents are re-materialized wholesale.
    What *is* incremental is the physical change-set: per summary path,
    a partition whose tuple payload came out identical shares the old
-   payload (and would not be rewritten by a paging store); only the
-   partitions actually touched by the edit are fresh allocations. *)
+   payload; only the partitions actually touched by the edit are fresh
+   allocations. *)
 
 let rel_equal (a : Rel.t) (b : Rel.t) =
   a.Rel.schema = b.Rel.schema
@@ -432,115 +432,3 @@ let pp ppf catalog =
         | Some p -> Printf.sprintf "  [%d partitions]" (List.length p.pt_parts)
         | None -> ""))
     catalog.modules
-
-(* --- Lazy-extent catalogs ----------------------------------------------- *)
-
-(* A catalog whose extents are paged in on demand — the shape a snapshot
-   opened through [Xpersist.Snapshot.Reader] presents. Planning only needs
-   the xams and the summary; extents are touched exclusively through the
-   [env] closure, so a thunk per module is enough for the whole engine to
-   run against cold storage. The thunks do not memoize: the reader behind
-   them owns an LRU buffer cache, and double-caching here would defeat its
-   eviction policy. *)
-
-type lazy_parts = {
-  lpt_nid : int;
-  lpt_col : int;
-  lpt_paths : int list;  (* the partition directory: [p_path] per partition *)
-  lpt_load : int -> partition;  (* page the i-th partition in *)
-}
-
-type lazy_module = {
-  lm_name : string;
-  lm_xam : Pattern.t;
-  lm_extent : unit -> Rel.t;
-  lm_parts : lazy_parts option;
-}
-
-type lazy_catalog = {
-  lc_summary : Summary.t;
-  lc_modules : lazy_module list;
-}
-
-let lazy_of_catalog c =
-  { lc_summary = c.summary;
-    lc_modules =
-      List.map
-        (fun m ->
-          { lm_name = m.name;
-            lm_xam = m.xam;
-            lm_extent = (fun () -> m.extent);
-            lm_parts =
-              Option.map
-                (fun p ->
-                  let arr = Array.of_list p.pt_parts in
-                  { lpt_nid = p.pt_nid;
-                    lpt_col = p.pt_col;
-                    lpt_paths = partition_paths p;
-                    lpt_load = (fun i -> arr.(i)) })
-                m.parts })
-        c.modules }
-
-let force_lazy_module lm =
-  match lm.lm_parts with
-  | None ->
-      { name = lm.lm_name; xam = lm.lm_xam; extent = lm.lm_extent (); parts = None }
-  | Some lp ->
-      let ps = List.mapi (fun i _ -> lp.lpt_load i) lp.lpt_paths in
-      let extent =
-        match ps with
-        | [] -> lm.lm_extent ()
-        | p :: _ -> merge_partitions p.p_rel.Rel.schema ps
-      in
-      { name = lm.lm_name;
-        xam = lm.lm_xam;
-        extent;
-        parts = Some { pt_nid = lp.lpt_nid; pt_col = lp.lpt_col; pt_parts = ps } }
-
-let materialize_lazy lc =
-  { summary = lc.lc_summary; modules = List.map force_lazy_module lc.lc_modules }
-
-let pruned_extent_lazy lm ~allowed =
-  match lm.lm_parts with
-  | None -> lm.lm_extent ()
-  | Some lp ->
-      let kept =
-        List.filteri (fun _ path -> kept_partition path allowed) lp.lpt_paths
-      in
-      if List.length kept = List.length lp.lpt_paths then lm.lm_extent ()
-      else
-        let ps =
-          List.concat
-            (List.mapi
-               (fun i path ->
-                 if kept_partition path allowed then [ lp.lpt_load i ] else [])
-               lp.lpt_paths)
-        in
-        let schema =
-          match ps with
-          | p :: _ -> p.p_rel.Rel.schema
-          | [] -> (Xam.Binding.binding_schema lm.lm_xam : Rel.schema)
-        in
-        merge_partitions schema ps
-
-let skeleton lc =
-  (* Extents replaced by empty relations over the pattern's binding schema:
-     enough for everything that never scans (validation, view harvesting,
-     pretty-printing), without forcing a single page in. *)
-  { summary = lc.lc_summary;
-    modules =
-      List.map
-        (fun lm ->
-          { name = lm.lm_name; xam = lm.lm_xam;
-            extent = Rel.empty (Xam.Binding.binding_schema lm.lm_xam);
-            parts = None })
-        lc.lc_modules }
-
-let validate_lazy lc = validate (skeleton lc)
-
-let lazy_env lc =
-  let tbl = Hashtbl.create (max 16 (List.length lc.lc_modules)) in
-  List.iter
-    (fun lm -> if not (Hashtbl.mem tbl lm.lm_name) then Hashtbl.add tbl lm.lm_name lm.lm_extent)
-    lc.lc_modules;
-  fun name -> Option.map (fun thunk -> thunk ()) (Hashtbl.find_opt tbl name)

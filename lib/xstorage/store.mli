@@ -11,7 +11,7 @@
     per-summary-path partitions: tuples are classified by the summary
     path (φ) of the document node one designated ID column identifies.
     The partition directory (the list of path ids) is the physical unit
-    of scan pruning and snapshot paging. Partitions
+    of scan pruning and of snapshot sections. Partitions
     remember original extent positions, so any subset reassembles in
     exact extent order — partitioned access is byte-identical to the
     monolithic extent. *)
@@ -175,60 +175,3 @@ val lookup_seq :
 
 val total_tuples : catalog -> int
 val pp : Format.formatter -> catalog -> unit
-
-(** {1 Lazy-extent catalogs}
-
-    The shape a snapshot opened through a paging reader presents: the
-    summary and every xam are resident (planning needs them), extents are
-    thunks that page in on demand. The engine only ever touches extents
-    through its {!Xalgebra.Eval.env} closure, so {!lazy_env} is enough to
-    run queries against cold storage. Thunks may raise {!Module_fault}
-    when the backing bytes turn out corrupt — the engine's quarantine
-    machinery absorbs that exactly as it does for any faulty module.
-
-    A partitioned lazy module additionally exposes its partition
-    directory and a per-partition load thunk, making the partition — not
-    the extent — the unit the backing buffer cache pages in. *)
-
-type lazy_parts = {
-  lpt_nid : int;
-  lpt_col : int;
-  lpt_paths : int list;  (** partition directory, in stored order *)
-  lpt_load : int -> partition;  (** page the i-th partition in *)
-}
-
-type lazy_module = {
-  lm_name : string;
-  lm_xam : Xam.Pattern.t;
-  lm_extent : unit -> Xalgebra.Rel.t;
-  lm_parts : lazy_parts option;
-}
-
-type lazy_catalog = {
-  lc_summary : Xsummary.Summary.t;
-  lc_modules : lazy_module list;
-}
-
-val lazy_of_catalog : catalog -> lazy_catalog
-(** Wrap resident extents (and partitions) in constant thunks. *)
-
-val materialize_lazy : lazy_catalog -> catalog
-(** Force every extent (one full sweep over the backing store);
-    partitioned modules are rebuilt from their loaded partitions. *)
-
-val pruned_extent_lazy : lazy_module -> allowed:int list -> Xalgebra.Rel.t
-(** {!pruned_extent} for a lazy module: only the surviving partitions
-    are paged in. Falls back to [lm_extent] when the module is
-    monolithic or nothing prunes. *)
-
-val skeleton : lazy_catalog -> catalog
-(** The catalog with every extent replaced by an empty relation over the
-    pattern's binding schema — enough for {!validate}, {!views} and
-    {!index_views}, without forcing a single extent. *)
-
-val validate_lazy : lazy_catalog -> (unit, (string * string) list) result
-(** {!validate} on the {!skeleton}: structural validation never pages. *)
-
-val lazy_env : lazy_catalog -> Xalgebra.Eval.env
-(** Resolve module names by forcing the matching thunk. No memoization —
-    the backing reader owns the cache. *)

@@ -1,4 +1,6 @@
 module Doc = Xdm.Doc
+module Pattern = Xam.Pattern
+module Formula = Xam.Formula
 module Rel = Xalgebra.Rel
 module Value = Xalgebra.Value
 module Pred = Xalgebra.Pred

@@ -1,8 +1,7 @@
 (* Snapshot images compared field by field, and the snapshot files of
    older format versions committed under fixtures/ (see
-   fixtures/README.md): each must keep loading, through both open paths
-   and through a rewrite by the current writer, to the image it was
-   written from. *)
+   fixtures/README.md): each must keep loading, directly and through a
+   rewrite by the current writer, to the image it was written from. *)
 
 module P = Xam.Pattern
 module Doc = Xdm.Doc
@@ -59,26 +58,11 @@ let read_exn path =
   | Ok img -> img
   | Error e -> Alcotest.failf "reading %s: %s" path e
 
-(* The image the paging reader gives, every extent paged in. *)
-let reader_image path =
-  match Snapshot.Reader.open_ path with
-  | Error e -> Alcotest.failf "opening %s: %s" path e
-  | Ok r ->
-      Fun.protect
-        ~finally:(fun () -> Snapshot.Reader.close r)
-        (fun () ->
-          { Snapshot.doc = Snapshot.Reader.doc r;
-            catalog = Store.materialize_lazy (Snapshot.Reader.lazy_catalog r);
-            lsn = Snapshot.Reader.lsn r;
-            declared = Snapshot.Reader.declared r;
-            dormant = Snapshot.Reader.dormant r })
-
-(* [path] must load to [want] through [Snapshot.read] and through
-   [Snapshot.Reader], and so must the file the current writer makes of
-   what it loaded. Returns that file's MD5, in hex. *)
+(* [path] must load to [want] through [Snapshot.read], and so must the
+   file the current writer makes of what it loaded. Returns that file's
+   MD5, in hex. *)
 let check_loads ~tmp path want =
   check_image (path ^ " through Snapshot.read") want (read_exn path);
-  check_image (path ^ " through Snapshot.Reader") want (reader_image path);
   Fun.protect
     ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
     (fun () ->
@@ -87,5 +71,4 @@ let check_loads ~tmp path want =
       | Error e -> Alcotest.failf "rewriting %s: %s" path e);
       Alcotest.(check int) "the rewrite is version 3" 3 (version_of (read_file tmp));
       check_image (path ^ " rewritten, through Snapshot.read") want (read_exn tmp);
-      check_image (path ^ " rewritten, through Snapshot.Reader") want (reader_image tmp);
       Digest.to_hex (Digest.string (read_file tmp)))

@@ -212,7 +212,7 @@ let test_pruning_surfaces_in_explain () =
   Alcotest.(check bool) "at least one plan pruned a partition" true
     (!pruned > 0)
 
-(* --- Snapshot: corrupt one partition, siblings answer --------------------- *)
+(* --- Snapshots ------------------------------------------------------------- *)
 
 let tmp_path =
   let n = ref 0 in
@@ -220,17 +220,6 @@ let tmp_path =
     incr n;
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "xam_part_%d_%s_%d.snap" (Unix.getpid ()) tag !n)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path data =
-  let oc = open_out_bin path in
-  output_string oc data;
-  close_out oc
 
 let get_int data off =
   let r = Binio.reader ~pos:off ~len:8 data in
@@ -248,83 +237,6 @@ let toc_entries data =
       let _crc = Binio.r_int r in
       (name, off, len))
 
-let test_corrupt_partition_quarantines_alone () =
-  let victim =
-    List.find
-      (fun (m : Store.module_) ->
-        match m.Store.parts with
-        | Some p -> List.length p.Store.pt_parts >= 2
-        | None -> false)
-      catalog.Store.modules
-  in
-  let name = victim.Store.name in
-  let path = tmp_path "corrupt" in
-  (match Snapshot.save ~doc path catalog with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "save failed: %s" e);
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let data = read_file path in
-      let sect = Printf.sprintf "part:%s:0" name in
-      let _, off, len =
-        match List.find_opt (fun (n, _, _) -> n = sect) (toc_entries data) with
-        | Some e -> e
-        | None -> Alcotest.failf "snapshot has no %s section" sect
-      in
-      let b = Bytes.of_string data in
-      let target = off + (len / 2) in
-      Bytes.set b target
-        (Char.chr (Char.code (Bytes.get b target) lxor 0x40));
-      write_file path (Bytes.to_string b);
-      match Snapshot.Reader.open_ path with
-      | Error e -> Alcotest.failf "reader should open: %s" e
-      | Ok r ->
-          Fun.protect
-            ~finally:(fun () -> Snapshot.Reader.close r)
-            (fun () ->
-              let lc = Snapshot.Reader.lazy_catalog r in
-              let lm =
-                List.find
-                  (fun (m : Store.lazy_module) -> m.Store.lm_name = name)
-                  lc.Store.lc_modules
-              in
-              let lp =
-                match lm.Store.lm_parts with
-                | Some lp -> lp
-                | None -> Alcotest.fail "victim lost its partition directory"
-              in
-              (* Partition 0 faults... *)
-              (match lp.Store.lpt_load 0 with
-              | _ -> Alcotest.fail "corrupt partition paged in"
-              | exception Store.Module_fault { name = n; reason } ->
-                  Alcotest.(check string) "fault names the module" name n;
-                  Alcotest.(check bool) "reason pins the partition" true
-                    (String.length reason >= 11
-                    && String.sub reason 0 11 = "partition 0"));
-              (* ...its siblings answer... *)
-              List.iteri
-                (fun i _ ->
-                  if i > 0 then
-                    match lp.Store.lpt_load i with
-                    | (_ : Store.partition) -> ()
-                    | exception e ->
-                        Alcotest.failf "sibling partition %d faulted: %s" i
-                          (Printexc.to_string e))
-                lp.Store.lpt_paths;
-              (* ...and the fault log pins exactly partition 0. *)
-              let faults = Snapshot.Reader.partition_faults r in
-              Alcotest.(check bool) "at least one fault recorded" true
-                (faults <> []);
-              Alcotest.(check bool) "all faults are (victim, 0)" true
-                (List.for_all (fun (n, i, _) -> n = name && i = 0) faults);
-              (* Every other module still materializes. *)
-              List.iter
-                (fun (m : Store.lazy_module) ->
-                  if m.Store.lm_name <> name then
-                    ignore (m.Store.lm_extent ()))
-                lc.Store.lc_modules))
-
 (* --- Version-1 snapshots still load --------------------------------------- *)
 
 let test_v1_snapshot_loads () =
@@ -332,8 +244,7 @@ let test_v1_snapshot_loads () =
      version word set to 1. Writers emit version 3 now, so the v1 file is
      committed: the stripped catalog below with the document, written by
      the version 2 writer and its version word patched to 1. It must load
-     to exactly that image through both open paths, and so must its
-     rewrite as version 3. *)
+     to exactly that image, and so must its rewrite as version 3. *)
   let path = Snapshot_images.fixture "snapshot_v1.snap" in
   let data = Snapshot_images.read_file path in
   Alcotest.(check int) "the fixture is version 1" 1 (Snapshot_images.version_of data);
@@ -363,7 +274,5 @@ let () =
           Alcotest.test_case "pruning surfaces in EXPLAIN" `Quick
             test_pruning_surfaces_in_explain ] );
       ( "snapshot",
-        [ Alcotest.test_case "corrupt partition quarantines alone" `Quick
-            test_corrupt_partition_quarantines_alone;
-          Alcotest.test_case "version-1 files load" `Quick
+        [ Alcotest.test_case "version-1 files load" `Quick
             test_v1_snapshot_loads ] ) ]

@@ -1,6 +1,6 @@
-(* The persistence layer: binary codecs, snapshot save/load, the paging
-   reader, crash-safety of the file format under corruption, and the
-   engine's snapshot entry points. *)
+(* The persistence layer: binary codecs, snapshot save/load,
+   crash-safety of the file format under corruption, and the engine's
+   snapshot entry points. *)
 
 module P = Xam.Pattern
 module Rel = Xalgebra.Rel
@@ -391,14 +391,7 @@ let test_lsn_roundtrip () =
       | Error e -> Alcotest.failf "save failed: %s" e);
       (match Snapshot.load_with_lsn path with
       | Error e -> Alcotest.failf "load failed: %s" e
-      | Ok (_, _, lsn) -> Alcotest.(check int) "eager load carries lsn" 42 lsn);
-      (match Snapshot.Reader.open_ path with
-      | Error e -> Alcotest.failf "reader open failed: %s" e
-      | Ok r ->
-          Fun.protect
-            ~finally:(fun () -> Snapshot.Reader.close r)
-            (fun () ->
-              Alcotest.(check int) "reader carries lsn" 42 (Snapshot.Reader.lsn r)));
+      | Ok (_, _, lsn) -> Alcotest.(check int) "load carries lsn" 42 lsn);
       (* a snapshot saved without an LSN reads back at 0 *)
       match Snapshot.save ~doc path cat with
       | Error e -> Alcotest.failf "save failed: %s" e
@@ -432,41 +425,6 @@ let test_save_concurrent_same_path () =
         | Error e -> Alcotest.failf "snapshot after racing saves: %s" e
       done)
 
-let test_reader_lazy () =
-  let doc = bib () in
-  let cat = bib_catalog doc in
-  with_snapshot ~doc cat (fun path ->
-      match Snapshot.Reader.open_ path with
-      | Error e -> Alcotest.failf "reader open failed: %s" e
-      | Ok r ->
-          Fun.protect
-            ~finally:(fun () -> Snapshot.Reader.close r)
-            (fun () ->
-              let lc = Snapshot.Reader.lazy_catalog r in
-              Alcotest.(check bool) "lazy catalog materializes losslessly" true
-                (catalog_equal cat (Store.materialize_lazy lc));
-              (* Thunks page through the LRU: forcing twice is a hit. *)
-              let m = List.hd lc.Store.lc_modules in
-              let a = m.Store.lm_extent () in
-              let b = m.Store.lm_extent () in
-              Alcotest.(check bool) "repeated page-in is stable" true
-                (Rel.equal_unordered a b)))
-
-let test_reader_closed () =
-  let doc = bib () in
-  let cat = bib_catalog doc in
-  with_snapshot ~doc cat (fun path ->
-      match Snapshot.Reader.open_ path with
-      | Error e -> Alcotest.failf "reader open failed: %s" e
-      | Ok r ->
-          let lc = Snapshot.Reader.lazy_catalog r in
-          Snapshot.Reader.close r;
-          let m = List.hd lc.Store.lc_modules in
-          Alcotest.(check bool) "forcing after close is a module fault" true
-            (match m.Store.lm_extent () with
-            | exception Store.Module_fault _ -> true
-            | _ -> false))
-
 (* --- Corruption injection ------------------------------------------------ *)
 
 (* Either the load fails with [Error _] (never an exception) or — when the
@@ -479,23 +437,6 @@ let load_is_fail_closed original path =
   | Ok (_, cat, _) -> catalog_equal original cat
   | exception e ->
       Alcotest.failf "load raised %s on corrupt input" (Printexc.to_string e)
-
-let reader_is_fail_closed original path =
-  match Snapshot.Reader.open_ path with
-  | Error _ -> true
-  | Ok r ->
-      Fun.protect
-        ~finally:(fun () -> Snapshot.Reader.close r)
-        (fun () ->
-          (* An open that succeeded may still discover corruption when an
-             extent pages in: that must surface as Module_fault, nothing
-             else. *)
-          let lc = Snapshot.Reader.lazy_catalog r in
-          match Store.materialize_lazy lc with
-          | cat -> catalog_equal original cat
-          | exception Store.Module_fault _ -> true)
-  | exception e ->
-      Alcotest.failf "reader raised %s on corrupt input" (Printexc.to_string e)
 
 let test_truncation () =
   let doc = bib () in
@@ -517,11 +458,7 @@ let test_truncation () =
                 | Error _ -> true
                 | Ok _ -> false
                 | exception e ->
-                    Alcotest.failf "load raised %s" (Printexc.to_string e));
-              Alcotest.(check bool)
-                (Printf.sprintf "reader rejects truncation to %d" keep)
-                true
-                (reader_is_fail_closed cat p)))
+                    Alcotest.failf "load raised %s" (Printexc.to_string e))))
         [ 0; 4; 8; 16; 31; n / 2; n - 1 ])
 
 let test_bit_flips () =
@@ -544,12 +481,8 @@ let test_bit_flips () =
             ~finally:(fun () -> Sys.remove p)
             (fun () ->
               Alcotest.(check bool)
-                (Printf.sprintf "bit flip at %d fails closed (load)" off)
-                true (load_is_fail_closed cat p);
-              Alcotest.(check bool)
-                (Printf.sprintf "bit flip at %d fails closed (reader)" off)
-                true
-                (reader_is_fail_closed cat p)))
+                (Printf.sprintf "bit flip at %d fails closed" off)
+                true (load_is_fail_closed cat p)))
         offsets)
 
 let test_foreign_files () =
@@ -560,13 +493,7 @@ let test_foreign_files () =
       ~finally:(fun () -> Sys.remove p)
       (fun () ->
         Alcotest.(check bool) (name ^ " rejected by load") true
-          (match Snapshot.load_with_lsn p with Error _ -> true | Ok _ -> false);
-        Alcotest.(check bool) (name ^ " rejected by reader") true
-          (match Snapshot.Reader.open_ p with
-          | Error _ -> true
-          | Ok r ->
-              Snapshot.Reader.close r;
-              false))
+          (match Snapshot.load_with_lsn p with Error _ -> true | Ok _ -> false))
   in
   reject "empty file" "";
   reject "text file" "this is not a snapshot, whatever the extension says\n";
@@ -587,65 +514,6 @@ let test_missing_file () =
   | Error (Xerror.Snapshot_error _) -> ()
   | Error e -> Alcotest.failf "wrong error class: %s" (Xerror.to_string e)
   | Ok _ -> Alcotest.fail "opened a nonexistent snapshot"
-
-let test_lazy_corrupt_extent_quarantined () =
-  (* A flip in the tail of the file lands in the last extent's payload:
-     the reader opens fine (TOC and eager sections verify) and the fault
-     only surfaces on page-in — as Module_fault, which the engine's
-     quarantine absorbs without failing the query. *)
-  let doc = bib () in
-  let cat = bib_catalog doc in
-  with_snapshot ~doc cat (fun path ->
-      let data = Bytes.of_string (read_file path) in
-      let off = Bytes.length data - 3 in
-      Bytes.set data off (Char.chr (Char.code (Bytes.get data off) lxor 0x01));
-      let p = tmp_path "lazyflip" in
-      write_file p (Bytes.to_string data);
-      Fun.protect
-        ~finally:(fun () -> Sys.remove p)
-        (fun () ->
-          match Snapshot.Reader.open_ p with
-          | Error e -> Alcotest.failf "reader should open: %s" e
-          | Ok r ->
-              let corrupt_xam =
-                Fun.protect
-                  ~finally:(fun () -> Snapshot.Reader.close r)
-                  (fun () ->
-                    let lc = Snapshot.Reader.lazy_catalog r in
-                    let faults =
-                      List.filter
-                        (fun (m : Store.lazy_module) ->
-                          match m.Store.lm_extent () with
-                          | _ -> false
-                          | exception Store.Module_fault _ -> true)
-                        lc.Store.lc_modules
-                    in
-                    Alcotest.(check int) "exactly one extent is corrupt" 1
-                      (List.length faults);
-                    (List.hd faults).Store.lm_xam)
-              in
-              (* The engine over the same corrupt snapshot still answers —
-                 even a query aimed squarely at the corrupt module: the
-                 fault on page-in quarantines it and the re-plan (surviving
-                 views, base-document fallback) produces the same answer a
-                 healthy engine gives. *)
-              (match Engine.of_snapshot_r ~lazy_extents:true p with
-              | Error e -> Alcotest.failf "lazy open failed: %s" (Xerror.to_string e)
-              | Ok e -> (
-                  let healthy = Engine.of_doc doc (Models.path_partitioned (S.of_doc doc)) in
-                  match
-                    ( Result.to_option (Engine.query_r healthy corrupt_xam),
-                      Result.to_option (Engine.query_r e corrupt_xam) )
-                  with
-                  | Some want, Some got ->
-                      Alcotest.(check bool)
-                        "degraded answer matches the healthy engine" true
-                        (Rel.equal_unordered want.Engine.rel got.Engine.rel)
-                  | None, None ->
-                      Alcotest.fail "corrupt module's own xam should be answerable"
-                  | _ -> Alcotest.fail "engines disagree on answerability"
-                  | exception exn ->
-                      Alcotest.failf "query raised %s" (Printexc.to_string exn)))))
 
 (* A CRC-valid file can still carry hostile TOC geometry: offsets and
    lengths chosen so [e_off + e_len] overflows OCaml's int and wraps
@@ -701,8 +569,9 @@ let forge_section data name f =
   List.iter (Binio.w_int head) [ get_int data 8; toc_len; Binio.crc32 toc ];
   String.concat "" (String.sub data 0 8 :: Binio.contents head :: toc :: List.map snd sections)
 
-(* Both open paths reject [data] with an [Error], never an exception,
-   and the error names [because] when it is given. *)
+(* [Snapshot.load_with_lsn] and [Engine.of_snapshot_r] reject [data]
+   with an [Error], never an exception, and the snapshot error names
+   [because] when it is given. *)
 let rejected ?(because = "") what data =
   let p = tmp_path "hostile" in
   write_file p data;
@@ -719,13 +588,23 @@ let rejected ?(because = "") what data =
         | Error e -> says e
         | Ok _ -> false
         | exception e -> Alcotest.failf "%s: load raised %s" what (Printexc.to_string e));
-      Alcotest.(check bool) (what ^ ": Reader.open_") true
-        (match Snapshot.Reader.open_ p with
-        | Error e -> says e
-        | Ok r ->
-            Snapshot.Reader.close r;
-            false
-        | exception e -> Alcotest.failf "%s: reader raised %s" what (Printexc.to_string e)))
+      Alcotest.(check bool) (what ^ ": Engine.of_snapshot_r") true
+        (match Engine.of_snapshot_r p with
+        | Error (Xerror.Snapshot_error _) -> true
+        | Error e -> Alcotest.failf "%s: wrong error class: %s" what (Xerror.to_string e)
+        | Ok _ -> false
+        | exception e -> Alcotest.failf "%s: open raised %s" what (Printexc.to_string e)))
+
+(* A flip in the tail of the file lands in the last partition's
+   payload, which only that section's checksum covers: the whole open
+   fails, naming the section, and no engine is made over the rest. *)
+let test_corrupt_partition_fails_open () =
+  let doc = bib () in
+  with_snapshot ~doc (bib_catalog doc) (fun path ->
+      let data = Bytes.of_string (read_file path) in
+      let off = Bytes.length data - 3 in
+      Bytes.set data off (Char.chr (Char.code (Bytes.get data off) lxor 0x01));
+      rejected ~because:"part:" "a bit flip in the last partition" (Bytes.to_string data))
 
 let test_hostile_toc_geometry () =
   let doc = bib () in
@@ -866,7 +745,7 @@ let test_hostile_doc_section () =
    derived, so their hostile forms differ: varints too long to be an int,
    a label index past the table, subtree ends that do not nest, counts no
    section could hold, and a document section cut at every byte. Each,
-   CRC-valid, must fail closed through both open paths. *)
+   CRC-valid, must fail closed. *)
 let test_hostile_v3_sections () =
   let doc = Doc.of_string "<a x=\"1\"><b>t</b><c/></a>" in
   let cat = bib_catalog doc in
@@ -936,35 +815,14 @@ let test_hostile_v3_sections () =
       (* nid, column, one partition of path 0 promising [max_int] positions *)
       rejected ~because:"position count" "a huge position count"
         (forge_section data ("pdir:" ^ partitioned) (fun _ -> varints [ 0; 0; 1; 0; max_int ]));
-      (* A partition is decoded when it pages in: the eager read rejects
-         a huge tuple count at once, the paging reader when the
-         partition is forced, as a module fault. *)
-      let hostile_part =
-        forge_section data ("part:" ^ partitioned ^ ":0") (fun _ ->
-            (* one atomic column, then an absurd tuple count *)
-            varints [ 1; 1 ] ^ "c\x00" ^ varints [ max_int ])
-      in
-      let p = tmp_path "hostile_part" in
-      write_file p hostile_part;
-      Fun.protect
-        ~finally:(fun () -> Sys.remove p)
-        (fun () ->
-          Alcotest.(check bool) "a huge tuple count: load_with_lsn" true
-            (match Snapshot.load_with_lsn p with Error _ -> true | Ok _ -> false);
-          Alcotest.(check bool) "a huge tuple count: paging reader faults" true
-            (match Snapshot.Reader.open_ p with
-            | Error _ -> true
-            | Ok r ->
-                Fun.protect
-                  ~finally:(fun () -> Snapshot.Reader.close r)
-                  (fun () ->
-                    match Store.materialize_lazy (Snapshot.Reader.lazy_catalog r) with
-                    | exception Store.Module_fault _ -> true
-                    | _ -> false))))
+      rejected "a huge tuple count"
+        (forge_section data ("part:" ^ partitioned ^ ":0") (fun _ ->
+             (* one atomic column, then an absurd tuple count *)
+             varints [ 1; 1 ] ^ "c\x00" ^ varints [ max_int ])))
 
 (* The optional dormant section: absent when there is nothing dormant
-   (so [write] with none is byte-identical to [save]), read back exactly
-   by both open paths, and positions that cannot describe a declared
+   (so [write] with none is byte-identical to [save]), read back exactly,
+   and positions that cannot describe a declared
    list fail closed. *)
 let test_dormant_section () =
   let doc = bib () in
@@ -999,21 +857,9 @@ let test_dormant_section () =
           Alcotest.(check bool) "eager read: dormant" true
             (img.Snapshot.dormant = dormant)
       | Error e -> Alcotest.failf "read failed: %s" e);
-      (match Snapshot.Reader.open_ path with
-      | Error e -> Alcotest.failf "reader open failed: %s" e
-      | Ok r ->
-          Fun.protect
-            ~finally:(fun () -> Snapshot.Reader.close r)
-            (fun () ->
-              Alcotest.(check bool) "paging reader: declared list" true
-                (Snapshot.Reader.declared r = declared);
-              Alcotest.(check bool) "paging reader: dormant" true
-                (Snapshot.Reader.dormant r = dormant)));
       let fails_closed what =
         Alcotest.(check bool) (what ^ ": eager read fails closed") true
-          (Result.is_error (Snapshot.read path));
-        Alcotest.(check bool) (what ^ ": paging reader fails closed") true
-          (Result.is_error (Snapshot.Reader.open_ path))
+          (Result.is_error (Snapshot.read path))
       in
       (* the second entry's position (3) forged onto the first: positions
          no longer ascend. The section opens with the entry count and the
@@ -1040,7 +886,7 @@ let test_dormant_section () =
    before any round-trip test could notice. The same two images written
    by the version 2 writer are committed under fixtures/ (their digests
    are the ones this test pinned for version 2): each must still load to
-   its image through both open paths, and rewriting it must give the
+   its image, and rewriting it must give the
    pinned version 3 bytes. *)
 let test_pinned_snapshot_bytes () =
   let doc = pinned_doc () in
@@ -1087,16 +933,9 @@ let test_engine_roundtrip () =
     (fun () ->
       Alcotest.(check bool) "snapshot has substance" true (bytes > 64);
       let eager = Xerror.get_exn (Engine.of_snapshot_r path) in
-      (* A deliberately tight byte budget: partitions thrash in and out,
-         which must stay correctness-neutral. *)
-      let obs = Xobs.Obs.create () in
-      let lazy_ =
-        Xerror.get_exn
-          (Engine.of_snapshot_r ~obs ~lazy_extents:true ~extent_cache:256 path)
-      in
       let s = S.of_doc doc in
       (* Patterns returning books, titles and authors: each label's own
-         modules, so the workload pages several sections in turn. *)
+         modules. *)
       let patterns =
         List.concat_map
           (fun label ->
@@ -1121,27 +960,17 @@ let test_engine_roundtrip () =
           let answer e = Result.to_option (Engine.query_r e pat) in
           let r0 = answer base in
           if r0 <> None then incr answered;
-          agree "eager snapshot answers match" r0 (answer eager);
-          agree "lazy snapshot answers match" r0 (answer lazy_))
+          agree "snapshot answers match" r0 (answer eager))
         patterns;
       Alcotest.(check bool) "some patterns were answerable" true (!answered > 0);
-      (* The budget must really be tight: more misses than there are
-         sections to page in means some were evicted and paged in again. *)
-      let sections =
-        List.fold_left
-          (fun acc (m : Store.module_) ->
-            acc + match m.Store.parts with Some p -> List.length p.Store.pt_parts | None -> 1)
-          0 (Engine.catalog base).Store.modules
-      in
-      let misses =
-        match
-          List.assoc_opt "persist_extent_cache_misses_total"
-            (List.map (fun (n, _, v) -> (n, v)) (Xobs.Metrics.metrics obs.Xobs.Obs.metrics))
-        with
-        | Some (Xobs.Metrics.Counter c) -> Xobs.Metrics.counter_value c
-        | _ -> Alcotest.fail "no cache miss counter"
-      in
-      Alcotest.(check bool) "the tight cache evicts" true (misses > sections))
+      (* The reopened engine saves the bytes it was opened from. *)
+      let resaved = tmp_path "resave" in
+      ignore (Xerror.get_exn (Engine.save_snapshot_r eager resaved));
+      Fun.protect
+        ~finally:(fun () -> Sys.remove resaved)
+        (fun () ->
+          Alcotest.(check bool) "the resave is byte-identical" true
+            (String.equal (read_file path) (read_file resaved))))
 
 let test_engine_hot_swap () =
   let doc = bib () in
@@ -1219,36 +1048,10 @@ let test_spliced_snapshot_bytes () =
       Alcotest.(check bool) "snapshot bytes identical" true
         (String.equal (read_file spliced_path) (read_file rebuilt_path)))
 
-let test_lazy_engine_save () =
-  (* Regression: saving from a lazily-opened engine used to serialize the
-     resident skeleton — a checksum-valid snapshot full of empty extents,
-     silently destroying the data. The save must materialize through the
-     backing reader and round-trip losslessly. *)
-  let doc = bib () in
-  let cat = bib_catalog doc in
-  with_snapshot ~doc cat (fun path ->
-      let lazy_ =
-        Xerror.get_exn (Engine.of_snapshot_r ~lazy_extents:true ~extent_cache:4096 path)
-      in
-      let resaved = tmp_path "lazysave" in
-      let bytes = Xerror.get_exn (Engine.save_snapshot_r lazy_ resaved) in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove resaved)
-        (fun () ->
-          Alcotest.(check bool) "resaved snapshot has substance" true (bytes > 64);
-          match Snapshot.load_with_lsn resaved with
-          | Error e -> Alcotest.failf "reopening the lazy save failed: %s" e
-          | Ok (d, cat', _) ->
-              Alcotest.(check bool) "document survives a lazy save" true
-                (match d with Some d -> doc_equal d doc | None -> false);
-              Alcotest.(check bool) "lazy save keeps the real extents" true
-                (catalog_equal cat cat')))
-
-let test_lazy_engine_add_module () =
-  (* Regression: a catalog swap on a lazy engine (add_module) used to
-     rebuild the environment from the skeleton, after which every query
-     scanned empty extents. The swap must materialize the paged extents
-     first. *)
+let test_add_module_after_open () =
+  (* A module appended to an engine opened from a snapshot joins the
+     catalog: queries can use it, and a save carries it next to every
+     extent the snapshot held. *)
   let doc = bib () in
   let cat = bib_catalog doc in
   let pat =
@@ -1261,10 +1064,10 @@ let test_lazy_engine_add_module () =
   Alcotest.(check bool) "the workload answer is non-empty" true
     (Rel.cardinality expected > 0);
   with_snapshot ~doc cat (fun path ->
-      let e = Xerror.get_exn (Engine.of_snapshot_r ~lazy_extents:true path) in
+      let e = Xerror.get_exn (Engine.of_snapshot_r path) in
       Engine.add_module e (Store.materialize doc "extra_book_title" pat);
       let r = Xerror.get_exn (Engine.query_r e pat) in
-      Alcotest.(check bool) "queries scan real extents after the swap" true
+      Alcotest.(check bool) "queries answer after the swap" true
         (Rel.equal_unordered expected r.Engine.rel);
       (* And a save after the swap still carries every original extent. *)
       let resaved = tmp_path "swapsave" in
@@ -1301,17 +1104,9 @@ let test_persist_metrics () =
     (fun () ->
       (* The budget is in bytes and comfortably holds one module's
          sections, so the second force must hit the cache. *)
-      (match Snapshot.Reader.open_ ~cache_capacity:65536 ~metrics:reg path with
-      | Error e -> Alcotest.failf "open failed: %s" e
-      | Ok r ->
-          Fun.protect
-            ~finally:(fun () -> Snapshot.Reader.close r)
-            (fun () ->
-              let lc = Snapshot.Reader.lazy_catalog r in
-              let force (m : Store.lazy_module) = ignore (m.Store.lm_extent ()) in
-              let m0 = List.hd lc.Store.lc_modules in
-              force m0;
-              force m0));
+      (match Snapshot.read ~metrics:reg path with
+      | Error e -> Alcotest.failf "read failed: %s" e
+      | Ok _ -> ());
       let v name =
         match
           List.find_opt (fun (n, _, _) -> String.equal n name)
@@ -1320,14 +1115,9 @@ let test_persist_metrics () =
         | Some (_, _, Xobs.Metrics.Counter c) -> Xobs.Metrics.counter_value c
         | _ -> Alcotest.failf "metric %s missing" name
       in
-      Alcotest.(check bool) "bytes written counted" true
-        (v "persist_bytes_written_total" > 0);
-      Alcotest.(check bool) "bytes read counted" true
-        (v "persist_bytes_read_total" > 0);
-      Alcotest.(check bool) "second page-in was a cache hit" true
-        (v "persist_extent_cache_hits_total" >= 1);
-      Alcotest.(check bool) "first page-in was a miss" true
-        (v "persist_extent_cache_misses_total" >= 1))
+      let size = String.length (read_file path) in
+      Alcotest.(check int) "bytes written counted" size (v "persist_bytes_written_total");
+      Alcotest.(check int) "bytes read counted" size (v "persist_bytes_read_total"))
 
 let () =
   Alcotest.run "persist"
@@ -1364,18 +1154,15 @@ let () =
           Alcotest.test_case "pinned snapshot bytes" `Quick
             test_pinned_snapshot_bytes;
           Alcotest.test_case "concurrent saves to one path" `Quick
-            test_save_concurrent_same_path;
-          Alcotest.test_case "paging reader is lossless" `Quick test_reader_lazy;
-          Alcotest.test_case "page-in after close faults" `Quick
-            test_reader_closed ] );
+            test_save_concurrent_same_path ] );
       ( "corruption",
         [ Alcotest.test_case "truncation" `Quick test_truncation;
           Alcotest.test_case "bit flips" `Quick test_bit_flips;
           Alcotest.test_case "foreign files and bad version" `Quick
             test_foreign_files;
           Alcotest.test_case "missing file" `Quick test_missing_file;
-          Alcotest.test_case "corrupt lazy extent is quarantined" `Quick
-            test_lazy_corrupt_extent_quarantined;
+          Alcotest.test_case "corrupt partition fails the open" `Quick
+            test_corrupt_partition_fails_open;
           Alcotest.test_case "hostile TOC geometry" `Quick
             test_hostile_toc_geometry;
           Alcotest.test_case "hostile element counts" `Quick
@@ -1391,8 +1178,6 @@ let () =
             test_engine_hot_swap;
           Alcotest.test_case "spliced edits snapshot byte-identically" `Quick
             test_spliced_snapshot_bytes;
-          Alcotest.test_case "lazy engine saves real extents" `Quick
-            test_lazy_engine_save;
-          Alcotest.test_case "lazy engine add_module materializes" `Quick
-            test_lazy_engine_add_module;
+          Alcotest.test_case "add_module after a snapshot open" `Quick
+            test_add_module_after_open;
           Alcotest.test_case "persist metrics" `Quick test_persist_metrics ] ) ]

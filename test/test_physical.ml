@@ -81,10 +81,10 @@ let test_agreement_patterns () =
       value_pred_p = 0.0 }
   in
   let pats = Xworkload.Pattern_gen.generate_many ~seed:8 s params ~count:15 in
-  let env = Xam.Compile.env summary_doc in
+  let env = Compile.env summary_doc in
   List.iteri
     (fun i p ->
-      check_agreement (Printf.sprintf "pattern %d" i) env (Xam.Compile.plan p))
+      check_agreement (Printf.sprintf "pattern %d" i) env (Compile.plan p))
     pats
 
 let test_agreement_operators () =

@@ -122,7 +122,7 @@ let agreement_prop =
     (fun i ->
       let p = List.nth patterns i in
       let embed = Xam.Embed.eval summary_doc p in
-      let compiled = Xam.Compile.eval summary_doc p in
+      let compiled = Compile.eval summary_doc p in
       Rel.equal_unordered embed compiled)
 
 (* --- The compiled evaluator against the reference ---------------------

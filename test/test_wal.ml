@@ -895,10 +895,9 @@ let insert_under_root e xml =
   Engine.Insert_subtree { parent = Doc.root doc; before = None; xml }
 
 (* Run [before] on a logged bib engine, checkpoint, run [after], then
-   recover snapshot + WAL eagerly and lazily: each recovered engine
-   must hold the live catalog (same modules in the same order, same
-   dormant set, same quarantined names) and snapshot to the live
-   bytes. *)
+   recover snapshot + WAL: the recovered engine must hold the live
+   catalog (same modules in the same order, same dormant set, same
+   quarantined names) and snapshot to the live bytes. *)
 let check_recovery_after_checkpoint ~before ~after ~replays =
   with_scratch "snap" (fun snap ->
       with_scratch "wal" (fun wal ->
@@ -908,23 +907,18 @@ let check_recovery_after_checkpoint ~before ~after ~replays =
           ignore (Xerror.get_exn (Engine.checkpoint_r e snap));
           after e;
           Engine.detach_wal e;
-          List.iter
-            (fun lazy_extents ->
-              let what = if lazy_extents then "lazy" else "eager" in
-              let r = Xerror.get_exn (Engine.of_snapshot_r ~lazy_extents snap) in
-              Alcotest.(check int) (what ^ ": records replayed") replays
-                (Xerror.get_exn (Engine.attach_wal_r r wal));
-              Engine.detach_wal r;
-              Alcotest.(check (list string)) (what ^ ": modules") (module_names e)
-                (module_names r);
-              Alcotest.(check (list (pair string string))) (what ^ ": dormant")
-                (Engine.dormant_modules e) (Engine.dormant_modules r);
-              Alcotest.(check (list string)) (what ^ ": quarantined")
-                (List.sort compare (List.map fst (Engine.quarantined e)))
-                (List.sort compare (List.map fst (Engine.quarantined r)));
-              Alcotest.(check bool) (what ^ ": byte-identical state") true
-                (snapshot_bytes e = snapshot_bytes r))
-            [ false; true ]))
+          let r = Xerror.get_exn (Engine.of_snapshot_r snap) in
+          Alcotest.(check int) "records replayed" replays
+            (Xerror.get_exn (Engine.attach_wal_r r wal));
+          Engine.detach_wal r;
+          Alcotest.(check (list string)) "modules" (module_names e) (module_names r);
+          Alcotest.(check (list (pair string string))) "dormant"
+            (Engine.dormant_modules e) (Engine.dormant_modules r);
+          Alcotest.(check (list string)) "quarantined"
+            (List.sort compare (List.map fst (Engine.quarantined e)))
+            (List.sort compare (List.map fst (Engine.quarantined r)));
+          Alcotest.(check bool) "byte-identical state" true
+            (snapshot_bytes e = snapshot_bytes r)))
 
 (* A checkpoint taken while modules are dormant must carry them: an
    insert after it resurrects them live, and recovery must too. *)
