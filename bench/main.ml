@@ -683,8 +683,6 @@ let micro () =
   let tests =
     Test.make_grouped ~name:"xam"
       [ Test.make ~name:"summary-build" (Staged.stage (fun () -> Sum.of_doc doc));
-        Test.make ~name:"struct-join-700x700"
-          (Staged.stage (fun () -> Xalgebra.Eval.run_closed join_plan));
         Test.make ~name:"struct-join-streaming"
           (Staged.stage (fun () -> Xalgebra.Physical.run empty_env join_plan));
         Test.make ~name:"canonical-model-Q7"

@@ -256,7 +256,7 @@ let plan_cmd =
     | None -> die ~stage:"plan" "no plan found"
     | Some r ->
         Format.printf "plan:@.%a@.@." Xalgebra.Logical.pp r.Xam.Rewrite.plan;
-        let out = Xalgebra.Eval.run (Xstorage.Store.env catalog) r.Xam.Rewrite.plan in
+        let out = Xalgebra.Physical.run (Xstorage.Store.env catalog) r.Xam.Rewrite.plan in
         Format.printf "%a@." Xalgebra.Rel.pp out
   in
   Cmd.v
@@ -316,7 +316,7 @@ let rewrite_cmd =
                  (v.Xam.Rewrite.vname, Xam.Embed.eval doc v.Xam.Rewrite.vpattern))
                views)
         in
-        Format.printf "%a@." Xalgebra.Rel.pp (Xalgebra.Eval.run env r.Xam.Rewrite.plan)
+        Format.printf "%a@." Xalgebra.Rel.pp (Xalgebra.Physical.run env r.Xam.Rewrite.plan)
   in
   Cmd.v
     (Cmd.info "rewrite"

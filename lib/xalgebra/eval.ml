@@ -92,158 +92,99 @@ let build_matcher axis right_schema rpath (right : Rel.tuple list) =
 
 (* --- map meta-operator -------------------------------------------------- *)
 
-(* Apply [f] to every innermost tuple reached by descending the nested
-   prefix of [path]; a tuple all of whose rewritten collections are empty is
-   eliminated (existential semantics of §1.2.2). *)
-let rec map_tuples schema path f tuples =
+(* [map_tuple schema path f] applies [f] to every innermost tuple reached by
+   descending the nested prefix of [path]; a tuple all of whose rewritten
+   collections are empty is eliminated (existential semantics of §1.2.2).
+   [f] receives each level's schema once, before any tuple. *)
+let rec map_tuple schema path f =
   match path with
-  | [] | [ _ ] -> List.filter_map (f schema) tuples
-  | name :: rest ->
+  | [] | [ _ ] -> f schema
+  | name :: rest -> (
       let i = Rel.col_index schema name in
-      let sub =
-        match (List.nth schema i).Rel.ctype with
-        | Rel.Nested s -> s
-        | Rel.Atom -> invalid_arg "Eval: map path crosses an atomic column"
-      in
-      List.filter_map
-        (fun t ->
-          match t.(i) with
-          | Rel.N inner ->
-              let inner' = map_tuples sub rest f inner in
-              if inner' = [] && inner <> [] then None
-              else
-                let t' = Array.copy t in
-                t'.(i) <- Rel.N inner';
-                Some t'
-          | Rel.A _ -> invalid_arg "Eval: map path crosses an atomic field")
-        tuples
+      match (List.nth schema i).Rel.ctype with
+      | Rel.Atom -> invalid_arg "Eval: map path crosses an atomic column"
+      | Rel.Nested sub ->
+          let inner_f = map_tuple sub rest f in
+          fun t ->
+            match t.(i) with
+            | Rel.N inner ->
+                let inner' = List.filter_map inner_f inner in
+                if inner' = [] && inner <> [] then None
+                else
+                  let t' = Array.copy t in
+                  t'.(i) <- Rel.N inner';
+                  Some t'
+            | Rel.A _ -> invalid_arg "Eval: map path crosses an atomic field")
+
+(* Rewrite a predicate addressed at [path] so it addresses [last] relative
+   to the innermost tuple the map descent reaches. *)
+let rebase_pred pred path last =
+  let rebase p = if p = path then last else p in
+  let operand = function Pred.Col p -> Pred.Col (rebase p) | op -> op in
+  let rec go = function
+    | Pred.Cmp (l, c, r) -> Pred.Cmp (operand l, c, operand r)
+    | Pred.Contains (p, w) -> Pred.Contains (rebase p, w)
+    | Pred.Is_null p -> Pred.Is_null (rebase p)
+    | Pred.Not_null p -> Pred.Not_null (rebase p)
+    | Pred.And (a, b) -> Pred.And (go a, go b)
+    | Pred.Or (a, b) -> Pred.Or (go a, go b)
+    | Pred.Not a -> Pred.Not (go a)
+    | (Pred.True | Pred.False) as p -> p
+  in
+  go pred
+
+let select schema pred =
+  match Pred.paths pred with
+  | [ (name :: _ :: _ as path) ]
+    when (match Rel.find_col schema name with
+         | Some (_, { Rel.ctype = Rel.Nested _; _ }) -> true
+         | _ -> false) ->
+      let pred = rebase_pred pred path [ List.nth path (List.length path - 1) ] in
+      map_tuple schema path (fun sch t -> if Pred.eval sch t pred then Some t else None)
+  | _ -> fun t -> if Pred.eval schema t pred then Some t else None
 
 (* --- Joins -------------------------------------------------------------- *)
 
-let hashable_eq_join pred =
-  match pred with
-  | Pred.Cmp (Pred.Col l, Pred.Eq, Pred.Col r) -> Some (l, r)
-  | _ -> None
+let combine kind ~null_right lt ms =
+  match ((kind : Logical.join_kind), ms) with
+  | (Logical.Semi | Logical.NestJoin), [] -> []
+  | Logical.Semi, _ -> [ lt ]
+  | Logical.LeftOuter, [] -> [ Rel.concat_tuples lt null_right ]
+  | (Logical.Inner | Logical.LeftOuter), _ -> List.map (Rel.concat_tuples lt) ms
+  | (Logical.NestJoin | Logical.NestOuter), _ -> [ Array.append lt [| Rel.N ms |] ]
 
-let value_join kind pred lsch rsch (lts : Rel.tuple list) (rts : Rel.tuple list) =
-  let joined_schema = Rel.concat_schemas lsch rsch in
-  let matches_of =
-    (* Hash join on top-level equality columns, nested loops otherwise. *)
-    match hashable_eq_join pred with
-    | Some (lp, rp) when Rel.mem_path lsch lp && Rel.mem_path rsch rp ->
-        let table = Hashtbl.create (List.length rts) in
-        List.iteri
-          (fun pos rt ->
-            List.iter
-              (fun v ->
-                if not (Value.is_null v) then
-                  Hashtbl.add table (Value.hash v) (v, pos, rt))
-              (Rel.atoms_of_path rsch rt rp))
-          rts;
-        fun lt ->
-          (* A left tuple may reach one right tuple through several atoms:
-             keep each right tuple once, by position, so that equal right
-             tuples still each join, as in the nested-loop path. *)
-          let seen = Hashtbl.create 8 in
-          List.concat_map
-            (fun lv ->
-              Hashtbl.find_all table (Value.hash lv)
-              |> List.rev
-              |> List.filter_map (fun (rv, pos, rt) ->
-                     if Value.equal lv rv && not (Hashtbl.mem seen pos) then (
-                       Hashtbl.add seen pos ();
-                       Some rt)
-                     else None))
-            (Rel.atoms_of_path lsch lt lp)
-    | _ ->
-        fun lt ->
-          List.filter
-            (fun rt -> Pred.eval joined_schema (Rel.concat_tuples lt rt) pred)
-            rts
-  in
-  let null_right = Rel.null_tuple rsch in
-  match kind with
-  | Logical.Inner ->
-      List.concat_map
-        (fun lt -> List.map (fun rt -> Rel.concat_tuples lt rt) (matches_of lt))
-        lts
-  | Logical.LeftOuter ->
-      List.concat_map
-        (fun lt ->
-          match matches_of lt with
-          | [] -> [ Rel.concat_tuples lt null_right ]
-          | ms -> List.map (fun rt -> Rel.concat_tuples lt rt) ms)
-        lts
-  | Logical.Semi -> List.filter (fun lt -> matches_of lt <> []) lts
-  | Logical.NestJoin ->
-      List.filter_map
-        (fun lt ->
-          match matches_of lt with
-          | [] -> None
-          | ms -> Some (Array.append lt [| Rel.N ms |]))
-        lts
-  | Logical.NestOuter ->
-      List.map (fun lt -> Array.append lt [| Rel.N (matches_of lt) |]) lts
-  | exception e -> raise e
-
-let struct_join kind axis lpath rpath nest_as lsch rsch lts rts =
-  ignore nest_as;
-  let matcher = build_matcher axis rsch rpath rts in
-  let null_right = Rel.null_tuple rsch in
-  let flat_key lt =
-    match lpath with
-    | [ name ] -> Rel.atom_field lt (Rel.col_index lsch name)
-    | _ -> invalid_arg "Eval: flat structural join requires a top-level column"
-  in
-  match kind with
-  | Logical.Inner ->
-      List.concat_map
-        (fun lt -> List.map (fun rt -> Rel.concat_tuples lt rt) (matcher (flat_key lt)))
-        lts
-  | Logical.LeftOuter ->
-      List.concat_map
-        (fun lt ->
-          match matcher (flat_key lt) with
-          | [] -> [ Rel.concat_tuples lt null_right ]
-          | ms -> List.map (fun rt -> Rel.concat_tuples lt rt) ms)
-        lts
+let struct_expand kind lsch lpath ~null_right matcher =
+  match (kind : Logical.join_kind) with
+  | Logical.Inner | Logical.LeftOuter ->
+      let i =
+        match lpath with
+        | [ name ] -> Rel.col_index lsch name
+        | _ -> invalid_arg "Eval: flat structural join requires a top-level column"
+      in
+      fun lt -> combine kind ~null_right lt (matcher (Rel.atom_field lt i))
   | Logical.Semi ->
       (* The key may live under a nested path: keep left tuples for which
          some reachable identifier has a match, reducing nothing. *)
-      List.filter
-        (fun lt ->
-          List.exists (fun v -> matcher v <> []) (Rel.atoms_of_path lsch lt lpath))
-        lts
-  | Logical.NestJoin ->
-      map_tuples lsch lpath
-        (fun sch t ->
-          let key =
-            match lpath with
-            | [] -> Value.Null
-            | _ -> (
-                let last = List.nth lpath (List.length lpath - 1) in
-                match Rel.find_col sch last with
-                | Some (i, _) -> Rel.atom_field t i
-                | None -> Value.Null)
-          in
-          match matcher key with
-          | [] -> None
-          | ms -> Some (Array.append t [| Rel.N ms |]))
-        lts
-  | Logical.NestOuter ->
-      map_tuples lsch lpath
-        (fun sch t ->
-          let key =
-            match lpath with
-            | [] -> Value.Null
-            | _ -> (
-                let last = List.nth lpath (List.length lpath - 1) in
-                match Rel.find_col sch last with
-                | Some (i, _) -> Rel.atom_field t i
-                | None -> Value.Null)
-          in
-          Some (Array.append t [| Rel.N (matcher key) |]))
-        lts
+      fun lt ->
+        if List.exists (fun v -> matcher v <> []) (Rel.atoms_of_path lsch lt lpath) then [ lt ]
+        else []
+  | Logical.NestJoin | Logical.NestOuter ->
+      (* The matches nest beside the key, inside the collection the key's
+         path descends into. *)
+      let nest =
+        map_tuple lsch lpath (fun sch ->
+            let key =
+              match List.rev lpath with
+              | last :: _ -> Option.map fst (Rel.find_col sch last)
+              | [] -> None
+            in
+            fun t ->
+              let k = match key with Some i -> Rel.atom_field t i | None -> Value.Null in
+              match combine kind ~null_right t (matcher k) with
+              | [ t' ] -> Some t'
+              | _ -> None)
+      in
+      fun lt -> Option.to_list (nest lt)
 
 (* --- Navigation inside serialized content -------------------------------- *)
 
@@ -362,221 +303,40 @@ let rec eval_template buf schema tuple template =
             inner
       | _, Rel.A _ -> invalid_arg "Eval: T_foreach on an atomic field")
 
-(* --- Interpreter -------------------------------------------------------- *)
+(* --- Per-tuple operators -------------------------------------------------- *)
 
-(* [step recurse env plan] evaluates only the top operator of [plan]
-   set-at-a-time, obtaining every input relation through [recurse]. The
-   plain interpreter ties the knot with [recurse = run]; the physical
-   layer ties it with a cursor-draining callback, so a non-streamable
-   operator materializes just its own inputs while everything below keeps
-   piping cursors (the streaming discipline of §1.2.3). *)
-let rec run env plan = step run env plan
+let extract schema ~src ~steps ~mode kind =
+  let value_of = match mode with `Value -> hit_value | `Content -> hit_content in
+  let null_right = [| Rel.A Value.Null |] in
+  fun t ->
+    let hits =
+      match Rel.atoms_of_path schema t src with
+      | [ Value.Str content ] -> (
+          match Xdm.Xml_tree.parse_result content with
+          | Ok root -> List.map (fun h -> [| Rel.A (value_of h) |]) (navigate root steps)
+          | Error _ -> [])
+      | _ -> []
+    in
+    combine kind ~null_right t hits
 
-and step recurse env plan =
-  let run = recurse in
-  match plan with
-  | Logical.Scan name -> (
-      match env name with Some r -> r | None -> raise (Unknown_relation name))
-  | Logical.Table r -> r
-  | Logical.Select (pred, input) ->
-      let r = run env input in
-      (* Predicates over nested paths reduce the nested collections they
-         traverse (map semantics): a tuple survives iff some reachable
-         binding satisfies the predicate. For single-path predicates we also
-         reduce; for multi-path ones we only filter. *)
-      (match Pred.paths pred with
-      | [ path ] when List.length path > 1 && nested_prefix r.Rel.schema path ->
-          let last = [ List.nth path (List.length path - 1) ] in
-          let tuples =
-            map_tuples r.Rel.schema path
-              (fun sch t ->
-                if Pred.eval sch t (rebase_pred pred path last) then Some t else None)
-              r.Rel.tuples
-          in
-          { r with tuples }
-      | _ ->
-          { r with tuples = List.filter (fun t -> Pred.eval r.Rel.schema t pred) r.Rel.tuples })
-  | Logical.Project { cols; dedup; input } ->
-      let r = run env input in
-      Rel.project r.Rel.schema cols ~dedup r.Rel.tuples
-  | Logical.Product (l, r) ->
-      let lr = run env l and rr = run env r in
-      Rel.make
-        (Rel.concat_schemas lr.Rel.schema rr.Rel.schema)
-        (List.concat_map
-           (fun lt -> List.map (fun rt -> Rel.concat_tuples lt rt) rr.Rel.tuples)
-           lr.Rel.tuples)
-  | Logical.Join { kind; pred; nest_as; left; right } ->
-      let lr = run env left and rr = run env right in
-      let out_schema =
-        Logical.(
-          match kind with
-          | Inner | LeftOuter -> Rel.concat_schemas lr.Rel.schema rr.Rel.schema
-          | Semi -> lr.Rel.schema
-          | NestJoin | NestOuter ->
-              lr.Rel.schema @ [ Rel.nested nest_as rr.Rel.schema ])
-      in
-      Rel.make out_schema
-        (value_join kind pred lr.Rel.schema rr.Rel.schema lr.Rel.tuples rr.Rel.tuples)
-  | Logical.Struct_join { kind; axis; lpath; rpath; nest_as; left; right } ->
-      let lr = run env left and rr = run env right in
-      let out_schema =
-        Logical.(
-          match kind with
-          | Inner | LeftOuter -> Rel.concat_schemas lr.Rel.schema rr.Rel.schema
-          | Semi -> lr.Rel.schema
-          | NestJoin | NestOuter -> graft_schema lr.Rel.schema lpath nest_as rr.Rel.schema)
-      in
-      Rel.make out_schema
-        (struct_join kind axis lpath rpath nest_as lr.Rel.schema rr.Rel.schema
-           lr.Rel.tuples rr.Rel.tuples)
-  | Logical.Union (l, r) -> Rel.union (run env l) (run env r)
-  | Logical.Diff (l, r) -> Rel.difference (run env l) (run env r)
-  | Logical.Extract { src; steps; mode; kind; out; input } ->
-      let r = run env input in
-      let value_of = match mode with `Value -> hit_value | `Content -> hit_content in
-      let hits_of t =
-        match Rel.atoms_of_path r.Rel.schema t src with
-        | [ Value.Str content ] -> (
-            match Xdm.Xml_tree.parse_result content with
-            | Ok root -> List.map value_of (navigate root steps)
-            | Error _ -> [])
-        | _ -> []
-      in
-      let schema =
-        Logical.(
-          match kind with
-          | Semi -> r.Rel.schema
-          | Inner | LeftOuter -> r.Rel.schema @ [ Rel.atom out ]
-          | NestJoin | NestOuter -> r.Rel.schema @ [ Rel.nested out [ Rel.atom "x" ] ])
-      in
-      let tuples =
-        List.concat_map
-          (fun t ->
-            let hits = hits_of t in
-            match (kind : Logical.join_kind) with
-            | Logical.Semi -> if hits = [] then [] else [ t ]
-            | Logical.Inner ->
-                List.map (fun v -> Array.append t [| Rel.A v |]) hits
-            | Logical.LeftOuter ->
-                if hits = [] then [ Array.append t [| Rel.A Value.Null |] ]
-                else List.map (fun v -> Array.append t [| Rel.A v |]) hits
-            | Logical.NestJoin ->
-                if hits = [] then []
-                else [ Array.append t [| Rel.N (List.map (fun v -> [| Rel.A v |]) hits) |] ]
-            | Logical.NestOuter ->
-                [ Array.append t [| Rel.N (List.map (fun v -> [| Rel.A v |]) hits) |] ])
-          r.Rel.tuples
-      in
-      Rel.make schema tuples
-  | Logical.Derive { src; levels; out; input } ->
-      let r = run env input in
-      let derive t =
-        let rec up id k =
-          if k = 0 then Some id
-          else match Xdm.Nid.parent id with Some p -> up p (k - 1) | None -> None
-        in
-        let v =
-          match Rel.atoms_of_path r.Rel.schema t src with
-          | [ Value.Id id ] -> (
-              match up id levels with Some a -> Value.Id a | None -> Value.Null)
-          | _ -> Value.Null
-        in
-        Array.append t [| Rel.A v |]
-      in
-      Rel.make (r.Rel.schema @ [ Rel.atom out ]) (List.map derive r.Rel.tuples)
-  | Logical.Reorder (positions, input) ->
-      let r = run env input in
-      let sch = Array.of_list r.Rel.schema in
-      Rel.make
-        (List.map (fun i -> sch.(i)) positions)
-        (List.map (fun t -> Array.of_list (List.map (fun i -> t.(i)) positions)) r.Rel.tuples)
-  | Logical.Rename (renames, input) ->
-      let r = run env input in
-      let schema =
-        List.map
-          (fun (c : Rel.column) ->
-            match List.assoc_opt c.Rel.cname renames with
-            | Some cname -> { c with Rel.cname }
-            | None -> c)
-          r.Rel.schema
-      in
-      Rel.make schema r.Rel.tuples
-  | Logical.Nest { cname; input } ->
-      let r = run env input in
-      Rel.make [ Rel.nested cname r.Rel.schema ] [ [| Rel.N r.Rel.tuples |] ]
-  | Logical.Unnest (path, input) ->
-      let r = run env input in
-      let name = List.nth path (List.length path - 1) in
-      (match path with
-      | [ _ ] ->
-          let i = Rel.col_index r.Rel.schema name in
-          let sub =
-            match (List.nth r.Rel.schema i).Rel.ctype with
-            | Rel.Nested s -> s
-            | Rel.Atom -> invalid_arg "Eval: unnest of an atomic column"
-          in
-          let keep_schema = List.filteri (fun j _ -> j <> i) r.Rel.schema in
-          let tuples =
-            List.concat_map
-              (fun t ->
-                let keep = Array.of_list (List.filteri (fun j _ -> j <> i) (Array.to_list t)) in
-                List.map (fun inner -> Rel.concat_tuples keep inner) (Rel.nested_field t i))
-              r.Rel.tuples
-          in
-          Rel.make (Rel.concat_schemas keep_schema sub) tuples
-      | _ -> invalid_arg "Eval: unnest only supports top-level columns")
-  | Logical.Sort (path, input) ->
-      let r = run env input in
-      Rel.sort_by r.Rel.schema path r
-  | Logical.Xml (template, input) ->
-      let r = run env input in
-      Rel.make [ Rel.atom "xml" ]
-        (List.map
-           (fun t ->
-             let buf = Buffer.create 128 in
-             eval_template buf r.Rel.schema t template;
-             [| Rel.A (Value.Str (Buffer.contents buf)) |])
-           r.Rel.tuples)
-
-and nested_prefix schema path =
-  match path with
-  | [] | [ _ ] -> false
-  | name :: _ -> (
-      match Rel.find_col schema name with
-      | Some (_, { Rel.ctype = Rel.Nested _; _ }) -> true
-      | _ -> false)
-
-(* Rewrite a predicate addressed at [path] so it addresses [last] relative
-   to the innermost tuple the map descent reaches. *)
-and rebase_pred pred path last =
-  let rec go = function
-    | Pred.Cmp (l, c, r) -> Pred.Cmp (rebase_operand l, c, rebase_operand r)
-    | Pred.Contains (p, w) -> Pred.Contains ((if p = path then last else p), w)
-    | Pred.Is_null p -> Pred.Is_null (if p = path then last else p)
-    | Pred.Not_null p -> Pred.Not_null (if p = path then last else p)
-    | Pred.And (a, b) -> Pred.And (go a, go b)
-    | Pred.Or (a, b) -> Pred.Or (go a, go b)
-    | Pred.Not a -> Pred.Not (go a)
-    | (Pred.True | Pred.False) as p -> p
-  and rebase_operand = function
-    | Pred.Col p when p = path -> Pred.Col last
-    | op -> op
+let derive schema ~src ~levels t =
+  let rec up id k =
+    if k = 0 then Some id
+    else match Xdm.Nid.parent id with Some p -> up p (k - 1) | None -> None
   in
-  go pred
+  let v =
+    match Rel.atoms_of_path schema t src with
+    | [ Value.Id id ] -> (
+        match up id levels with Some a -> Value.Id a | None -> Value.Null)
+    | _ -> Value.Null
+  in
+  Array.append t [| Rel.A v |]
 
-and graft_schema schema path cname sub =
+let unnest schema path =
   match path with
-  | [] | [ _ ] -> schema @ [ Rel.nested cname sub ]
-  | name :: rest ->
-      List.map
-        (fun (c : Rel.column) ->
-          if String.equal c.Rel.cname name then
-            match c.Rel.ctype with
-            | Rel.Nested inner ->
-                { c with Rel.ctype = Rel.Nested (graft_schema inner rest cname sub) }
-            | Rel.Atom -> invalid_arg "Eval: join path crosses an atom"
-          else c)
-        schema
-
-let run_closed plan = run (fun _ -> None) plan
+  | [ name ] ->
+      let i = Rel.col_index schema name in
+      fun t ->
+        let keep = Array.init (Array.length t - 1) (fun j -> t.(if j < i then j else j + 1)) in
+        List.map (Rel.concat_tuples keep) (Rel.nested_field t i)
+  | _ -> invalid_arg "Eval: unnest only supports top-level columns"

@@ -1,42 +1,77 @@
-(** Execution engine: a physical interpretation of the logical algebra
-    (§1.2.3).
+(** Evaluation environments and the per-tuple kernels of the algebra
+    (§1.2.2–1.2.3).
 
-    Structural joins are executed by a sort-merge strategy in the spirit of
-    StackTreeDesc [7] when both join columns carry homogeneous structural
-    identifiers ((pre, post, depth) or Dewey): the right input is sorted by
-    document order and each left identifier matches a contiguous run of it.
-    Heterogeneous or non-structural identifier columns fall back to a
-    nested-loop join. Value joins use a hash join on equality predicates and
-    nested loops otherwise. *)
+    {!Physical} is the one plan executor; it builds its operators from the
+    kernels below. Each kernel is staged: applied to the input schema (and
+    the operator's parameters) once, it returns the function applied to
+    every tuple. *)
 
 type env = string -> Rel.t option
 
 exception Unknown_relation of string
 
 val env_of_list : (string * Rel.t) list -> env
+(** The first binding of a name wins. *)
 
-val run : env -> Logical.t -> Rel.t
-(** Evaluate a plan. Raises {!Unknown_relation} on unresolved scans and
-    [Invalid_argument] on plans whose paths do not match their input
-    schemas. *)
+val build_matcher :
+  Logical.axis -> Rel.schema -> Rel.path -> Rel.tuple list -> Value.t -> Rel.tuple list
+(** [build_matcher axis rsch rpath rights] indexes the right input of a
+    structural join on the identifiers at [rpath] and returns the lookup
+    giving, for a left identifier, the right tuples that are its
+    children/descendants. When every identifier is a (pre, post, depth) or
+    Dewey label the rights are sorted by document order once and each
+    lookup is a binary search to a contiguous run, returned in document
+    order; otherwise the lookup tests every right tuple and returns the
+    matches in right-input order. *)
 
-val run_closed : Logical.t -> Rel.t
-(** Evaluate a plan with no [Scan] leaves. *)
+val select : Rel.schema -> Pred.t -> Rel.tuple -> Rel.tuple option
+(** Selection under map semantics: a predicate over a single nested path
+    reduces the nested collections it traverses, and a tuple survives iff
+    some reachable binding satisfies it; any other predicate filters. *)
 
-val step : (env -> Logical.t -> Rel.t) -> env -> Logical.t -> Rel.t
-(** [step recurse env plan] evaluates only the top operator of [plan],
-    obtaining every input relation through [recurse]. [run] is
-    [step run]; the physical layer passes a cursor-draining callback so
-    that a non-streamable operator materializes just its own inputs while
-    the subplans below keep piping cursors. *)
+val combine :
+  Logical.join_kind -> null_right:Rel.tuple -> Rel.tuple -> Rel.tuple list -> Rel.tuple list
+(** [combine kind ~null_right lt matches]: the output of a join of kind
+    [kind] for one left tuple and its matching right tuples — one
+    concatenation per match ([Inner]), padded with [null_right] when none
+    match ([LeftOuter]), [lt] itself when some match ([Semi]), or [lt]
+    extended with the matches as one nested collection ([NestJoin] drops
+    [lt] when none match, [NestOuter] keeps it). *)
+
+val struct_expand :
+  Logical.join_kind ->
+  Rel.schema ->
+  Rel.path ->
+  null_right:Rel.tuple ->
+  (Value.t -> Rel.tuple list) ->
+  Rel.tuple ->
+  Rel.tuple list
+(** [struct_expand kind lsch lpath ~null_right matcher]: a structural join's
+    output for one left tuple, given the {!build_matcher} lookup. [Inner]
+    and [LeftOuter] need a top-level [lpath]; [Semi] keeps a left tuple
+    when any identifier reachable through [lpath] has a match; the nest
+    kinds graft the matches beside the key inside the collection [lpath]
+    descends into (map semantics). *)
+
+val extract :
+  Rel.schema ->
+  src:Rel.path ->
+  steps:(Logical.axis * string) list ->
+  mode:[ `Value | `Content ] ->
+  Logical.join_kind ->
+  Rel.tuple ->
+  Rel.tuple list
+(** The [Extract] operator on one tuple: parse the XML content at [src],
+    navigate [steps] and {!combine} the hits as one-column right tuples. *)
+
+val derive : Rel.schema -> src:Rel.path -> levels:int -> Rel.tuple -> Rel.tuple
+(** The [Derive] operator on one tuple: append the [levels]-th ancestor of
+    the identifier at [src], ⊥ when the scheme cannot derive it. *)
+
+val unnest : Rel.schema -> Rel.path -> Rel.tuple -> Rel.tuple list
+(** The [Unnest] operator on one tuple (top-level paths only): the other
+    columns concatenated with each tuple of the nested collection. *)
 
 val eval_template :
   Buffer.t -> Rel.schema -> Rel.tuple -> Logical.template -> unit
-(** Expand an XML construction template against one tuple (used by the
-    physical layer). *)
-
-val struct_matches :
-  Logical.axis -> Xdm.Nid.t -> (Xdm.Nid.t * 'a) array -> 'a list
-(** [struct_matches axis key sorted]: elements of [sorted] (sorted by
-    document order on homogeneous structural identifiers) whose identifier is
-    a child/descendant of [key]. Exposed for the micro-benchmarks. *)
+(** Expand an XML construction template against one tuple. *)

@@ -66,42 +66,49 @@ let join_schema kind ~nest_as ~lpath left right =
   | Semi -> left
   | NestJoin | NestOuter -> graft left lpath nest_as right
 
-let rec schema env plan =
-  match plan with
-  | Scan name -> (
-      match env name with
-      | Some s -> s
-      | None -> invalid_arg (Printf.sprintf "Logical.schema: unknown relation %S" name))
-  | Table r -> r.Rel.schema
-  | Select (_, input) | Sort (_, input) -> schema env input
-  | Project { cols; input; _ } ->
-      (Rel.project (schema env input) cols ~dedup:false []).Rel.schema
-  | Product (l, r) -> Rel.concat_schemas (schema env l) (schema env r)
-  | Join { kind; nest_as; left; right; _ } ->
-      join_schema kind ~nest_as ~lpath:[] (schema env left) (schema env right)
-  | Struct_join { kind; nest_as; lpath; left; right; _ } ->
-      join_schema kind ~nest_as ~lpath (schema env left) (schema env right)
-  | Union (l, _) | Diff (l, _) -> schema env l
-  | Rename (renames, input) ->
+let inputs = function
+  | Scan _ | Table _ -> []
+  | Select (_, i)
+  | Project { input = i; _ }
+  | Rename (_, i)
+  | Reorder (_, i)
+  | Extract { input = i; _ }
+  | Derive { input = i; _ }
+  | Nest { input = i; _ }
+  | Unnest (_, i)
+  | Sort (_, i)
+  | Xml (_, i) -> [ i ]
+  | Product (l, r) | Union (l, r) | Diff (l, r) -> [ l; r ]
+  | Join { left; right; _ } | Struct_join { left; right; _ } -> [ left; right ]
+
+let output_schema plan inputs =
+  match (plan, inputs) with
+  | Scan name, _ ->
+      invalid_arg (Printf.sprintf "Logical.output_schema: scan(%s) has no inputs" name)
+  | Table r, [] -> r.Rel.schema
+  | (Select _ | Sort _ | Union _ | Diff _), s :: _ -> s
+  | Project { cols; _ }, [ s ] -> (Rel.project s cols ~dedup:false []).Rel.schema
+  | Product _, [ l; r ] -> Rel.concat_schemas l r
+  | Join { kind; nest_as; _ }, [ l; r ] -> join_schema kind ~nest_as ~lpath:[] l r
+  | Struct_join { kind; nest_as; lpath; _ }, [ l; r ] -> join_schema kind ~nest_as ~lpath l r
+  | Rename (renames, _), [ s ] ->
       List.map
         (fun (c : Rel.column) ->
           match List.assoc_opt c.cname renames with
           | Some cname -> { c with cname }
           | None -> c)
-        (schema env input)
-  | Reorder (positions, input) ->
-      let s = Array.of_list (schema env input) in
+        s
+  | Reorder (positions, _), [ s ] ->
+      let s = Array.of_list s in
       List.map (fun i -> s.(i)) positions
-  | Extract { kind; out; input; _ } -> (
-      let s = schema env input in
+  | Extract { kind; out; _ }, [ s ] -> (
       match kind with
       | Semi -> s
       | Inner | LeftOuter -> s @ [ Rel.atom out ]
       | NestJoin | NestOuter -> s @ [ Rel.nested out [ Rel.atom "x" ] ])
-  | Derive { out; input; _ } -> schema env input @ [ Rel.atom out ]
-  | Nest { cname; input } -> [ Rel.nested cname (schema env input) ]
-  | Unnest (path, input) -> (
-      let s = schema env input in
+  | Derive { out; _ }, [ s ] -> s @ [ Rel.atom out ]
+  | Nest { cname; _ }, [ s ] -> [ Rel.nested cname s ]
+  | Unnest (path, _), [ s ] -> (
       match Rel.resolve s path with
       | Rel.Nested sub ->
           List.filter
@@ -110,34 +117,22 @@ let rec schema env plan =
             s
           @ sub
       | Rel.Atom -> invalid_arg "Logical.schema: unnest of an atomic column")
-  | Xml _ -> [ Rel.atom "xml" ]
+  | Xml _, [ _ ] -> [ Rel.atom "xml" ]
+  | _ -> invalid_arg "Logical.output_schema: wrong number of input schemas"
 
-let rec size = function
-  | Scan _ | Table _ -> 1
-  | Select (_, i) | Project { input = i; _ } | Nest { input = i; _ }
-  | Rename (_, i) | Reorder (_, i) | Unnest (_, i) | Sort (_, i) | Xml (_, i)
-  | Extract { input = i; _ } | Derive { input = i; _ } ->
-      1 + size i
-  | Product (l, r)
-  | Join { left = l; right = r; _ }
-  | Struct_join { left = l; right = r; _ }
-  | Union (l, r)
-  | Diff (l, r) ->
-      1 + size l + size r
+let rec schema env plan =
+  match plan with
+  | Scan name -> (
+      match env name with
+      | Some s -> s
+      | None -> invalid_arg (Printf.sprintf "Logical.schema: unknown relation %S" name))
+  | _ -> output_schema plan (List.map (schema env) (inputs plan))
+
+let rec size plan = List.fold_left (fun n i -> n + size i) 1 (inputs plan)
 
 let rec scans = function
   | Scan name -> [ name ]
-  | Table _ -> []
-  | Select (_, i) | Project { input = i; _ } | Nest { input = i; _ }
-  | Rename (_, i) | Reorder (_, i) | Unnest (_, i) | Sort (_, i) | Xml (_, i)
-  | Extract { input = i; _ } | Derive { input = i; _ } ->
-      scans i
-  | Product (l, r)
-  | Join { left = l; right = r; _ }
-  | Struct_join { left = l; right = r; _ }
-  | Union (l, r)
-  | Diff (l, r) ->
-      scans l @ scans r
+  | plan -> List.concat_map scans (inputs plan)
 
 let axis_symbol = function Child -> "≺" | Descendant -> "≺≺"
 let axis_pathsym = function Child -> "/" | Descendant -> "//"

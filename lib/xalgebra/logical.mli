@@ -75,6 +75,16 @@ type t =
 
 type env_schema = string -> Rel.schema option
 
+val inputs : t -> t list
+(** The operator's input plans, left to right; none for [Scan] and
+    [Table]. *)
+
+val output_schema : t -> Rel.schema list -> Rel.schema
+(** The output schema of the plan's top operator, given the schemas of its
+    {!inputs} in order. Raises [Invalid_argument] on a [Scan] (its schema
+    is the environment's), on a wrong number of input schemas and on
+    dangling paths. *)
+
 val schema : env_schema -> t -> Rel.schema
 (** Output schema inference; raises [Invalid_argument] on ill-formed plans
     (unknown scans, dangling paths). *)

@@ -22,11 +22,27 @@ let drain (c : cursor) : Rel.tuple list =
 let map_cursor f (c : cursor) : cursor =
  fun () -> Option.map f (c ())
 
-let filter_cursor pred (c : cursor) : cursor =
+let filter_map_cursor f (c : cursor) : cursor =
   let rec next () =
     match c () with
     | None -> None
-    | Some t -> if pred t then Some t else next ()
+    | Some t -> ( match f t with Some _ as r -> r | None -> next ())
+  in
+  next
+
+let concat_map_cursor f (c : cursor) : cursor =
+  let pending = ref [] in
+  let rec next () =
+    match !pending with
+    | t :: more ->
+        pending := more;
+        Some t
+    | [] -> (
+        match c () with
+        | None -> None
+        | Some t ->
+            pending := f t;
+            next ())
   in
   next
 
@@ -92,81 +108,7 @@ let stack_tree_desc ~axis (ancs : (Nid.t * Rel.tuple) array)
   done;
   List.rev !out
 
-let stack_tree_anc ~axis (ancs : (Nid.t * Rel.tuple) array)
-    (descs : (Nid.t * Rel.tuple) array) : (Rel.tuple * Rel.tuple) list =
-  (* Each stack entry carries a self-list (its own pairs) and an
-     inherit-list (completed pairs of deeper popped entries, which must be
-     output before its own). Output is produced only when an entry leaves
-     an empty stack, which is what yields ancestor order. *)
-  let ancs = group_runs ancs in
-  let out = ref [] in
-  let emit l = out := List.rev_append l !out in
-  let stack : (Nid.t * Rel.tuple list * (Rel.tuple * Rel.tuple) list ref
-              * (Rel.tuple * Rel.tuple) list ref) list ref =
-    ref []
-  in
-  let pop () =
-    match !stack with
-    | [] -> ()
-    | (_, _, self, inh) :: rest ->
-        stack := rest;
-        (match rest with
-        | [] ->
-            emit (List.rev !inh);
-            emit (List.rev !self)
-        | (_, _, _, parent_inh) :: _ ->
-            parent_inh := List.rev_append !self (List.rev_append !inh !parent_inh))
-  in
-  let na = Array.length ancs in
-  let ai = ref 0 in
-  for di = 0 to Array.length descs - 1 do
-    let did, dt = descs.(di) in
-    while !ai < na && strictly_before (fst ancs.(!ai)) did do
-      let aid, ats = ancs.(!ai) in
-      incr ai;
-      while (match !stack with (top, _, _, _) :: _ -> not (is_anc top aid) | [] -> false) do
-        pop ()
-      done;
-      stack := (aid, ats, ref [], ref []) :: !stack
-    done;
-    while (match !stack with (top, _, _, _) :: _ -> not (is_anc top did) | [] -> false) do
-      pop ()
-    done;
-    List.iter
-      (fun (aid, ats, self, _) ->
-        if axis = Logical.Descendant || axis_pair axis aid did then
-          List.iter (fun at -> self := (at, dt) :: !self) ats)
-      !stack
-  done;
-  while !stack <> [] do
-    pop ()
-  done;
-  List.rev !out
-
 (* --- Compilation ----------------------------------------------------------- *)
-
-exception Fallback
-
-(* Compilation context: the evaluation environment plus a hook applied to
-   every compiled operator — identity for plain compilation, a
-   stats-wrapping closure for instrumented runs. *)
-type ctx = { env : Eval.env; wrap : Logical.t -> t -> t }
-
-let sub_plans = function
-  | Logical.Scan _ | Logical.Table _ -> []
-  | Logical.Select (_, i)
-  | Logical.Project { input = i; _ }
-  | Logical.Rename (_, i)
-  | Logical.Reorder (_, i)
-  | Logical.Extract { input = i; _ }
-  | Logical.Derive { input = i; _ }
-  | Logical.Nest { input = i; _ }
-  | Logical.Unnest (_, i)
-  | Logical.Sort (_, i)
-  | Logical.Xml (_, i) -> [ i ]
-  | Logical.Product (l, r) | Logical.Union (l, r) | Logical.Diff (l, r) -> [ l; r ]
-  | Logical.Join { left; right; _ } | Logical.Struct_join { left; right; _ } ->
-      [ left; right ]
 
 (* Column holding the identifier, when the path is a single top-level
    component. *)
@@ -200,199 +142,133 @@ let sort_tuples i tuples =
       | _ -> 0)
     tuples
 
-let rec compile_ctx (ctx : ctx) (plan : Logical.t) : t =
-  let p =
-    match compile_streaming ctx plan with
-    | p -> p
-    | exception Fallback -> delegate ctx plan
-  in
-  ctx.wrap plan p
-
-(* A non-streamable operator evaluates set-at-a-time — but only itself:
-   its inputs are still compiled to cursors and drained on demand, so the
-   subplans below keep pipelining (and keep their instrumentation). The
-   materialization is deferred to the first [open_]. *)
-and delegate ctx plan : t =
-  let compiled = List.map (fun sub -> (sub, compile_ctx ctx sub)) (sub_plans plan) in
-  let via _env sub =
-    match List.find_map (fun (n, p) -> if n == sub then Some p else None) compiled with
-    | Some p -> Rel.make p.schema (drain (p.open_ ()))
-    | None -> Eval.run ctx.env sub
-  in
-  let result = lazy (Eval.step via ctx.env plan) in
-  let schema =
-    match
-      Logical.schema (fun name -> Option.map (fun r -> r.Rel.schema) (ctx.env name)) plan
-    with
-    | schema -> schema
-    | exception _ -> (Lazy.force result).Rel.schema
-  in
-  { schema; order = None; open_ = (fun () -> of_list (Lazy.force result).Rel.tuples) }
-
-and compile_streaming ctx plan : t =
-  (* The [env] threaded through the operator cases below is the whole
-     compilation context; only [Scan] reaches inside for the actual
-     environment. *)
-  let compile = compile_ctx in
-  let env = ctx in
-  match plan with
-  | Logical.Scan name -> (
-      match ctx.env name with
-      | None -> raise (Eval.Unknown_relation name)
-      | Some r ->
-          let order =
-            List.find_map
-              (fun (c : Rel.column) ->
-                match c.Rel.ctype with
-                | Rel.Atom ->
-                    let i = Rel.col_index r.Rel.schema c.Rel.cname in
-                    if
-                      r.Rel.tuples <> []
-                      && List.for_all (fun t -> id_at i t <> None) r.Rel.tuples
-                      && sorted_on i r.Rel.tuples
-                    then Some [ c.Rel.cname ]
-                    else None
-                | Rel.Nested _ -> None)
-              r.Rel.schema
-          in
-          { schema = r.Rel.schema; order; open_ = (fun () -> of_list r.Rel.tuples) })
-  | Logical.Table r ->
-      { schema = r.Rel.schema; order = None; open_ = (fun () -> of_list r.Rel.tuples) }
-  | Logical.Select (pred, input) ->
-      let p = compile env input in
-      (* Nested-path predicates reduce collections in Eval; keep agreement
-         by delegating those. *)
-      if List.exists (fun path -> List.length path > 1) (Pred.paths pred) then
-        raise Fallback
-      else
-        { p with
-          open_ = (fun () -> filter_cursor (fun t -> Pred.eval p.schema t pred) (p.open_ ())) }
-  | Logical.Project { cols; dedup; input } ->
-      let p = compile env input in
-      if List.exists (fun path -> List.length path > 1) cols then raise Fallback
-      else
-        let out_schema = (Rel.project p.schema cols ~dedup:false []).Rel.schema in
-        let order =
-          match p.order with
-          | Some [ col ] when List.mem [ col ] cols -> Some [ col ]
-          | _ -> None
-        in
-        if dedup then
-          { schema = out_schema;
-            order;
-            open_ =
-              (fun () ->
-                let seen = Rel.Tuple_table.create 64 in
-                let c = p.open_ () in
-                let rec next () =
-                  match c () with
-                  | None -> None
-                  | Some t ->
-                      let u = (Rel.project p.schema cols ~dedup:false [ t ]).Rel.tuples in
-                      let u = List.hd u in
-                      if Rel.Tuple_table.mem seen u then next ()
-                      else (
-                        Rel.Tuple_table.add seen u ();
-                        Some u)
-                in
-                next) }
-        else
-          { schema = out_schema;
-            order;
-            open_ =
-              (fun () ->
-                map_cursor
-                  (fun t -> List.hd (Rel.project p.schema cols ~dedup:false [ t ]).Rel.tuples)
-                  (p.open_ ())) }
-  | Logical.Rename (renames, input) ->
-      let p = compile env input in
-      let rename_col name =
-        match List.assoc_opt name renames with Some n -> n | None -> name
+let scan env name =
+  match env name with
+  | None -> raise (Eval.Unknown_relation name)
+  | Some r ->
+      let order =
+        List.find_map
+          (fun (c : Rel.column) ->
+            match c.Rel.ctype with
+            | Rel.Atom ->
+                let i = Rel.col_index r.Rel.schema c.Rel.cname in
+                if
+                  r.Rel.tuples <> []
+                  && List.for_all (fun t -> id_at i t <> None) r.Rel.tuples
+                  && sorted_on i r.Rel.tuples
+                then Some [ c.Rel.cname ]
+                else None
+            | Rel.Nested _ -> None)
+          r.Rel.schema
       in
-      { schema =
-          List.map
-            (fun (c : Rel.column) -> { c with Rel.cname = rename_col c.Rel.cname })
-            p.schema;
-        order = Option.map (function [ n ] -> [ rename_col n ] | o -> o) p.order;
-        open_ = p.open_ }
-  | Logical.Reorder (positions, input) ->
-      let p = compile env input in
-      let sch = Array.of_list p.schema in
-      { schema = List.map (fun i -> sch.(i)) positions;
-        order = None;
-        open_ =
-          (fun () ->
-            map_cursor
-              (fun t -> Array.of_list (List.map (fun i -> t.(i)) positions))
-              (p.open_ ())) }
-  | Logical.Union (l, r) ->
-      let pl = compile env l and pr = compile env r in
-      { schema = pl.schema;
-        order = None;
-        open_ =
-          (fun () ->
-            let cl = pl.open_ () and cr = pr.open_ () in
-            let left_done = ref false in
-            let rec next () =
-              if !left_done then cr ()
-              else
-                match cl () with
-                | Some t -> Some t
-                | None ->
-                    left_done := true;
-                    next ()
-            in
-            next) }
-  | Logical.Diff (l, r) ->
-      let pl = compile env l and pr = compile env r in
-      { schema = pl.schema;
-        order = pl.order;
-        open_ =
-          (fun () ->
-            let rights = drain (pr.open_ ()) in
-            filter_cursor
-              (fun t -> not (List.exists (Rel.equal_tuple t) rights))
-              (pl.open_ ())) }
-  | Logical.Sort (path, input) ->
-      let p = compile env input in
-      { schema = p.schema;
-        order = Some path;
-        open_ =
-          (fun () ->
-            let r = Rel.sort_by p.schema path (Rel.make p.schema (drain (p.open_ ()))) in
-            of_list r.Rel.tuples) }
-  | Logical.Product (l, r) ->
-      let pl = compile env l and pr = compile env r in
-      { schema = Rel.concat_schemas pl.schema pr.schema;
-        order = pl.order;
-        open_ =
-          (fun () ->
-            let rights = drain (pr.open_ ()) in
-            let cl = pl.open_ () in
-            let pending = ref [] in
-            let rec next () =
-              match !pending with
-              | t :: more ->
-                  pending := more;
-                  Some t
-              | [] -> (
-                  match cl () with
-                  | None -> None
-                  | Some lt ->
-                      pending := List.map (fun rt -> Rel.concat_tuples lt rt) rights;
-                      next ())
-            in
-            next) }
-  | Logical.Join { kind = Logical.Inner | Logical.LeftOuter | Logical.Semi as kind;
-                   pred; left; right; _ } -> (
-      let pl = compile env left and pr = compile env right in
+      { schema = r.Rel.schema; order; open_ = (fun () -> of_list r.Rel.tuples) }
+
+(* A join: on open the right input is drained and handed to [expand],
+   which returns each left tuple's output tuples. *)
+let join schema pl pr ~expand =
+  { schema;
+    order = pl.order;
+    open_ =
+      (fun () ->
+        let expand = expand (drain (pr.open_ ())) in
+        concat_map_cursor expand (pl.open_ ())) }
+
+(* A flat inner structural join: StackTreeDesc over both inputs sorted on
+   their join identifiers, with a Sort enforcer unless an input's order
+   descriptor already matches (§1.2.3). Output is ordered by the
+   descendant column. *)
+let stack_tree_join schema axis (pl, lpath) (pr, rpath) =
+  { schema;
+    order = Some rpath;
+    open_ =
+      (fun () ->
+        let prepare (p : t) path =
+          let i = Option.get (top_col p.schema path) in
+          let tuples = drain (p.open_ ()) in
+          let tuples =
+            if p.order = Some path && sorted_on i tuples then tuples
+            else sort_tuples i tuples
+          in
+          Array.of_list
+            (List.filter_map (fun t -> Option.map (fun id -> (id, t)) (id_at i t)) tuples)
+        in
+        let ancs = prepare pl lpath in
+        let descs = prepare pr rpath in
+        of_list
+          (List.map (fun (a, d) -> Rel.concat_tuples a d) (stack_tree_desc ~axis ancs descs))) }
+
+(* The operator at the top of [plan] over its compiled [inputs] (the
+   plan's {!Logical.inputs}, in order); [schema] is its output schema. *)
+let operator plan schema inputs =
+  let stream ?order open_ = { schema; order; open_ } in
+  match (plan, inputs) with
+  | Logical.Table r, [] -> stream (fun () -> of_list r.Rel.tuples)
+  | Logical.Select (pred, _), [ p ] ->
+      let keep = Eval.select p.schema pred in
+      { p with open_ = (fun () -> filter_map_cursor keep (p.open_ ())) }
+  | Logical.Project { cols; dedup; _ }, [ p ] ->
+      let order =
+        match p.order with Some [ col ] when List.mem [ col ] cols -> p.order | _ -> None
+      in
+      let project = Rel.project_tuple ~dedup p.schema cols in
+      stream ?order (fun () ->
+          let c = map_cursor project (p.open_ ()) in
+          if not dedup then c
+          else
+            let seen = Rel.Tuple_table.create 64 in
+            filter_map_cursor
+              (fun u ->
+                if Rel.Tuple_table.mem seen u then None
+                else (
+                  Rel.Tuple_table.add seen u ();
+                  Some u))
+              c)
+  | Logical.Rename (renames, _), [ p ] ->
+      let rename = function
+        | [ n ] -> [ Option.value (List.assoc_opt n renames) ~default:n ]
+        | path -> path
+      in
+      { p with schema; order = Option.map rename p.order }
+  | Logical.Reorder (positions, _), [ p ] ->
+      stream (fun () ->
+          map_cursor
+            (fun t -> Array.of_list (List.map (fun i -> t.(i)) positions))
+            (p.open_ ()))
+  | Logical.Union _, [ pl; pr ] ->
+      stream (fun () ->
+          let cl = pl.open_ () and cr = pr.open_ () in
+          let left_done = ref false in
+          let rec next () =
+            if !left_done then cr ()
+            else
+              match cl () with
+              | Some t -> Some t
+              | None ->
+                  left_done := true;
+                  next ()
+          in
+          next)
+  | Logical.Diff _, [ pl; pr ] ->
+      stream ?order:pl.order (fun () ->
+          let rights = drain (pr.open_ ()) in
+          filter_map_cursor
+            (fun t -> if List.exists (Rel.equal_tuple t) rights then None else Some t)
+            (pl.open_ ()))
+  | Logical.Sort (path, _), [ p ] ->
+      stream ~order:path (fun () ->
+          of_list (Rel.sort_by schema path (Rel.make schema (drain (p.open_ ())))).Rel.tuples)
+  | Logical.Product _, [ pl; pr ] ->
+      join schema pl pr ~expand:(fun rights lt -> List.map (Rel.concat_tuples lt) rights)
+  | Logical.Join { kind; pred; _ }, [ pl; pr ] ->
+      let null_right = Rel.null_tuple pr.schema in
       (* Hash join on top-level equality columns, nested loops otherwise. *)
-      match pred with
-      | Pred.Cmp (Pred.Col lp, Pred.Eq, Pred.Col rp)
-        when top_col pl.schema lp <> None && top_col pr.schema rp <> None ->
-          let li = Option.get (top_col pl.schema lp) in
-          let ri = Option.get (top_col pr.schema rp) in
-          join kind pl pr ~matches:(fun rights ->
+      let matches =
+        match pred with
+        | Pred.Cmp (Pred.Col lp, Pred.Eq, Pred.Col rp)
+          when top_col pl.schema lp <> None && top_col pr.schema rp <> None ->
+            let li = Option.get (top_col pl.schema lp) in
+            let ri = Option.get (top_col pr.schema rp) in
+            fun rights ->
               let table = Hashtbl.create 64 in
               List.iter
                 (fun rt ->
@@ -403,102 +279,42 @@ and compile_streaming ctx plan : t =
                 let v = Rel.atom_field lt li in
                 Hashtbl.find_all table (Value.hash v)
                 |> List.rev
-                |> List.filter_map (fun (rv, rt) ->
-                       if Value.equal v rv then Some rt else None))
-      | _ ->
-          let joined = Rel.concat_schemas pl.schema pr.schema in
-          join kind pl pr ~matches:(fun rights lt ->
-              List.filter (fun rt -> Pred.eval joined (Rel.concat_tuples lt rt) pred) rights))
-  | Logical.Struct_join { kind = Logical.Inner as kind; axis; lpath; rpath; left; right; _ }
-    ->
-      struct_join_stream env kind axis lpath rpath left right
-  | Logical.Xml (template, input) ->
-      let p = compile env input in
-      { schema = [ Rel.atom "xml" ];
-        order = None;
-        open_ =
-          (fun () ->
-            map_cursor
-              (fun t ->
-                let buf = Buffer.create 128 in
-                Eval.eval_template buf p.schema t template;
-                [| Rel.A (Value.Str (Buffer.contents buf)) |])
-              (p.open_ ())) }
-  | _ -> raise Fallback
-
-(* An Inner, LeftOuter or Semi join. On open the right input is drained
-   and handed to [matches], which returns the lookup giving each left
-   tuple its matching right tuples in right-input order. *)
-and join kind pl pr ~matches : t =
-  let schema =
-    match kind with
-    | Logical.Semi -> pl.schema
-    | _ -> Rel.concat_schemas pl.schema pr.schema
-  in
-  { schema;
-    order = pl.order;
-    open_ =
-      (fun () ->
-        let matches = matches (drain (pr.open_ ())) in
-        let cl = pl.open_ () in
-        let pending = ref [] in
-        let null_right = Rel.null_tuple pr.schema in
-        let rec next () =
-          match !pending with
-          | t :: more ->
-              pending := more;
-              Some t
-          | [] -> (
-              match cl () with
-              | None -> None
-              | Some lt -> (
-                  let ms = matches lt in
-                  match kind with
-                  | Logical.Semi -> if ms = [] then next () else Some lt
-                  | Logical.LeftOuter ->
-                      pending :=
-                        (match ms with
-                        | [] -> [ Rel.concat_tuples lt null_right ]
-                        | _ -> List.map (fun rt -> Rel.concat_tuples lt rt) ms);
-                      next ()
-                  | _ ->
-                      pending := List.map (fun rt -> Rel.concat_tuples lt rt) ms;
-                      next ()))
-        in
-        next) }
-
-and struct_join_stream ctx kind axis lpath rpath left right : t =
-  let pl = compile_ctx ctx left and pr = compile_ctx ctx right in
-  let li = match top_col pl.schema lpath with Some i -> i | None -> raise Fallback in
-  let ri = match top_col pr.schema rpath with Some i -> i | None -> raise Fallback in
-  ignore kind;
-  let schema = Rel.concat_schemas pl.schema pr.schema in
-  let axis' = match axis with Logical.Child -> Logical.Child | a -> a in
-  { schema;
-    order = Some rpath;
-    open_ =
-      (fun () ->
-        (* Enforce the order descriptors: sort an input unless its
-           descriptor already matches the join attribute (§1.2.3). *)
-        let prepare (p : t) i path =
-          let tuples = drain (p.open_ ()) in
-          let tuples =
-            if p.order = Some path && sorted_on i tuples then tuples
-            else sort_tuples i tuples
-          in
-          Array.of_list
-            (List.filter_map (fun t -> Option.map (fun id -> (id, t)) (id_at i t)) tuples)
-        in
-        let ancs = prepare pl li lpath in
-        let descs = prepare pr ri rpath in
-        let pairs = stack_tree_desc ~axis:axis' ancs descs in
-        of_list (List.map (fun (a, d) -> Rel.concat_tuples a d) pairs)) }
-
-let compile env plan = compile_ctx { env; wrap = (fun _ p -> p) } plan
-
-let run env plan =
-  let p = compile env plan in
-  Rel.make p.schema (drain (p.open_ ()))
+                |> List.filter_map (fun (rv, rt) -> if Value.equal v rv then Some rt else None)
+        | _ ->
+            let joined = Rel.concat_schemas pl.schema pr.schema in
+            fun rights lt ->
+              List.filter (fun rt -> Pred.eval joined (Rel.concat_tuples lt rt) pred) rights
+      in
+      join schema pl pr ~expand:(fun rights ->
+          let matches = matches rights in
+          fun lt -> Eval.combine kind ~null_right lt (matches lt))
+  | Logical.Struct_join { kind = Logical.Inner; axis; lpath; rpath; _ }, [ pl; pr ]
+    when top_col pl.schema lpath <> None && top_col pr.schema rpath <> None ->
+      stack_tree_join schema axis (pl, lpath) (pr, rpath)
+  | Logical.Struct_join { kind; axis; lpath; rpath; _ }, [ pl; pr ] ->
+      let null_right = Rel.null_tuple pr.schema in
+      join schema pl pr ~expand:(fun rights ->
+          Eval.struct_expand kind pl.schema lpath ~null_right
+            (Eval.build_matcher axis pr.schema rpath rights))
+  | Logical.Extract { src; steps; mode; kind; _ }, [ p ] ->
+      let extract = Eval.extract p.schema ~src ~steps ~mode kind in
+      stream ?order:p.order (fun () -> concat_map_cursor extract (p.open_ ()))
+  | Logical.Derive { src; levels; _ }, [ p ] ->
+      stream ?order:p.order (fun () ->
+          map_cursor (Eval.derive p.schema ~src ~levels) (p.open_ ()))
+  | Logical.Nest _, [ p ] -> stream (fun () -> of_list [ [| Rel.N (drain (p.open_ ())) |] ])
+  | Logical.Unnest (path, _), [ p ] ->
+      let unnest = Eval.unnest p.schema path in
+      stream (fun () -> concat_map_cursor unnest (p.open_ ()))
+  | Logical.Xml (template, _), [ p ] ->
+      stream (fun () ->
+          map_cursor
+            (fun t ->
+              let buf = Buffer.create 128 in
+              Eval.eval_template buf p.schema t template;
+              [| Rel.A (Value.Str (Buffer.contents buf)) |])
+            (p.open_ ()))
+  | _ -> invalid_arg "Physical: operator compiled with the wrong number of inputs"
 
 (* --- Per-query resource budgets ------------------------------------------- *)
 
@@ -529,7 +345,7 @@ type op_stats = {
   mutable tuples : int;
   mutable nexts : int;
   mutable elapsed : float;
-  mutable children : op_stats list;
+  children : op_stats list;
 }
 
 let kind_str = function
@@ -560,16 +376,34 @@ let op_name = function
   | Logical.Sort _ -> "sort"
   | Logical.Xml _ -> "xml"
 
-let fresh_stats node =
-  { op = op_name node; tuples = 0; nexts = 0; elapsed = 0.0; children = [] }
+(* Compile bottom-up, each plan node exactly once: its inputs first, in
+   {!Logical.inputs} order, then the operator over them. Every node gets
+   its stats node here, and [wrap] may instrument its cursor with it. *)
+let rec compile_node env ~wrap plan =
+  let compiled = List.map (compile_node env ~wrap) (Logical.inputs plan) in
+  let inputs = List.map fst compiled in
+  let p =
+    match plan with
+    | Logical.Scan name -> scan env name
+    | _ ->
+        let schema = Logical.output_schema plan (List.map (fun p -> p.schema) inputs) in
+        operator plan schema inputs
+  in
+  let st =
+    { op = op_name plan; tuples = 0; nexts = 0; elapsed = 0.0; children = List.map snd compiled }
+  in
+  (wrap st p, st)
+
+let compile env plan = fst (compile_node env ~wrap:(fun _ p -> p) plan)
+
+let run env plan =
+  let p = compile env plan in
+  Rel.make p.schema (drain (p.open_ ()))
 
 let compile_instrumented ?(clock = Sys.time) ?budget env plan =
-  (* Every compiled operator gets a stats node counting next() calls,
-     tuples produced and wall time (inclusive of its inputs, since a
-     parent's next() pulls on its children). Keyed by physical identity of
-     the logical node; when a node is compiled twice (a streaming attempt
-     discarded by a later Fallback), the later — actually executed —
-     registration wins. *)
+  (* Every compiled operator's cursor counts next() calls, tuples produced
+     and wall time (inclusive of its inputs, since a parent's next() pulls
+     on its children) into its stats node. *)
   let charge =
     match budget with
     | None -> fun () -> ()
@@ -587,10 +421,7 @@ let compile_instrumented ?(clock = Sys.time) ?budget env plan =
               raise (Over_budget { dimension = Deadline; limit = d })
           | _ -> () )
   in
-  let table : (Logical.t * op_stats) list ref = ref [] in
-  let wrap node p =
-    let st = fresh_stats node in
-    table := (node, st) :: !table;
+  let wrap st p =
     { p with
       open_ =
         (fun () ->
@@ -604,18 +435,7 @@ let compile_instrumented ?(clock = Sys.time) ?budget env plan =
             (match r with Some _ -> st.tuples <- st.tuples + 1 | None -> ());
             r) }
   in
-  let p = compile_ctx { env; wrap } plan in
-  let find node =
-    List.find_map (fun (n, st) -> if n == node then Some st else None) !table
-  in
-  (* Mirror the logical plan. A subtree folded into a set-at-a-time
-     ancestor before ever being compiled shows up with zero counts. *)
-  let rec build node =
-    let st = match find node with Some st -> st | None -> fresh_stats node in
-    st.children <- List.map build (sub_plans node);
-    st
-  in
-  (p, build plan)
+  compile_node env ~wrap plan
 
 (* Fold a finished stats tree into the registry: totals across operators
    plus one latency observation per operator node. The registry lookups

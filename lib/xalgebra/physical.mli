@@ -1,15 +1,16 @@
-(** Iterator-based physical execution (§1.2.3).
+(** Iterator-based physical execution (§1.2.3): the one executor of
+    logical plans.
 
-    {!Eval} interprets logical plans set-at-a-time; this module provides the
-    thesis's physical layer: Volcano-style iterators, the
-    {e StackTreeDesc}/{e StackTreeAnc} structural-join algorithms of [7],
-    hash joins, and {e order descriptors} — each operator advertises the
-    column its output is sorted on, and the compiler inserts Sort enforcers
-    when a structural join's inputs are not ordered on their join
-    attributes (the pipelining discipline §1.2.3 describes).
-
-    [run] must agree with {!Eval.run} up to tuple order; the test suite
-    checks it does. *)
+    Every {!Logical.t} operator compiles to a Volcano-style cursor built
+    from the per-tuple kernels of {!Eval}. A flat inner structural join runs
+    the {e StackTreeDesc} algorithm of [7] over inputs sorted on their join
+    identifiers; each operator advertises the column its output is sorted
+    on (its {e order descriptor}), and the join sorts an input only when
+    that descriptor does not already match its join attribute (the
+    pipelining discipline §1.2.3 describes). Every other structural join —
+    outer, semi, nest, nest-outer, or one keyed on a nested path — probes
+    {!Eval.build_matcher}'s sorted index once per left tuple. Value joins
+    hash on top-level equality columns and use nested loops otherwise. *)
 
 type order = Rel.path option
 (** The column the stream is sorted on (document order of its identifiers);
@@ -25,11 +26,9 @@ type t = {
 }
 
 val compile : Eval.env -> Logical.t -> t
-(** Compile a logical plan to a physical one. Structural joins become
-    StackTreeDesc (inner/outer/semi; output ordered by the descendant
-    column) over inputs sorted on their join attributes, with Sort
-    enforcers inserted as needed; top-level equality value joins become
-    hash joins; other predicates fall back to nested loops. *)
+(** Compile a logical plan to a physical one, each plan node once. Raises
+    {!Eval.Unknown_relation} on an unresolved scan and [Invalid_argument]
+    on a plan whose paths do not match its input schemas. *)
 
 val run : Eval.env -> Logical.t -> Rel.t
 (** Compile and drain. *)
@@ -70,10 +69,11 @@ type op_stats = {
   mutable elapsed : float;
       (** seconds spent inside this operator's cursor, inclusive of its
           inputs (a parent's next() pulls on its children) *)
-  mutable children : op_stats list;
+  children : op_stats list;  (** one per input, in {!Logical.inputs} order *)
 }
-(** One stats node per operator of the logical plan, mirroring its
-    shape. Counters fill in as the compiled cursor is drained. *)
+(** One stats node per node of the logical plan, made when the node is
+    compiled, so the stats tree has the plan's shape. Counters fill in as
+    the compiled cursor is drained. *)
 
 val compile_instrumented :
   ?clock:(unit -> float) ->
@@ -112,10 +112,3 @@ val stack_tree_desc :
 (** The StackTreeDesc algorithm on inputs sorted by document order:
     ancestor/descendant (or parent/child) pairs, output sorted by the
     descendant. Exposed for direct testing and benchmarking. *)
-
-val stack_tree_anc :
-  axis:Logical.axis ->
-  (Xdm.Nid.t * Rel.tuple) array ->
-  (Xdm.Nid.t * Rel.tuple) array ->
-  (Rel.tuple * Rel.tuple) list
-(** StackTreeAnc: same pairs, output sorted by the ancestor. *)

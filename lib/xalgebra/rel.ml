@@ -172,21 +172,23 @@ and group_paths paths =
     paths;
   List.rev_map (fun name -> (name, Hashtbl.find table name)) !order
 
-let rec project_tuple ~dedup schema paths tuple =
-  let groups = group_paths paths in
-  Array.of_list
-    (List.map
-       (fun (name, subpaths) ->
-         let i = col_index schema name in
-         let c = List.nth schema i in
-         match (c.ctype, subpaths, tuple.(i)) with
-         | Atom, [], f -> f
-         | Nested _, [], f -> f
-         | Nested sub, sp, N inner ->
-             let inner' = List.map (project_tuple ~dedup sub sp) inner in
-             N (if dedup then dedup_tuples inner' else inner')
-         | _ -> invalid_arg "Rel.project: schema/tuple mismatch")
-       groups)
+let rec project_tuple ~dedup schema paths =
+  let field (name, subpaths) =
+    let i = col_index schema name in
+    match ((List.nth schema i).ctype, subpaths) with
+    | _, [] -> fun (t : tuple) -> t.(i)
+    | Nested sub, sp -> (
+        let inner = project_tuple ~dedup sub sp in
+        fun t ->
+          match t.(i) with
+          | N l ->
+              let l = List.map inner l in
+              N (if dedup then dedup_tuples l else l)
+          | A _ -> invalid_arg "Rel.project: schema/tuple mismatch")
+    | Atom, _ -> invalid_arg "Rel.project: path crosses an atomic column"
+  in
+  let fields = Array.of_list (List.map field (group_paths paths)) in
+  fun t -> Array.map (fun f -> f t) fields
 
 let project schema paths ~dedup tuples =
   let out_schema = project_schema schema paths in

@@ -54,6 +54,11 @@ val project : schema -> path list -> dedup:bool -> tuple list -> t
 (** Top-level and nested projection; each path keeps its last component as
     the output column name. *)
 
+val project_tuple : dedup:bool -> schema -> path list -> tuple -> tuple
+(** {!project} on one tuple, without the top-level duplicate elimination
+    ([dedup] still deduplicates the nested collections it projects).
+    Staged: the paths are resolved once, before any tuple. *)
+
 val dedup_tuples : tuple list -> tuple list
 (** Order-preserving duplicate elimination: keeps the first of every group
     of tuples equal under {!equal_tuple}, however their fields are shared

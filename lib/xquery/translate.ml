@@ -66,7 +66,7 @@ let env_for doc (e : Extract.t) =
 
 let eval doc expr =
   let e = Extract.extract expr in
-  let result = Eval.run (env_for doc e) (plan e) in
+  let result = Xalgebra.Physical.run (env_for doc e) (plan e) in
   let buf = Buffer.create 256 in
   List.iter
     (fun t ->

@@ -28,4 +28,4 @@ val plan : Xam.Pattern.t -> Xalgebra.Logical.t
     duplicate-eliminating projection onto the stored attributes. *)
 
 val eval : Xdm.Doc.t -> Xam.Pattern.t -> Xalgebra.Rel.t
-(** [Eval.run (env doc) (plan pat)]. *)
+(** [Eval_oracle.run (env doc) (plan pat)]. *)

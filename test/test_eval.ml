@@ -1,11 +1,15 @@
-(* The execution engine: every logical operator, with the structural join
-   family checked against a naive reference implementation. *)
+(* Every logical operator, with expected values worked out by hand and the
+   structural join family checked against a naive reference
+   implementation. Each case runs on the engine's executor
+   ({!Xalgebra.Physical}) and on the set-at-a-time reference interpreter
+   ({!Eval_oracle}). *)
 
 module Rel = Xalgebra.Rel
 module Pred = Xalgebra.Pred
 module V = Xalgebra.Value
 module L = Xalgebra.Logical
 module E = Xalgebra.Eval
+module Ph = Xalgebra.Physical
 module Nid = Xdm.Nid
 
 let a v = Rel.A v
@@ -20,11 +24,20 @@ let rel_of label =
   Rel.make [ Rel.atom ("I" ^ label) ]
     (List.map (fun i -> [| a (V.Id i) |]) (ids label))
 
-let run = E.run_closed
+let engines = [ ("physical", Ph.run (E.env_of_list [])); ("oracle", Eval_oracle.run_closed) ]
+
+(* A test case run once per engine; the engine's name is printed first, so
+   a failing check's output says which engine it ran on. *)
+let on_engines case () =
+  List.iter
+    (fun (name, run) ->
+      Printf.printf "engine: %s\n%!" name;
+      case run)
+    engines
 
 let table r = L.Table r
 
-let test_struct_join_inner () =
+let test_struct_join_inner run =
   let out =
     run
       (L.Struct_join
@@ -40,7 +53,7 @@ let test_struct_join_inner () =
   in
   Alcotest.(check int) "c nodes are not children of a" 0 (Rel.cardinality out_child)
 
-let test_struct_join_variants () =
+let test_struct_join_variants run =
   let b = table (rel_of "b") and c = table (rel_of "c") in
   let outer =
     run
@@ -80,8 +93,9 @@ let test_struct_join_variants () =
   in
   Alcotest.(check int) "nest join drops empty groups" 1 (Rel.cardinality nestj)
 
-(* Reference nested-loop structural join compared against the engine
-   (which uses the sorted-run fast path) on randomized id sets. *)
+(* Reference nested-loop structural join compared against both engines
+   (the executor runs StackTreeDesc, the reference probes the sorted-run
+   matcher) on randomized id sets. *)
 let struct_join_prop =
   let open QCheck2 in
   let gen =
@@ -100,20 +114,19 @@ let struct_join_prop =
       let rrel =
         Rel.make [ Rel.atom "R" ] (List.map (fun k -> [| a (V.Id (mk k)) |]) rs)
       in
-      let out =
-        run
-          (L.Struct_join
-             { kind = L.Inner; axis = L.Descendant; lpath = [ "L" ]; rpath = [ "R" ];
-               nest_as = ""; left = table lrel; right = table rrel })
+      let plan =
+        L.Struct_join
+          { kind = L.Inner; axis = L.Descendant; lpath = [ "L" ]; rpath = [ "R" ];
+            nest_as = ""; left = table lrel; right = table rrel }
       in
       (* In the chain document, node k spans [k, 100-k], so k1 is a proper
          ancestor of k2 iff k1 < k2. *)
       let expected =
         List.concat_map (fun l -> List.filter (fun r -> l < r) rs) ls |> List.length
       in
-      Rel.cardinality out = expected)
+      List.for_all (fun (_, run) -> Rel.cardinality (run plan) = expected) engines)
 
-let test_value_joins () =
+let test_value_joins run =
   let sch1 = [ Rel.atom "K" ] and sch2 = [ Rel.atom "J"; Rel.atom "W" ] in
   let r1 = Rel.make sch1 [ [| a (V.Int 1) |]; [| a (V.Int 2) |]; [| a (V.Int 2) |] ] in
   let r2 =
@@ -132,7 +145,7 @@ let test_value_joins () =
   Alcotest.(check int) "semi" 2 (Rel.cardinality (join L.Semi));
   Alcotest.(check int) "nest outer one group per left" 3 (Rel.cardinality (join L.NestOuter))
 
-let test_select_project_etc () =
+let test_select_project_etc run =
   let sch = [ Rel.atom "X"; Rel.atom "Y" ] in
   let r =
     Rel.make sch
@@ -157,7 +170,7 @@ let test_select_project_etc () =
   let prod = run (L.Product (table r, table r)) in
   Alcotest.(check int) "product" 4 (Rel.cardinality prod)
 
-let test_xml_construct () =
+let test_xml_construct run =
   let sch = [ Rel.atom "N"; Rel.nested "KS" [ Rel.atom "K" ] ] in
   let r =
     Rel.make sch
@@ -178,7 +191,7 @@ let test_xml_construct () =
         "<item>bicycle<kw>red</kw><kw>fast</kw></item>" s
   | _ -> Alcotest.fail "xml output shape"
 
-let test_extract () =
+let test_extract run =
   let sch = [ Rel.atom "C" ] in
   let r =
     Rel.make sch
@@ -204,7 +217,7 @@ let test_extract () =
   in
   Alcotest.(check int) "content extraction" 2 (Rel.cardinality attr)
 
-let test_derive () =
+let test_derive run =
   let sch = [ Rel.atom "D" ] in
   let r = Rel.make sch [ [| a (V.Id (Nid.Dewey [ 1; 2; 3 ])) |] ] in
   let out = run (L.Derive { src = [ "D" ]; levels = 2; out = "P"; input = table r }) in
@@ -218,20 +231,20 @@ let test_derive () =
   | [ t ] -> Alcotest.(check bool) "over-derivation yields ⊥" true (Rel.atom_field t 1 = V.Null)
   | _ -> Alcotest.fail "derive shape")
 
-let test_unknown_scan () =
+let test_unknown_scan run =
   Alcotest.check_raises "unknown relation" (E.Unknown_relation "nope") (fun () ->
-      ignore (E.run_closed (L.Scan "nope")))
+      ignore (run (L.Scan "nope")))
 
 let () =
   Alcotest.run "eval"
     [ ( "struct-joins",
-        [ Alcotest.test_case "inner" `Quick test_struct_join_inner;
-          Alcotest.test_case "outer/semi/nest" `Quick test_struct_join_variants ] );
+        [ Alcotest.test_case "inner" `Quick (on_engines test_struct_join_inner);
+          Alcotest.test_case "outer/semi/nest" `Quick (on_engines test_struct_join_variants) ] );
       ( "operators",
-        [ Alcotest.test_case "value joins" `Quick test_value_joins;
-          Alcotest.test_case "select/project/set ops" `Quick test_select_project_etc;
-          Alcotest.test_case "xml construction" `Quick test_xml_construct;
-          Alcotest.test_case "extract (content navigation)" `Quick test_extract;
-          Alcotest.test_case "derive (parent ids)" `Quick test_derive;
-          Alcotest.test_case "unknown scan" `Quick test_unknown_scan ] );
+        [ Alcotest.test_case "value joins" `Quick (on_engines test_value_joins);
+          Alcotest.test_case "select/project/set ops" `Quick (on_engines test_select_project_etc);
+          Alcotest.test_case "xml construction" `Quick (on_engines test_xml_construct);
+          Alcotest.test_case "extract (content navigation)" `Quick (on_engines test_extract);
+          Alcotest.test_case "derive (parent ids)" `Quick (on_engines test_derive);
+          Alcotest.test_case "unknown scan" `Quick (on_engines test_unknown_scan) ] );
       ("props", [ QCheck_alcotest.to_alcotest struct_join_prop ]) ]

@@ -1,12 +1,14 @@
-(* The iterator-based physical engine: StackTreeDesc/StackTreeAnc
-   correctness and ordering, and agreement with the set-at-a-time engine
-   on whole plans. *)
+(* The iterator-based physical engine: StackTreeDesc correctness and
+   ordering, one compilation per plan node, and agreement with the
+   set-at-a-time reference interpreter ({!Eval_oracle}) on whole plans. *)
 
 module Rel = Xalgebra.Rel
 module L = Xalgebra.Logical
 module E = Xalgebra.Eval
 module Ph = Xalgebra.Physical
 module V = Xalgebra.Value
+module Pred = Xalgebra.Pred
+module P = Xam.Pattern
 module Nid = Xdm.Nid
 module Doc = Xdm.Doc
 
@@ -44,11 +46,7 @@ let test_stack_tree_correct () =
       Alcotest.(check int)
         (Printf.sprintf "desc pairs %s->%s" al dl)
         expected
-        (List.length (Ph.stack_tree_desc ~axis ancs descs));
-      Alcotest.(check int)
-        (Printf.sprintf "anc pairs %s->%s" al dl)
-        expected
-        (List.length (Ph.stack_tree_anc ~axis ancs descs)))
+        (List.length (Ph.stack_tree_desc ~axis ancs descs)))
     [ ("book", "author", L.Child); ("book", "#text", L.Descendant);
       ("library", "title", L.Descendant); ("book", "title", L.Child);
       ("author", "book", L.Child) (* empty result *) ]
@@ -61,16 +59,12 @@ let test_stack_tree_order () =
     | _ -> true
   in
   Alcotest.(check bool) "StackTreeDesc output ordered by descendant" true
-    (sorted (fun (_, d) -> id_of d) by_desc);
-  let by_anc = Ph.stack_tree_anc ~axis:L.Descendant ancs descs in
-  Alcotest.(check bool) "StackTreeAnc output ordered by ancestor" true
-    (sorted (fun (a, _) -> id_of a) by_anc);
-  Alcotest.(check int) "same multiset" (List.length by_desc) (List.length by_anc)
+    (sorted (fun (_, d) -> id_of d) by_desc)
 
-(* Agreement: physical = logical evaluation over compiled patterns and
-   hand-built plans. *)
+(* Agreement: the executor = the reference interpreter, over compiled
+   patterns and hand-built plans. *)
 let check_agreement name env plan =
-  let a = E.run env plan and b = Ph.run env plan in
+  let a = Eval_oracle.run env plan and b = Ph.run env plan in
   Alcotest.(check bool) name true (Rel.equal_unordered a b)
 
 let test_agreement_patterns () =
@@ -172,10 +166,8 @@ let test_stack_tree_empty () =
   let empty = [||] in
   List.iter
     (fun (name, ancs, descs) ->
-      Alcotest.(check int) (name ^ " (desc)") 0
-        (List.length (Ph.stack_tree_desc ~axis:L.Descendant ancs descs));
-      Alcotest.(check int) (name ^ " (anc)") 0
-        (List.length (Ph.stack_tree_anc ~axis:L.Descendant ancs descs)))
+      Alcotest.(check int) name 0
+        (List.length (Ph.stack_tree_desc ~axis:L.Descendant ancs descs)))
     [ ("empty ancestors", empty, books);
       ("empty descendants", books, empty);
       ("both empty", empty, empty) ]
@@ -197,10 +189,8 @@ let test_stack_tree_duplicates () =
   let books = keyed "book" and descs = keyed "title" in
   let expected = 3 * List.length (naive L.Child books descs) in
   let ancs = dup 3 books in
-  Alcotest.(check int) "duplicated ancestors multiply pairs (desc)" expected
-    (List.length (Ph.stack_tree_desc ~axis:L.Child ancs descs));
-  Alcotest.(check int) "duplicated ancestors multiply pairs (anc)" expected
-    (List.length (Ph.stack_tree_anc ~axis:L.Child ancs descs))
+  Alcotest.(check int) "duplicated ancestors multiply pairs" expected
+    (List.length (Ph.stack_tree_desc ~axis:L.Child ancs descs))
 
 let test_struct_outer_padding () =
   let rel_of label col =
@@ -227,6 +217,216 @@ let test_struct_outer_padding () =
       Alcotest.(check bool) "right side null-padded" true (t.(1) = Rel.A V.Null))
     out.Rel.tuples
 
+(* Nested data for the map-semantics operators: each book with its authors
+   as a nested collection of (identifier, value) tuples, and each book's
+   serialized content. *)
+let struct_id h = V.Id (Doc.id Nid.Structural doc h)
+
+let nested_books =
+  Rel.make
+    [ Rel.atom "B"; Rel.nested "AS" [ Rel.atom "A"; Rel.atom "N" ] ]
+    (List.map
+       (fun h ->
+         let authors =
+           List.filter (fun c -> Doc.label doc c = "author") (Doc.children doc h)
+         in
+         [| Rel.A (struct_id h);
+            Rel.N
+              (List.map
+                 (fun a' ->
+                   [| Rel.A (struct_id a'); Rel.A (V.of_string_literal (Doc.value doc a')) |])
+                 authors) |])
+       (Doc.nodes_with_label doc "book"))
+
+let column label col scheme =
+  Rel.make [ Rel.atom col ]
+    (List.map (fun h -> [| Rel.A (V.Id (Doc.id scheme doc h)) |]) (Doc.nodes_with_label doc label))
+
+let test_agreement_every_operator () =
+  let contents =
+    Rel.make [ Rel.atom "C" ]
+      (List.map
+         (fun h -> [| Rel.A (V.Str (Doc.content doc h)) |])
+         (Doc.nodes_with_label doc "book"))
+  in
+  let r1 =
+    Rel.make [ Rel.atom "K" ] (List.init 12 (fun i -> [| Rel.A (V.Int (i mod 5)) |]))
+  in
+  let r2 =
+    Rel.make [ Rel.atom "J"; Rel.atom "W" ]
+      (List.init 8 (fun i -> [| Rel.A (V.Int (i mod 3)); Rel.A (V.Int i) |]))
+  in
+  let env =
+    E.env_of_list
+      [ ("nested", nested_books); ("contents", contents); ("r1", r1); ("r2", r2);
+        ("books", column "book" "B" Nid.Structural);
+        ("titles", column "title" "T" Nid.Structural);
+        ("texts", column "#text" "X" Nid.Structural);
+        ("library", column "library" "L" Nid.Structural);
+        ("dewey", column "title" "D" Nid.Parental) ]
+  in
+  let kinds = [ L.Inner; L.LeftOuter; L.Semi; L.NestJoin; L.NestOuter ] in
+  let kind_name = function
+    | L.Inner -> "inner"
+    | L.LeftOuter -> "outer"
+    | L.Semi -> "semi"
+    | L.NestJoin -> "nest"
+    | L.NestOuter -> "nest-outer"
+  in
+  let struct_join ?(axis = L.Child) kind lpath rpath left right =
+    L.Struct_join { kind; axis; lpath; rpath; nest_as = "G"; left; right }
+  in
+  let eq l r = Pred.Cmp (Pred.Col l, Pred.Eq, Pred.Col r) in
+  (* One author's name: the selections on it reduce the nested
+     collections they keep. *)
+  let author =
+    let name = Doc.value doc (List.hd (Doc.nodes_with_label doc "author")) in
+    Pred.Cmp (Pred.Col [ "AS"; "N" ], Pred.Eq, Pred.Const (V.of_string_literal name))
+  in
+  List.iter
+    (fun (name, plan) -> check_agreement name env plan)
+    (List.concat_map
+       (fun k ->
+         let n = kind_name k in
+         [ ("value join " ^ n, L.Join { kind = k; pred = eq [ "K" ] [ "J" ]; nest_as = "G";
+                                        left = L.Scan "r1"; right = L.Scan "r2" });
+           ("struct join / " ^ n, struct_join k [ "B" ] [ "T" ] (L.Scan "books") (L.Scan "titles"));
+           ("struct join // " ^ n,
+            struct_join ~axis:L.Descendant k [ "L" ] [ "X" ] (L.Scan "library") (L.Scan "texts"));
+           ("struct join, unsorted inputs " ^ n,
+            struct_join k [ "B" ] [ "T" ] (L.Sort ([ "B" ], L.Scan "books"))
+              (L.Reorder ([ 0 ], L.Scan "titles")));
+           ("extract " ^ n,
+            L.Extract { src = [ "C" ]; steps = [ (L.Descendant, "author") ]; mode = `Value;
+                        kind = k; out = "E"; input = L.Scan "contents" }) ])
+       kinds
+    @ List.map
+        (fun k ->
+          ("nested lpath " ^ kind_name k,
+           struct_join k [ "AS"; "A" ] [ "X" ] (L.Scan "nested") (L.Scan "texts")))
+        [ L.Semi; L.NestJoin; L.NestOuter ]
+    @ [ ("extract content",
+         L.Extract { src = [ "C" ]; steps = [ (L.Child, "title") ]; mode = `Content;
+                     kind = L.Inner; out = "E"; input = L.Scan "contents" });
+        ("derive parent",
+         L.Derive { src = [ "D" ]; levels = 1; out = "P"; input = L.Scan "dewey" });
+        ("derive past the root",
+         L.Derive { src = [ "D" ]; levels = 9; out = "P"; input = L.Scan "dewey" });
+        ("nest", L.Nest { cname = "G"; input = L.Scan "r2" });
+        ("unnest", L.Unnest ([ "AS" ], L.Scan "nested"));
+        ("nest then unnest", L.Unnest ([ "G" ], L.Nest { cname = "G"; input = L.Scan "r2" }));
+        ("nested select", L.Select (author, L.Scan "nested"));
+        ("nested select, two paths",
+         L.Select (Pred.And (author, Pred.Not_null [ "B" ]), L.Scan "nested"));
+        ("nested project",
+         L.Project { cols = [ [ "B" ]; [ "AS"; "N" ] ]; dedup = false; input = L.Scan "nested" });
+        ("nested project, dedup",
+         L.Project { cols = [ [ "AS"; "N" ] ]; dedup = true; input = L.Scan "nested" });
+        ("nested select under a nest join",
+         L.Select
+           ( Pred.Cmp (Pred.Col [ "G"; "T" ], Pred.Ne, Pred.Const V.Null),
+             struct_join L.NestOuter [ "B" ] [ "T" ] (L.Scan "books") (L.Scan "titles") )) ]);
+  (* The nest kinds keep one tuple per (surviving) left tuple, in left
+     order: the executor's output is the reference's, tuple for tuple. *)
+  List.iter
+    (fun k ->
+      let plan = struct_join k [ "AS"; "A" ] [ "X" ] (L.Scan "nested") (L.Scan "texts") in
+      let a = Eval_oracle.run env plan and b = Ph.run env plan in
+      Alcotest.(check bool) ("same order: nested lpath " ^ kind_name k) true
+        (List.equal Rel.equal_tuple a.Rel.tuples b.Rel.tuples))
+    [ L.NestJoin; L.NestOuter ];
+  (* A flat join on a nested key is ill-formed on both engines. *)
+  List.iter
+    (fun k ->
+      let plan = struct_join k [ "AS"; "A" ] [ "X" ] (L.Scan "nested") (L.Scan "texts") in
+      let raises run = match run env plan with _ -> false | exception Invalid_argument _ -> true in
+      Alcotest.(check bool) ("nested key rejected by both: " ^ kind_name k) true
+        (raises Ph.run && raises Eval_oracle.run))
+    [ L.Inner; L.LeftOuter ]
+
+(* Every plan node is compiled once, however deeply nested-path operators
+   nest: twelve nested-path selections over one scan look the scan up
+   once (compiling each input again for every enclosing operator would
+   look it up 2^13 - 1 times), and each plan node gets its own stats node,
+   in the plan's shape. *)
+let test_one_compile_per_node () =
+  let lookups = ref 0 in
+  let env name =
+    incr lookups;
+    if name = "nested" then Some nested_books else None
+  in
+  let plan =
+    List.fold_left
+      (fun acc k ->
+        L.Select (Pred.Cmp (Pred.Col [ "AS"; "N" ], Pred.Ne, Pred.Const (V.Int k)), acc))
+      (L.Scan "nested") (List.init 12 Fun.id)
+  in
+  let _, stats = Ph.run_instrumented env plan in
+  Alcotest.(check int) "one env lookup" 1 !lookups;
+  let seen = ref [] in
+  let rec walk plan (st : Ph.op_stats) =
+    Alcotest.(check bool) ("own stats node: " ^ st.Ph.op) false (List.memq st !seen);
+    seen := st :: !seen;
+    Alcotest.(check string) "operator"
+      (match plan with L.Scan n -> "scan " ^ n | _ -> "select")
+      st.Ph.op;
+    Alcotest.(check bool) ("runs: " ^ st.Ph.op) true (st.Ph.nexts > 0);
+    Alcotest.(check int) "one stats child per input" (List.length (L.inputs plan))
+      (List.length st.Ph.children);
+    List.iter2 walk (L.inputs plan) st.Ph.children
+  in
+  walk plan stats;
+  Alcotest.(check int) "a stats node per plan node" (L.size plan) (List.length !seen)
+
+(* Property: the executor = the reference on the lowering of generated
+   patterns, their edges redrawn among all five semantics (optional and
+   nested edges included). *)
+let pattern_prop =
+  let docs =
+    [ Xworkload.Gen_xmark.generate_doc Xworkload.Gen_xmark.tiny;
+      Xworkload.Gen_bib.generate_doc ~seed:5 ~books:6 ~theses:3 () ]
+    |> List.map (fun d -> (d, Xsummary.Summary.of_doc d, Compile.env d))
+  in
+  QCheck2.Test.make ~name:"executor = reference on generated patterns" ~count:60
+    ~long_factor:20 QCheck2.Gen.int
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let d, s, env = List.nth docs (Random.State.int rng (List.length docs)) in
+      let pick l = List.nth l (Random.State.int rng (List.length l)) in
+      let labels = List.filter (fun l -> l <> "#text") (Doc.labels d) in
+      let params =
+        { Xworkload.Pattern_gen.default with
+          size = 1 + Random.State.int rng 5;
+          return_labels = List.sort_uniq compare [ pick labels; pick labels ];
+          value_pred_p = 0.1 }
+      in
+      match Xworkload.Pattern_gen.generate rng s params with
+      | None -> true
+      | Some p ->
+          (* The lowering projects every stored attribute, so the subtree
+             below a semi edge, whose columns the join drops, stores none. *)
+          let rec unstored (t : P.tree) =
+            { t with
+              node =
+                { t.node with id_scheme = None; tag_stored = false; val_stored = false;
+                              cont_stored = false };
+              children = List.map unstored t.children }
+          in
+          let rec redraw ~top (t : P.tree) =
+            let sem =
+              if top then P.Join else pick [ P.Join; P.Outer; P.Semi; P.Nest_join; P.Nest_outer ]
+            in
+            let t = { t with edge = { t.edge with sem } } in
+            if sem = P.Semi then unstored t
+            else { t with children = List.map (redraw ~top:false) t.children }
+          in
+          let p = P.make (List.map (redraw ~top:true) p.P.roots) in
+          let plan = Compile.plan p in
+          let want = Eval_oracle.run env plan and got = Ph.run env plan in
+          Rel.equal_unordered want got
+          || QCheck2.Test.fail_reportf "pattern %s@.plan %s@.executor:@.%a@.reference:@.%a"
+               (P.to_string p) (L.to_string plan) Rel.pp got Rel.pp want)
+
 (* Property: stack join = naive join on random subsets of a document's
    nodes. *)
 let stack_prop =
@@ -243,9 +443,8 @@ let stack_prop =
         |> Array.of_list
       in
       let ancs = mk hs1 and descs = mk hs2 in
-      let expected = List.length (naive L.Descendant ancs descs) in
-      List.length (Ph.stack_tree_desc ~axis:L.Descendant ancs descs) = expected
-      && List.length (Ph.stack_tree_anc ~axis:L.Descendant ancs descs) = expected)
+      List.length (Ph.stack_tree_desc ~axis:L.Descendant ancs descs)
+      = List.length (naive L.Descendant ancs descs))
 
 let () =
   Alcotest.run "physical"
@@ -260,6 +459,10 @@ let () =
         [ Alcotest.test_case "agreement on compiled patterns" `Quick
             test_agreement_patterns;
           Alcotest.test_case "agreement on operators" `Quick test_agreement_operators;
+          Alcotest.test_case "agreement on every operator kind" `Quick
+            test_agreement_every_operator;
+          Alcotest.test_case "one compile per plan node" `Quick test_one_compile_per_node;
           Alcotest.test_case "structural join plan" `Quick test_struct_join_plan;
           Alcotest.test_case "scan order detection" `Quick test_scan_order_detection ] );
-      ("props", [ QCheck_alcotest.to_alcotest stack_prop ]) ]
+      ( "props",
+        [ QCheck_alcotest.to_alcotest stack_prop; QCheck_alcotest.to_alcotest pattern_prop ] ) ]

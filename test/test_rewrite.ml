@@ -30,7 +30,7 @@ let check_rewritings doc s query views ~expect_some =
   let direct = Xam.Embed.eval doc query in
   List.iter
     (fun (r : R.rewriting) ->
-      let out = Eval.run env r.R.plan in
+      let out = Xalgebra.Physical.run env r.R.plan in
       Alcotest.(check bool)
         ("plan equals direct: " ^ Xalgebra.Logical.to_string r.R.plan)
         true

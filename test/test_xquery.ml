@@ -160,6 +160,53 @@ let test_generated_queries () =
     (Xworkload.Query_gen.generate_many ~seed:77 (Xsummary.Summary.of_doc xm)
        ~doc_name:"xmark" pm ~count:40)
 
+(* [Translate.eval] runs the tag plan on the engine's executor, and so does
+   every engine read; perfbench's answers gate compares the two. Here the
+   same plan runs on the set-at-a-time reference interpreter, over the
+   same pattern materializations. *)
+let eval_on_oracle doc expr =
+  let e = Extract.extract expr in
+  let r = Eval_oracle.run (Translate.env_for doc e) (Translate.plan e) in
+  String.concat ""
+    (List.map
+       (fun t ->
+         match t.(0) with
+         | Xalgebra.Rel.A (Xalgebra.Value.Str s) -> s
+         | Xalgebra.Rel.A v -> Xalgebra.Value.to_display v
+         | Xalgebra.Rel.N _ -> "")
+       r.Xalgebra.Rel.tuples)
+
+(* perfbench's eight read templates, one constant each. *)
+let read_templates =
+  [ {|for $b in doc("bib")//book where $b/@year != 1999 return <t>{$b/title/text()}</t>|};
+    {|for $b in doc("bib")//book where $b/@year = 2001 return <y>{$b/title/text()}</y>|};
+    {|for $b in doc("bib")//book where $b/@year != 1995 return <b>{$b/title/text()}{for $a in $b/author return <a>{$a/text()}</a>}</b>|};
+    {|for $b in doc("bib")/library/book where $b/author = "Suciu" return <s>{$b/title/text()}</s>|};
+    {|for $p in doc("bib")//phdthesis where $p/@year != 2003 return <p>{$p/@year}{$p/title/text()}</p>|};
+    {|for $b in doc("bib")//book[author = "Widom"] return <w>{$b/title/text()}</w>|};
+    {|for $p in doc("bib")//phdthesis where $p/author != "Arion" return <a>{$p/author/text()}</a>|};
+    {|for $p in doc("bib")//phdthesis where $p/@year != 2007 return <p>{$p/title/text()}{for $a in $p/author return <a>{$a/text()}</a>}</p>|} ]
+
+let test_tag_plan_on_oracle () =
+  let check doc name qs =
+    List.iteri
+      (fun i q ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s query %d" name i)
+          (eval_on_oracle doc q) (Translate.eval doc q))
+      qs
+  in
+  let bib = Xworkload.Gen_bib.generate_doc ~seed:3 ~books:60 ~theses:20 () in
+  check bib "read template" (List.map Parse.query read_templates);
+  check bib "generated bib"
+    (Xworkload.Query_gen.generate_many ~seed:19 (Xsummary.Summary.of_doc bib)
+       ~doc_name:"bib" Xworkload.Query_gen.default ~count:25);
+  let xm = Xworkload.Gen_xmark.generate_doc ~seed:5 Xworkload.Gen_xmark.tiny in
+  let pm = { Xworkload.Query_gen.default with nesting_p = 0.7; where_p = 0.7 } in
+  check xm "generated xmark"
+    (Xworkload.Query_gen.generate_many ~seed:77 (Xsummary.Summary.of_doc xm)
+       ~doc_name:"xmark" pm ~count:40)
+
 let () =
   Alcotest.run "xquery"
     [ ( "parse",
@@ -176,4 +223,6 @@ let () =
       ( "evaluation",
         [ Alcotest.test_case "extraction-based = direct" `Quick test_agreement;
           Alcotest.test_case "on a generated document" `Quick test_agreement_generated;
-          Alcotest.test_case "random queries agree" `Quick test_generated_queries ] ) ]
+          Alcotest.test_case "random queries agree" `Quick test_generated_queries;
+          Alcotest.test_case "tag plan: executor = reference" `Quick
+            test_tag_plan_on_oracle ] ) ]
