@@ -25,6 +25,7 @@ type counters = {
   faults : int;
   degraded : int;
   quarantines : int;
+  epoch_bumps : int;
 }
 
 (* The engine's accounting lives in its metrics registry only: the
@@ -43,6 +44,7 @@ type emetrics = {
   m_degraded : Metrics.counter;
   m_quarantines : Metrics.counter;
   m_quarantined_now : Metrics.gauge;
+  m_epoch_bumps : Metrics.counter;
   m_applies : Metrics.counter;
   m_replayed : Metrics.counter;
   m_tails : Metrics.counter;
@@ -75,6 +77,9 @@ let register_metrics reg =
     m_quarantined_now =
       Metrics.gauge reg ~help:"currently quarantined modules"
         "engine_quarantined_modules";
+    m_epoch_bumps =
+      c "engine_plan_epoch_bumps_total"
+        "planning-epoch bumps (summary shape, module list or quarantine set changed)";
     m_applies = c "engine_applies_total" "document mutations applied";
     m_replayed = c "wal_replayed_records_total" "wal records replayed at recovery";
     m_tails = c "wal_truncated_tails_total" "torn wal tails truncated at recovery";
@@ -120,7 +125,11 @@ type cached = {
 
 type t = {
   mutable catalog : Store.catalog;
-  generation : int Atomic.t;
+  mutable epoch : int;
+      (* the planning epoch, part of every plan-cache key. It moves only
+         when a planning input moves: the summary's shape, the module
+         list or the quarantine set. Read and bumped under [lock],
+         together with the catalog it describes *)
   mutable base_env : Eval.env;
       (* the unwrapped storage env; [env = env_wrap base_env]. Kept so
          per-query partition-pruned overrides can fall through to storage
@@ -249,7 +258,7 @@ let create ?(max_views = 3) ?(budget = unlimited) ?(env_wrap = Fun.id) ?obs ?doc
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let base_env = Store.env catalog in
   { catalog;
-    generation = Atomic.make 0;
+    epoch = 0;
     base_env;
     env = env_wrap base_env;
     doc;
@@ -283,7 +292,8 @@ let counters t =
     fallbacks = v t.m.m_fallbacks;
     faults = v t.m.m_faults;
     degraded = v t.m.m_degraded;
-    quarantines = v t.m.m_quarantines }
+    quarantines = v t.m.m_quarantines;
+    epoch_bumps = v t.m.m_epoch_bumps }
 
 let env t = t.env
 let summary t = t.catalog.Store.summary
@@ -296,11 +306,16 @@ let quarantined t =
 
 let quarantined_names t = List.map fst (quarantined t)
 
+(* Caller holds [lock]. Entries planned under earlier epochs become
+   unreachable (the key embeds the epoch) and age out of the LRU. *)
+let bump_epoch t =
+  t.epoch <- t.epoch + 1;
+  Metrics.incr t.m.m_epoch_bumps
+
 (* Install [catalog] as the engine's storage, with the declared module
-   list it came from and the dormant part of that list. Entries of
-   earlier generations become unreachable (the key embeds the
-   generation) and age out of the LRU. A catalog swap is a new storage
-   world: the quarantine set restarts from the dormant modules. *)
+   list it came from and the dormant part of that list, under a new
+   epoch. A catalog swap is a new storage world: the quarantine set
+   restarts from the dormant modules. *)
 let swap_catalog t ~declared ~dormant catalog =
   match catalog_error catalog with
   | Some e -> Error e
@@ -311,7 +326,7 @@ let swap_catalog t ~declared ~dormant catalog =
           t.catalog <- catalog;
           t.declared <- declared;
           t.dormant <- dormant;
-          Atomic.incr t.generation;
+          bump_epoch t;
           t.base_env <- Store.env catalog;
           t.env <- t.env_wrap t.base_env);
       Metrics.set_gauge t.m.m_quarantined_now
@@ -375,7 +390,7 @@ let save_snapshot_r t path =
 
 let load_snapshot_r t path =
   (* Catalog hot-swap from disk: decode + verify the whole snapshot
-     first, then install through the ordinary swap path (generation bump,
+     first, then install through the ordinary swap path (epoch bump,
      plan-cache invalidation, quarantine reset). A snapshot that fails
      verification or validation never installs anything — the running
      catalog stays. The snapshot's document, if any, is ignored: the
@@ -394,20 +409,23 @@ let of_snapshot_r ?max_views ?budget ?env_wrap ?obs path =
       | t -> Ok (restore t ~lsn ~declared ~dormant)
       | exception Xerror.Error e -> Error e)
 
-(* A module faulted while being read: remember it, bump the generation so
+(* A module faulted while being read: remember it, bump the epoch so
    every cached plan that might mention it dies, and let the caller
-   re-plan against the survivors. *)
+   re-plan against the survivors. A module already quarantined changes
+   no planning input: plans of the current epoch were made without it. *)
 let quarantine t name reason =
   let fresh, live =
     with_lock t (fun () ->
         let fresh = not (Hashtbl.mem t.quarantined name) in
-        if fresh then Hashtbl.replace t.quarantined name reason;
+        if fresh then begin
+          Hashtbl.replace t.quarantined name reason;
+          bump_epoch t
+        end;
         (fresh, Hashtbl.length t.quarantined))
   in
   if fresh then Metrics.incr t.m.m_quarantines;
   Metrics.set_gauge t.m.m_quarantined_now (float_of_int live);
-  Metrics.incr t.m.m_faults;
-  Atomic.incr t.generation
+  Metrics.incr t.m.m_faults
 
 let quarantine_empty t =
   with_lock t (fun () -> Hashtbl.length t.quarantined = 0)
@@ -439,6 +457,7 @@ type minfo = {
   mt_dormant : (string * string) list;
   mt_paths_added : string list;
   mt_paths_removed : string list;
+  mt_same_shape : bool;  (* the new summary [Summary.same_shape]s the old *)
 }
 
 let update_invalid msg = Xerror.Error (Xerror.Update_invalid msg)
@@ -464,6 +483,14 @@ let mutate_doc doc ops =
 let summary_paths s =
   List.init (Summary.size s) (fun i -> Summary.path_string s i)
 
+(* Name for name and XAM for XAM, in order. *)
+let same_modules (a : Store.module_ list) (b : Store.module_ list) =
+  List.equal
+    (fun (m : Store.module_) (p : Store.module_) ->
+      String.equal m.Store.name p.Store.name
+      && (m.Store.xam == p.Store.xam || Pattern.equal m.Store.xam p.Store.xam))
+    a b
+
 (* Rebuild the catalog against the mutated document: every declared
    module, in declared order. Structural edits shift every pre-order
    rank, so extents are re-materialized wholesale and [Store.spliced]
@@ -476,8 +503,12 @@ let summary_paths s =
    position. The catalog is thus a function of the declared list and the
    document alone: maintaining once after a whole batch, or after a
    whole recovered WAL tail, lands on the catalog that maintaining after
-   every op would have. Under a trace, each stage (summary, materialize,
-   partition, validate, splice) is a child span of [tr]. *)
+   every op would have. Validation depends on the summary's shape and the
+   XAMs alone, so when the shape holds and the modules that built are
+   exactly the previous catalog's, every one of them is valid already and
+   the [validate] span is tagged [reused=true] instead. Under a trace,
+   each stage (summary, materialize, partition, validate, splice) is a
+   child span of [tr]. *)
 let maintain t (tr : tr) doc =
   let prev = t.catalog in
   let summary, phi = in_span tr "summary" (fun _ -> Summary.build doc) in
@@ -504,11 +535,17 @@ let maintain t (tr : tr) doc =
   let ok_modules =
     List.filter_map (function _, Ok m -> Some m | _, Error _ -> None) built
   in
+  let same_shape = Summary.same_shape prev.Store.summary summary in
   let invalid =
-    in_span tr "validate" (fun _ ->
-        match Store.validate { Store.summary; modules = ok_modules } with
-        | Ok () -> []
-        | Error pairs -> pairs)
+    in_span tr "validate" (fun tr ->
+        if same_shape && same_modules ok_modules prev.Store.modules then begin
+          tr_tag tr "reused" "true";
+          []
+        end
+        else
+          match Store.validate { Store.summary; modules = ok_modules } with
+          | Ok () -> []
+          | Error pairs -> pairs)
   in
   in_span tr "splice" @@ fun _ ->
   let dormant =
@@ -537,8 +574,14 @@ let maintain t (tr : tr) doc =
                m'
            | None -> m)
   in
-  let old_paths = summary_paths prev.Store.summary in
-  let new_paths = summary_paths summary in
+  let paths_added, paths_removed =
+    if same_shape then ([], [])
+    else
+      let old_paths = summary_paths prev.Store.summary in
+      let new_paths = summary_paths summary in
+      ( List.filter (fun p -> not (List.mem p old_paths)) new_paths,
+        List.filter (fun p -> not (List.mem p new_paths)) old_paths )
+  in
   ( { Store.summary; modules },
     { mt_kept = !kept;
       mt_rebuilt = !rebuilt;
@@ -549,16 +592,19 @@ let maintain t (tr : tr) doc =
             if was_dormant m.Store.name then Some m.Store.name else None)
           modules;
       mt_dormant = dormant;
-      mt_paths_added =
-        List.filter (fun p -> not (List.mem p old_paths)) new_paths;
-      mt_paths_removed =
-        List.filter (fun p -> not (List.mem p new_paths)) old_paths } )
+      mt_paths_added = paths_added;
+      mt_paths_removed = paths_removed;
+      mt_same_shape = same_shape } )
 
 (* Swap the mutated world in, LSN included, under the state lock — a
    snapshot capture never sees a document without its LSN. Unlike
    [swap_catalog] this merges into the quarantine table rather than
    resetting it: modules maintenance had to drop stay visible as
-   quarantined until an apply resurrects them. *)
+   quarantined until an apply resurrects them. The epoch moves only when
+   a planning input did: the summary's shape, or the module list and
+   quarantine set, which an apply changes exactly by dropping or
+   resurrecting modules. Any other apply changes only data, and every
+   cached plan stays sound over it. *)
 let install_update t doc catalog ~lsn (info : minfo) =
   with_lock t (fun () ->
       t.doc <- Some doc;
@@ -569,7 +615,9 @@ let install_update t doc catalog ~lsn (info : minfo) =
       t.lsn <- lsn;
       List.iter (fun (n, r) -> Hashtbl.replace t.quarantined n r) info.mt_dropped;
       List.iter (fun n -> Hashtbl.remove t.quarantined n) info.mt_resurrected;
-      Atomic.incr t.generation;
+      if
+        (not info.mt_same_shape) || info.mt_dropped <> [] || info.mt_resurrected <> []
+      then bump_epoch t;
       Metrics.set_gauge t.m.m_quarantined_now
         (float_of_int (Hashtbl.length t.quarantined)));
   Metrics.add t.m.m_quarantines (List.length info.mt_dropped);
@@ -774,28 +822,41 @@ let wal_dir t = Option.map Wal.Writer.dir t.wal
 let document t = t.doc
 let dormant_modules t = t.dormant
 
-let cache_key t pattern =
-  Printf.sprintf "%s@%d"
-    (Canonical.cache_key t.catalog.Store.summary pattern)
-    (Atomic.get t.generation)
-
-let active_views t =
-  let views = Store.views t.catalog in
+(* What a plan is made against, read as one snapshot under [lock]: the
+   catalog, its scan env, the epoch they belong to and the quarantined
+   module names (usually none, so nothing is copied). A plan is thus
+   stored under the epoch it was planned against, even when an install
+   or a quarantine moves the epoch while it is being made. *)
+let planning_snapshot t =
   with_lock t (fun () ->
-      if Hashtbl.length t.quarantined = 0 then views
-      else
-        List.filter
-          (fun (v : Rewrite.view) ->
-            not (Hashtbl.mem t.quarantined v.Rewrite.vname))
-          views)
+      let quarantined =
+        if Hashtbl.length t.quarantined = 0 then []
+        else Hashtbl.fold (fun name _ acc -> name :: acc) t.quarantined []
+      in
+      (t.catalog, t.env, t.epoch, quarantined))
+
+let live_views catalog quarantined =
+  let views = Store.views catalog in
+  if quarantined = [] then views
+  else
+    List.filter
+      (fun (v : Rewrite.view) -> not (List.mem v.Rewrite.vname quarantined))
+      views
 
 (* Plan the pattern: consult the cache, otherwise rewrite against the
    catalog's live (non-quarantined) views and rank by cost. Returns the
    outcome, whether it was a hit, and this call's planning time in ms —
-   0 on a hit; the cached entry's [planned_ms] remembers the original. *)
+   0 on a hit; the cached entry's [planned_ms] remembers the original.
+   A hit may carry a cost choice ranked against older extent sizes: it
+   can cost time, never an answer, since the plan scans views by name
+   and partitions are pruned per execution. *)
 let plan_for t (trc : tr) pattern =
   in_span trc "plan" (fun trc ->
-      let key = cache_key t pattern in
+      let catalog, env, epoch, quarantined = planning_snapshot t in
+      let summary = catalog.Store.summary in
+      let key =
+        Printf.sprintf "%s@%d" (Canonical.cache_key summary pattern) epoch
+      in
       match with_lock t (fun () -> Lru.find t.cache key) with
       | Some c ->
           Metrics.incr t.m.m_hits;
@@ -811,11 +872,10 @@ let plan_for t (trc : tr) pattern =
           let rws =
             in_span trc "rewrite" (fun _ ->
                 Rewrite.rewrite ~max_views:t.max_views ~metrics:t.obs.Obs.metrics
-                  t.catalog.Store.summary
-                  ~query:pattern ~views:(active_views t))
+                  summary ~query:pattern ~views:(live_views catalog quarantined))
           in
           let choice =
-            in_span trc "cost-choice" (fun _ -> Cost.choose_with_cost t.env rws)
+            in_span trc "cost-choice" (fun _ -> Cost.choose_with_cost env rws)
           in
           let rw_ms = now_ms t -. t0 in
           let c =
@@ -1270,9 +1330,9 @@ let query_string_batch ?domains t items =
 let pp_counters ppf c =
   Format.fprintf ppf
     "queries %d, plan cache %d hit%s / %d miss%s, rewrites %d, fallbacks %d, \
-     faults %d, degraded %d, quarantined %d"
+     faults %d, degraded %d, quarantined %d, epoch bumps %d"
     c.queries c.hits
     (if c.hits = 1 then "" else "s")
     c.misses
     (if c.misses = 1 then "" else "es")
-    c.rewrites c.fallbacks c.faults c.degraded c.quarantines
+    c.rewrites c.fallbacks c.faults c.degraded c.quarantines c.epoch_bumps

@@ -9,7 +9,17 @@
     ULoad prototype packages it). Repeated queries hit the plan cache and
     skip rewriting and containment entirely — the dominant cost in the
     E-series experiments — keyed on {!Xam.Canonical.cache_key} and the
-    catalog generation, so catalog changes invalidate stale plans.
+    {e planning epoch}. Whether a rewriting is sound depends only on the
+    enhanced summary's shape (its paths and their 1/+/* edges,
+    {!Xsummary.Summary.same_shape}) and on the view definitions, never on
+    the data; so the epoch moves when one of those planning inputs
+    does — {!set_catalog_r}, {!add_module}, {!load_snapshot_r}, a
+    quarantine, or an apply that changes the summary's shape or drops or
+    resurrects a module — and a plan outlives every other apply. A plan
+    recalled across such an apply keeps the cost choice it made against
+    the extent sizes of its day: that can cost time, never an answer,
+    because plans scan views by name and partition pruning is decided
+    per execution. Nothing is re-costed.
 
     {b Robustness.} Every entry point past construction, bar
     {!add_module}, returns a [result] ([query_r], [query_string_r],
@@ -18,8 +28,8 @@
     with {!Xerror.get_exn}. Queries run under an optional resource
     {!budget} (wall-clock deadline, tuple and cursor-step caps) enforced
     inside the instrumented cursors. When a storage module
-    faults mid-query, the engine {e quarantines} it — bumping the plan
-    cache generation so no stale plan can touch it — and transparently
+    faults mid-query, the engine {e quarantines} it — bumping the
+    planning epoch so no stale plan can touch it — and transparently
     re-plans against the surviving views, falling back to the base
     document when none survive; such answers are flagged
     [degraded] in their {!Explain.t}. *)
@@ -36,6 +46,8 @@ type counters = {
   degraded : int;
       (** queries answered after at least one absorbed fault *)
   quarantines : int;  (** distinct modules ever quarantined *)
+  epoch_bumps : int;
+      (** planning-epoch moves, each of which strands every cached plan *)
 }
 (** A point-in-time copy of the engine's counters in its
     {!Xobs.Obs.t} registry (atomics, so {!query_batch} keeps exact
@@ -134,7 +146,7 @@ val save_snapshot_r : t -> string -> (int, Xerror.t) Stdlib.result
 val load_snapshot_r : t -> string -> (unit, Xerror.t) Stdlib.result
 (** Hot-swap the engine's catalog from a snapshot file: the snapshot is
     decoded and verified in full, then installed through the
-    {!set_catalog_r} path (generation bump, plan-cache invalidation,
+    {!set_catalog_r} path (epoch bump, plan-cache invalidation,
     quarantine reset), its dormant modules included. On any failure —
     verification or validation — the running catalog stays untouched.
     The snapshot's document is ignored; the fallback document is fixed
@@ -152,8 +164,10 @@ val load_snapshot_r : t -> string -> (unit, Xerror.t) Stdlib.result
       are appended as CRC-framed records in one group-committed, fsync'd
       batch before anything else happens ([Error] leaves engine state
       untouched);
-    + {b install} — the new world is swapped in (plan-cache generation
-      bump included) and the engine's LSN advances.
+    + {b install} — the new world is swapped in and the engine's LSN
+      advances; the planning epoch moves only when the summary's shape
+      changed or a module was dropped or resurrected, so cached plans
+      survive every other apply.
 
     Recovery is [snapshot + replay]: open the engine from its latest
     snapshot (which carries the LSN it covers), then {!attach_wal_r} —
@@ -223,7 +237,10 @@ val apply_batch_r : t -> mutation list -> (apply_report, Xerror.t) Stdlib.result
     state until install. With tracing on ({!Xobs.Obs.t}[.tracing]) the
     round is recorded in the slow-query log as an [apply] trace whose
     root holds one child span per stage, in order: [mutate], [summary],
-    [materialize], [partition], [validate], [splice], [wal], [install]. *)
+    [materialize], [partition], [validate], [splice], [wal], [install].
+    [validate] is tagged [reused=true] when it re-used the previous
+    verdicts: the summary kept its shape and the modules that built are
+    exactly the previous catalog's, each valid against that shape. *)
 
 val apply_r : t -> mutation -> (apply_report, Xerror.t) Stdlib.result
 (** [apply_batch_r t [op]]. *)
@@ -377,9 +394,9 @@ val env : t -> Xalgebra.Eval.env
 
 val set_catalog_r :
   t -> Xstorage.Store.catalog -> (unit, Xerror.t) Stdlib.result
-(** Swap the catalog and bump the generation: cached plans for the old
-    catalog can no longer be returned (the cache key embeds the
-    generation) and age out of the LRU. The catalog's modules become the
+(** Swap the catalog and bump the planning epoch: cached plans for the
+    old catalog can no longer be returned (the cache key embeds the
+    epoch) and age out of the LRU. The catalog's modules become the
     declared list, with none dormant. The quarantine set is cleared — a
     new catalog is a new storage world. The catalog is
     validated first: [Error (Catalog_invalid _)] on modules whose

@@ -66,6 +66,22 @@ let one_to_one_chain s a b =
   let rec up p = p = a || (p > a && s.cards.(p) = One && up s.parents.(p)) in
   (a = b || is_ancestor s a b) && up b
 
+(* The planning inputs of a summary: its (label, parent, card) rows in
+   path-id order. Counts are data, not shape, and are ignored. Constant
+   constructors are immediates, so [==] compares cards; the loop is a
+   top-level function so that no closure is allocated. *)
+let rec same_rows a b i =
+  i < 0
+  || a.parents.(i) = b.parents.(i)
+     && a.cards.(i) == b.cards.(i)
+     && String.equal a.labels.(i) b.labels.(i)
+     && same_rows a b (i - 1)
+
+let same_shape a b =
+  a == b
+  || Array.length a.labels = Array.length b.labels
+     && same_rows a b (Array.length a.labels - 1)
+
 (* --- Construction ------------------------------------------------------- *)
 
 (* Pack (label, parent, card) rows listed in pre-order into a summary. *)

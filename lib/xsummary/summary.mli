@@ -71,6 +71,12 @@ val conforms : t -> Xdm.Doc.t -> bool
 (** [S ⊨ D]: the document's summary is exactly [S] and [D] satisfies all the
     edge-cardinality constraints. *)
 
+val same_shape : t -> t -> bool
+(** Equal (label, parent, card) rows in path-id order; per-path counts
+    are ignored. Two summaries of the same shape admit exactly the same
+    path annotations, containments and rewritings, whatever the data
+    (§4.2). Allocates nothing. *)
+
 val export : t -> (string * int * card * int) array
 (** The summary as [(label, parent, card, count)] rows in path-id
     (pre-order) order — the raw form binary persistence stores. Unlike

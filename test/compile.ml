@@ -121,11 +121,19 @@ let plan (pat : Pattern.t) =
     | [] -> invalid_arg "Compile.plan: empty pattern"
     | first :: rest -> List.fold_left (fun acc p -> Logical.Product (acc, p)) first rest
   in
+  (* A semijoin keeps only its left input's columns, so the attributes
+     stored below a semi edge do not survive to the projection. *)
+  let rec surviving (t : Pattern.tree) =
+    t.node
+    :: List.concat_map
+         (fun (c : Pattern.tree) -> if c.edge.sem = Pattern.Semi then [] else surviving c)
+         t.children
+  in
   let cols =
     List.concat_map
       (fun (n : Pattern.node) ->
         List.map (fun a -> Pattern.col_path pat n.nid a) (Pattern.stored_attrs n))
-      (Pattern.nodes pat)
+      (List.concat_map surviving pat.roots)
   in
   Logical.Project { cols; dedup = true; input = joined }
 

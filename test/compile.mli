@@ -25,7 +25,9 @@ val plan : Xam.Pattern.t -> Xalgebra.Logical.t
 (** The Def 2.2.3/2.2.4/2.2.5 plan: per-node scans renamed to the
     pattern's column space, value-formula selections, bottom-up structural
     joins following each edge's axis and semantics, a final
-    duplicate-eliminating projection onto the stored attributes. *)
+    duplicate-eliminating projection onto the stored attributes that
+    survive: none below a semi edge, whose semijoin keeps only its left
+    input's columns. *)
 
 val eval : Xdm.Doc.t -> Xam.Pattern.t -> Xalgebra.Rel.t
 (** [Eval_oracle.run (env doc) (plan pat)]. *)

@@ -1,5 +1,5 @@
 (* The unified engine: end-to-end query answering, the plan cache
-   (hits, negative caching, generation-based invalidation), the EXPLAIN
+   (hits, negative caching, invalidation by planning epoch), the EXPLAIN
    surface and the XQuery front door. *)
 
 module P = Xam.Pattern
@@ -60,7 +60,7 @@ let test_cache_hit () =
 let test_cache_invalidation () =
   let e = fresh () in
   ignore (Xerror.get_exn (Engine.query_r e query));
-  (* Any catalog swap bumps the generation; the old entry is unreachable. *)
+  (* Any catalog swap bumps the epoch; the old entry is unreachable. *)
   Xerror.get_exn (Engine.set_catalog_r e (Engine.catalog e));
   let r = Xerror.get_exn (Engine.query_r e query) in
   Alcotest.(check bool) "catalog swap invalidates the cache" false
@@ -265,6 +265,381 @@ let test_xquery_front_door () =
   Alcotest.(check bool) "the tagging plan is instrumented" true
     (r.Engine.xquery_stats.Ph.tuples > 0)
 
+(* --- The planning epoch ----------------------------------------------------
+   A plan is sound or not by the summary's shape and the view definitions
+   alone, so it outlives an apply that changes only data, and is re-made
+   after one that changes the shape, the module list or the quarantine
+   set. Every answer is checked against the embedding of the pattern in
+   the engine's document after the apply. *)
+
+module Doc = Xdm.Doc
+module Models = Xstorage.Models
+
+let apply_ok e ops =
+  match Engine.apply_batch_r e ops with
+  | Ok r -> r
+  | Error err -> Alcotest.failf "apply failed: %s" (Xerror.to_string err)
+
+let doc_of e = Option.get (Engine.document e)
+
+(* Column-order-independent content: equivalent rewritings may order
+   their columns differently. *)
+let fingerprint (r : Rel.t) =
+  let order =
+    List.sort compare
+      (List.mapi (fun i (c : Rel.column) -> (c.Rel.cname, i)) r.Rel.schema)
+  in
+  List.sort_uniq compare
+    (List.map (fun t -> List.map (fun (_, i) -> t.(i)) order) r.Rel.tuples)
+
+let answer_ok e pattern =
+  match Engine.query_r e pattern with
+  | Ok r ->
+      Alcotest.(check bool) "answer = embedding in the current document" true
+        (fingerprint r.Engine.rel = fingerprint (Xam.Embed.eval (doc_of e) pattern));
+      r
+  | Error err -> Alcotest.failf "query failed: %s" (Xerror.to_string err)
+
+let hit (r : Engine.result) = r.Engine.explain.Explain.cache_hit
+let bumps e = (Engine.counters e).Engine.epoch_bumps
+let rewrites e = (Engine.counters e).Engine.rewrites
+
+let first_text d label =
+  List.hd (Doc.children d (List.hd (Doc.nodes_with_label d label)))
+
+(* Appended, so that no path is met earlier in document order and every
+   path keeps its id: only the cards can change. *)
+let insert_entry d xml =
+  Engine.Insert_subtree { parent = Doc.root d; before = None; xml }
+
+(* No view stores an author, so its pattern is the front door's
+   base-document fallback, a cached [No_rewriting]. *)
+let authors_src = {|for $a in doc("bib")//author return <a>{$a/text()}</a>|}
+
+let front_door_ok e src =
+  match Engine.query_string_r e src with
+  | Ok r ->
+      Alcotest.(check string) "front door = direct evaluation"
+        (Xquery.Translate.eval_string (doc_of e) src)
+        r.Engine.output
+  | Error err -> Alcotest.failf "xquery failed: %s" (Xerror.to_string err)
+
+let test_epoch_survives_data_apply () =
+  let e = fresh () in
+  ignore (answer_ok e query);
+  front_door_ok e authors_src;
+  let before = bumps e and rw = rewrites e in
+  let d = doc_of e in
+  let rep =
+    apply_ok e
+      [ Engine.Update_value { node = first_text d "title"; value = "Renamed" };
+        insert_entry d
+          {|<book year="2001"><title>Fresh</title><author>Anon</author></book>|} ]
+  in
+  Alcotest.(check (list string)) "no path added" [] rep.Engine.ap_paths_added;
+  Alcotest.(check int) "a shape-preserving apply moves no epoch" before (bumps e);
+  Alcotest.(check bool) "the view-answered plan is recalled" true
+    (hit (answer_ok e query));
+  front_door_ok e authors_src;
+  Alcotest.(check int) "neither query re-planned" rw (rewrites e);
+  Alcotest.(check bool) "the new book is in the answer" true
+    (List.exists
+       (fun t -> Array.exists (fun f -> f = Rel.A (Xalgebra.Value.Str "Fresh")) t)
+       (Xerror.get_exn (Engine.query_r e query)).Engine.rel.Rel.tuples)
+
+let check_replans name e ops =
+  ignore (answer_ok e query);
+  let before = bumps e in
+  ignore (apply_ok e ops);
+  Alcotest.(check int) (name ^ ": one epoch bump") (before + 1) (bumps e);
+  Alcotest.(check bool) (name ^ ": re-planned") false (hit (answer_ok e query))
+
+let test_epoch_moves_with_shape () =
+  let e = fresh () in
+  check_replans "new path" e
+    [ Engine.Insert_subtree
+        { parent = List.hd (Doc.nodes_with_label (doc_of e) "book"); before = None;
+          xml = "<isbn>1</isbn>" } ];
+  check_replans "weakened card" e
+    [ insert_entry (doc_of e) "<book><title>Lonely</title></book>" ]
+
+(* A cached rewriting that holds only because every book has an author
+   (book→author is a strong + edge, used with the constraint chase):
+   once a book without an author arrives, reading the book/title view
+   alone would also return that book's title. *)
+let test_epoch_strong_edge () =
+  let vbt = query in
+  let vba =
+    P.make
+      [ P.v "book" ~node:(P.mk_node ~id:Xdm.Nid.Structural "book")
+          [ P.v ~axis:P.Child "author" [] ] ]
+  in
+  let with_author =
+    P.make
+      [ P.v "book" ~node:(P.mk_node ~id:Xdm.Nid.Structural "book")
+          [ P.v ~axis:P.Child "author" [];
+            P.v ~axis:P.Child "title" ~node:(P.mk_node ~value:true "title") [] ] ]
+  in
+  let e = Engine.of_doc doc [ ("VBT", vbt); ("VBA", vba) ] in
+  let r = answer_ok e with_author in
+  Alcotest.(check (list string)) "the strong edge lets book/title answer alone"
+    [ "VBT" ] r.Engine.explain.Explain.views_used;
+  Alcotest.(check bool) "recalled before the edit" true (hit (answer_ok e with_author));
+  ignore (apply_ok e [ insert_entry (doc_of e) "<book><title>Lonely</title></book>" ]);
+  let d = doc_of e in
+  Alcotest.(check bool) "the old rewriting would now be wrong" true
+    (fingerprint (Xam.Embed.eval d vbt) <> fingerprint (Xam.Embed.eval d with_author)
+     && Rel.cardinality (Xam.Embed.eval d vbt)
+        > Rel.cardinality (Xam.Embed.eval d with_author));
+  let r = answer_ok e with_author in
+  Alcotest.(check bool) "re-planned after the card weakened" false (hit r);
+  Alcotest.(check bool) "the new plan checks the author" true
+    (List.mem "VBA" r.Engine.explain.Explain.views_used)
+
+(* A module over the theses goes dormant when the last thesis goes, and
+   comes back with the next one: both applies change the module list. *)
+let test_epoch_drop_resurrect () =
+  let d =
+    Doc.of_string ~name:"bib"
+      "<library><book><title>A</title><author>x</author></book>\
+       <phdthesis><title>T</title><author>y</author></phdthesis></library>"
+  in
+  let theses =
+    P.make
+      [ P.v "phdthesis" ~node:(P.mk_node ~id:Xdm.Nid.Structural "phdthesis")
+          [ P.v ~axis:P.Child "title" ~node:(P.mk_node ~value:true "title") [] ] ]
+  in
+  let e = Engine.of_doc d [ ("VT", theses); ("V1", v1); ("V2", v2) ] in
+  ignore (answer_ok e theses);
+  let before = bumps e in
+  let rep =
+    apply_ok e
+      [ Engine.Delete_subtree
+          { node = List.hd (Doc.nodes_with_label (doc_of e) "phdthesis") } ]
+  in
+  Alcotest.(check (list string)) "the thesis view goes dormant" [ "VT" ]
+    (List.map fst rep.Engine.ap_dropped);
+  Alcotest.(check int) "drop: one epoch bump" (before + 1) (bumps e);
+  let r = answer_ok e theses in
+  Alcotest.(check bool) "drop: re-planned" false (hit r);
+  Alcotest.(check bool) "drop: answered from the document" true
+    r.Engine.explain.Explain.degraded;
+  let rep =
+    apply_ok e
+      [ Engine.Insert_subtree
+          { parent = Doc.root (doc_of e); before = None;
+            xml = "<phdthesis><title>U</title><author>z</author></phdthesis>" } ]
+  in
+  Alcotest.(check (list string)) "the thesis view is back" [ "VT" ]
+    rep.Engine.ap_resurrected;
+  Alcotest.(check int) "resurrect: one epoch bump" (before + 2) (bumps e);
+  let r = answer_ok e theses in
+  Alcotest.(check bool) "resurrect: re-planned" false (hit r);
+  Alcotest.(check (list string)) "resurrect: answered from the view" [ "VT" ]
+    r.Engine.explain.Explain.views_used
+
+(* Validation verdicts are re-used only while the shape and the built
+   modules hold; a dormant module is re-validated on every apply, and
+   rejoins once an edit brings its path back. *)
+let test_validation_reuse () =
+  let isbn =
+    P.make [ P.v "isbn" ~node:(P.mk_node ~id:Xdm.Nid.Structural ~value:true "isbn") [] ]
+  in
+  let obs = Xobs.Obs.create ~tracing:true () in
+  let e =
+    Engine.of_doc ~obs
+      (Doc.of_string ~name:"bib"
+         "<library><book><title>A</title><author>x</author><isbn>1</isbn></book></library>")
+      [ ("V1", v1); ("VI", isbn) ]
+  in
+  (* The [reused] tag of the last apply's [validate] span. *)
+  let validate_reused () =
+    let rec find sp =
+      if Xobs.Trace.name sp = "validate" then Some sp
+      else List.find_map find (Xobs.Trace.children sp)
+    in
+    match List.rev (Xobs.Slowlog.recent obs.Xobs.Obs.slowlog) with
+    | [] -> Alcotest.fail "no apply trace"
+    | trace :: _ -> (
+        match find (Xobs.Trace.root trace) with
+        | None -> Alcotest.fail "no validate span"
+        | Some sp -> List.assoc_opt "reused" (Xobs.Trace.tags sp) = Some "true")
+  in
+  let text = first_text (doc_of e) "title" in
+  ignore (apply_ok e [ Engine.Update_value { node = text; value = "B" } ]);
+  Alcotest.(check bool) "same shape, same modules: verdicts re-used" true
+    (validate_reused ());
+  let rep =
+    apply_ok e
+      [ Engine.Delete_subtree { node = List.hd (Doc.nodes_with_label (doc_of e) "isbn") } ]
+  in
+  Alcotest.(check (list string)) "the isbn view goes dormant" [ "VI" ]
+    (List.map fst rep.Engine.ap_dropped);
+  Alcotest.(check bool) "shape changed: validated" false (validate_reused ());
+  ignore
+    (apply_ok e
+       [ Engine.Update_value { node = first_text (doc_of e) "title"; value = "C" } ]);
+  Alcotest.(check bool) "a dormant module is re-validated" false (validate_reused ());
+  Alcotest.(check (list string)) "still dormant" [ "VI" ]
+    (List.map fst (Engine.dormant_modules e));
+  let rep =
+    apply_ok e
+      [ Engine.Insert_subtree
+          { parent = List.hd (Doc.nodes_with_label (doc_of e) "book"); before = None;
+            xml = "<isbn>2</isbn>" } ]
+  in
+  Alcotest.(check (list string)) "resurrected with its path" [ "VI" ]
+    rep.Engine.ap_resurrected;
+  ignore (answer_ok e isbn)
+
+let test_epoch_quarantine_and_swap () =
+  let fs = Faultstore.create ~broken:[ "V1" ] () in
+  let e =
+    Engine.of_doc ~env_wrap:(Faultstore.wrap fs) doc [ ("V1", v1); ("V2", v2) ]
+  in
+  let titles =
+    P.make [ P.v "title" ~node:(P.mk_node ~value:true "title") [] ]
+  in
+  ignore (answer_ok e titles);
+  Alcotest.(check bool) "cached" true (hit (answer_ok e titles));
+  let before = bumps e in
+  ignore (answer_ok e query);
+  Alcotest.(check int) "the quarantine moved the epoch" (before + 1) (bumps e);
+  Alcotest.(check bool) "quarantine: re-planned" false (hit (answer_ok e titles));
+  ignore (answer_ok e query);
+  Alcotest.(check int) "a module already quarantined moves nothing" (before + 1)
+    (bumps e);
+  Xerror.get_exn (Engine.set_catalog_r e (Engine.catalog e));
+  Alcotest.(check int) "the swap moved the epoch" (before + 2) (bumps e);
+  Alcotest.(check bool) "swap: re-planned" false (hit (answer_ok e titles))
+
+(* Property: an engine whose plan cache lived through a run of random
+   mutation batches answers generated XQuery exactly as an engine freshly
+   built over the same document does. Most edits keep the summary's
+   shape (value updates, deleted and appended complete entries) and so
+   keep every plan; some weaken a card (an entry without an author or a
+   title, or with two titles) or add a path (an [isbn]), and those must
+   re-plan. *)
+let mutation_batch rng d =
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let handles kinds =
+    let acc = ref [] in
+    Doc.iter (fun h -> if List.mem (Doc.kind d h) kinds then acc := h :: !acc) d;
+    !acc
+  in
+  let entries = Doc.children d (Doc.root d) in
+  let word () = pick [ "Data"; "Web"; "Views"; "Trees"; "Storage" ] in
+  let year () = string_of_int (1990 + Random.State.int rng 20) in
+  let entry ~titles ~authors =
+    let tag = if Random.State.int rng 4 = 0 then "phdthesis" else "book" in
+    let each n f = String.concat "" (List.init n (fun _ -> f ())) in
+    Printf.sprintf "<%s year=\"%s\">%s%s</%s>" tag (year ())
+      (each titles (fun () -> "<title>" ^ word () ^ " " ^ word () ^ "</title>"))
+      (each authors (fun () -> "<author>" ^ word () ^ "</author>"))
+      tag
+  in
+  let append xml = Engine.Insert_subtree { parent = Doc.root d; before = None; xml } in
+  match Random.State.int rng 20 with
+  | n when n < 8 ->
+      Engine.Update_value
+        { node = pick (handles [ Doc.Text; Doc.Attribute ]); value = word () }
+  | n when n < 11 && List.length entries > 2 -> Engine.Delete_subtree { node = pick entries }
+  | 16 -> append (entry ~titles:1 ~authors:0)
+  | 17 -> append (entry ~titles:0 ~authors:1)
+  | 18 -> append (entry ~titles:2 ~authors:1)
+  | 19 -> Engine.Insert_subtree { parent = pick entries; before = None; xml = "<isbn>0</isbn>" }
+  | _ -> append (entry ~titles:1 ~authors:(1 + Random.State.int rng 2))
+
+let doc_apply d = function
+  | Engine.Insert_subtree { parent; before; xml } ->
+      Doc.insert_subtree d ~parent ?before (Xdm.Xml_tree.parse xml)
+  | Engine.Delete_subtree { node } -> Doc.delete_subtree d node
+  | Engine.Update_value { node; value } -> Doc.update_value d node value
+
+let warm_cold_prop =
+  QCheck2.Test.make ~name:"warm plan cache = cold engine after mutation batches"
+    ~count:12 ~long_factor:20 QCheck2.Gen.int (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let d0 =
+        Xworkload.Gen_bib.generate_doc ~seed:(seed land 0xffff) ~books:6 ~theses:2 ()
+      in
+      let s0 = Xsummary.Summary.of_doc d0 in
+      (* Inlined views hold only while title is one-to-one below an entry:
+         rewritings over them lean on the summary's cards. *)
+      let specs = Models.path_partitioned s0 @ Models.inlined s0 in
+      let queries =
+        Xworkload.Query_gen.generate_many ~seed s0 ~doc_name:"bib"
+          Xworkload.Query_gen.default ~count:4
+      in
+      (* Extracted XQuery patterns mostly fall back to the document;
+         generated patterns are mostly rewritten over the views. *)
+      let patterns =
+        List.concat_map
+          (fun labels ->
+            Xworkload.Pattern_gen.generate_many ~seed s0
+              { Xworkload.Pattern_gen.default with return_labels = labels; size = 4 }
+              ~count:2)
+          [ [ "title" ]; [ "author" ]; [ "title"; "author" ]; [ "book" ] ]
+      in
+      let outputs e =
+        List.map
+          (fun q ->
+            match Engine.query_ast_r e q with
+            | Ok r -> Ok r.Engine.output
+            | Error err -> Error (Xerror.to_string err))
+          queries
+      in
+      let extents e =
+        List.map
+          (fun p ->
+            match Engine.query_r e p with
+            | Ok r -> Ok r.Engine.rel
+            | Error err -> Error (Xerror.to_string err))
+          patterns
+      in
+      let same_extent w c =
+        match (w, c) with
+        | Ok w, Ok c -> fingerprint w = fingerprint c
+        | w, c -> w = c
+      in
+      let show = function Ok r -> Format.asprintf "%a" Rel.pp r | Error m -> m in
+      let warm = Engine.of_doc d0 specs in
+      ignore (outputs warm, extents warm);
+      let history = ref [] in
+      List.for_all
+        (fun _ ->
+          let ops, _ =
+            List.fold_left
+              (fun (ops, d) _ ->
+                let op = mutation_batch rng d in
+                (op :: ops, doc_apply d op))
+              ([], doc_of warm)
+              (List.init (1 + Random.State.int rng 3) Fun.id)
+          in
+          let ops = List.rev ops in
+          ignore (apply_ok warm ops);
+          history := !history @ ops;
+          (* The whole history as one batch: the same document and the
+             same dormant modules, with a plan cache that never saw an
+             earlier epoch. *)
+          let cold = Engine.of_doc d0 specs in
+          ignore (apply_ok cold !history);
+          List.for_all2
+            (fun w c ->
+              w = c
+              || QCheck2.Test.fail_reportf "warm: %s@.cold: %s"
+                   (match w with Ok o | Error o -> o)
+                   (match c with Ok o | Error o -> o))
+            (outputs warm) (outputs cold)
+          && List.for_all2
+               (fun (p, w) c ->
+                 same_extent w c
+                 || QCheck2.Test.fail_reportf "pattern %s@.warm: %s@.cold: %s"
+                      (P.to_string p) (show w) (show c))
+               (List.combine patterns (extents warm))
+               (extents cold))
+        (List.init 4 Fun.id))
+
 let () =
   Alcotest.run "engine"
     [ ( "pipeline",
@@ -276,6 +651,20 @@ let () =
             test_cache_invalidation;
           Alcotest.test_case "negative outcomes cached" `Quick
             test_negative_caching ] );
+      ( "plan-epoch",
+        [ Alcotest.test_case "plans outlive a data-only apply" `Quick
+            test_epoch_survives_data_apply;
+          Alcotest.test_case "a shape change re-plans" `Quick
+            test_epoch_moves_with_shape;
+          Alcotest.test_case "a weakened strong edge re-plans" `Quick
+            test_epoch_strong_edge;
+          Alcotest.test_case "dropped and resurrected modules re-plan" `Quick
+            test_epoch_drop_resurrect;
+          Alcotest.test_case "validation verdicts re-used" `Quick
+            test_validation_reuse;
+          Alcotest.test_case "quarantine and swap re-plan" `Quick
+            test_epoch_quarantine_and_swap ] );
+      ("props", [ QCheck_alcotest.to_alcotest warm_cold_prop ]);
       ( "explain",
         [ Alcotest.test_case "per-operator counts" `Quick test_explain_output;
           Alcotest.test_case "from_cache flag and JSON" `Quick

@@ -403,22 +403,12 @@ let pattern_prop =
       match Xworkload.Pattern_gen.generate rng s params with
       | None -> true
       | Some p ->
-          (* The lowering projects every stored attribute, so the subtree
-             below a semi edge, whose columns the join drops, stores none. *)
-          let rec unstored (t : P.tree) =
-            { t with
-              node =
-                { t.node with id_scheme = None; tag_stored = false; val_stored = false;
-                              cont_stored = false };
-              children = List.map unstored t.children }
-          in
           let rec redraw ~top (t : P.tree) =
             let sem =
               if top then P.Join else pick [ P.Join; P.Outer; P.Semi; P.Nest_join; P.Nest_outer ]
             in
-            let t = { t with edge = { t.edge with sem } } in
-            if sem = P.Semi then unstored t
-            else { t with children = List.map (redraw ~top:false) t.children }
+            { t with edge = { t.edge with sem };
+                     children = List.map (redraw ~top:false) t.children }
           in
           let p = P.make (List.map (redraw ~top:true) p.P.roots) in
           let plan = Compile.plan p in

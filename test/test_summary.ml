@@ -86,6 +86,37 @@ let test_growth () =
   Alcotest.(check bool) "summary growth is sublinear" true
     (Summary.size large <= Summary.size small + 10)
 
+(* Shape is (label, parent, card) per path: a value edit keeps it, a
+   book without an author weakens book→author from + to *, and a new
+   element adds a path. Counts never enter. *)
+let test_same_shape () =
+  let d = bib () in
+  let s = Summary.of_doc d in
+  let library = Doc.root d in
+  let book = List.hd (Doc.nodes_with_label d "book") in
+  let text = List.hd (Doc.children d (List.hd (Doc.nodes_with_label d "title"))) in
+  let shape_of d = Summary.same_shape s (Summary.of_doc d) in
+  Alcotest.(check bool) "a value edit keeps the shape" true
+    (shape_of (Doc.update_value d text "Another title"));
+  Alcotest.(check bool) "a complete book keeps the shape (counts differ)" true
+    (shape_of
+       (Doc.insert_subtree d ~parent:library ~before:book
+          (Xdm.Xml_tree.parse "<book year=\"2001\"><title>t</title><author>a</author></book>")));
+  Alcotest.(check bool) "a book without an author weakens a card" false
+    (shape_of
+       (Doc.insert_subtree d ~parent:library ~before:book
+          (Xdm.Xml_tree.parse "<book><title>t</title></book>")));
+  Alcotest.(check bool) "a new element adds a path" false
+    (shape_of
+       (Doc.insert_subtree d ~parent:book (Xdm.Xml_tree.parse "<isbn>1</isbn>")));
+  let s' = Summary.of_doc d in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Summary.same_shape s s'))
+  done;
+  Alcotest.(check bool) "the comparison allocates nothing" true
+    (Gc.minor_words () -. w0 < 100.0)
+
 let () =
   Alcotest.run "summary"
     [ ( "summary",
@@ -95,4 +126,5 @@ let () =
           Alcotest.test_case "conformance" `Quick test_conformance;
           Alcotest.test_case "of_edges" `Quick test_of_edges;
           Alcotest.test_case "one-to-one chains" `Quick test_one_to_one_chain;
-          Alcotest.test_case "summary growth" `Quick test_growth ] ) ]
+          Alcotest.test_case "summary growth" `Quick test_growth;
+          Alcotest.test_case "same shape ignores counts" `Quick test_same_shape ] ) ]
