@@ -252,56 +252,101 @@ let hit_content = function
 
 (* --- XML construction --------------------------------------------------- *)
 
-let value_to_fragment = function
-  | Value.Null -> ""
-  | Value.Str s -> s
-  | Value.Int i -> string_of_int i
-  | Value.Bool b -> string_of_bool b
-  | Value.Id id -> Xdm.Nid.to_string id
+let add_value buf = function
+  | Value.Null -> ()
+  | Value.Str s -> Buffer.add_string buf s
+  | Value.Int i -> Buffer.add_string buf (string_of_int i)
+  | Value.Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Value.Id id -> Buffer.add_string buf (Xdm.Nid.to_string id)
 
-let rec eval_template buf schema tuple template =
-  match template with
-  | Logical.T_text s -> Buffer.add_string buf s
-  | Logical.T_col path ->
-      List.iter
-        (fun v -> Buffer.add_string buf (value_to_fragment v))
-        (Rel.atoms_of_path schema tuple path)
-  | Logical.T_tag ("", children) ->
-      (* Anonymous grouping: emit the children only. *)
-      List.iter (eval_template buf schema tuple) children
-  | Logical.T_tag (tag, children) ->
-      Buffer.add_char buf '<';
-      Buffer.add_string buf tag;
-      Buffer.add_char buf '>';
-      List.iter (eval_template buf schema tuple) children;
-      Buffer.add_string buf "</";
-      Buffer.add_string buf tag;
-      Buffer.add_char buf '>'
-  | Logical.T_foreach (path, body) ->
-      let i = Rel.col_index schema (List.hd path) in
-      let sub =
-        match (List.nth schema i).Rel.ctype with
-        | Rel.Nested s -> s
-        | Rel.Atom -> invalid_arg "Eval: T_foreach on an atomic column"
-      in
-      (* The body is evaluated against the outer tuple extended with the
-         inner one, so holes referring to enclosing columns still
-         resolve (inner columns shadow-free: names are unique). *)
-      let scoped inner = (schema @ sub, Rel.concat_tuples tuple inner) in
-      (match (List.tl path, tuple.(i)) with
-      | [], Rel.N inner ->
-          List.iter
-            (fun t ->
-              let sch, tup = scoped t in
-              eval_template buf sch tup body)
-            inner
-      | rest, Rel.N inner ->
-          List.iter
-            (fun t ->
-              let sch, tup = scoped t in
-              eval_template buf sch tup (Logical.T_foreach (rest, body)))
-            inner
-      | _, Rel.A _ -> invalid_arg "Eval: T_foreach on an atomic field")
+(* The atoms reached from column [i] (of type [ctype]) of one tuple
+   through the rest of a hole's path, appended in order. *)
+let rec atoms_at i ctype rest =
+  match (rest, ctype) with
+  | [], _ -> (
+      fun buf (t : Rel.tuple) ->
+        match t.(i) with
+        | Rel.A v -> add_value buf v
+        | Rel.N _ -> invalid_arg "Eval: template hole ends on a nested column")
+  | name :: rest, Rel.Nested sub -> (
+      let j = Rel.col_index sub name in
+      let below = atoms_at j (List.nth sub j).Rel.ctype rest in
+      fun buf t ->
+        match t.(i) with
+        | Rel.N inner -> List.iter (fun u -> below buf u) inner
+        | Rel.A _ -> invalid_arg "Eval: template hole crosses an atomic field")
+  | _ :: _, Rel.Atom -> invalid_arg "Eval: template hole crosses an atomic column"
+
+(* A staged template runs over a frame array: frame 0 holds the input
+   tuple and frame [k] the current tuple of the [k]-th enclosing
+   [T_foreach]. Names resolve once, against the schemas in scope,
+   outermost first — the first occurrence wins, as it would in the outer
+   schema extended with the inner one. *)
+let stage_template schema template =
+  let depth = ref 1 in
+  let resolve scope name =
+    let rec go f = function
+      | [] ->
+          invalid_arg
+            (Printf.sprintf "Eval: template column %S is not in scope (%s)" name
+               (Rel.schema_to_string (List.concat scope)))
+      | sch :: rest -> (
+          match Rel.find_col sch name with
+          | Some (i, c) -> (f, i, c.Rel.ctype)
+          | None -> go (f + 1) rest)
+    in
+    go 0 scope
+  in
+  let rec stage scope = function
+    | Logical.T_text s -> fun buf _ -> Buffer.add_string buf s
+    | Logical.T_tag ("", children) ->
+        (* Anonymous grouping: emit the children only. *)
+        seq scope children
+    | Logical.T_tag (tag, children) ->
+        let open_ = "<" ^ tag ^ ">" and close = "</" ^ tag ^ ">" in
+        let body = seq scope children in
+        fun buf frames ->
+          Buffer.add_string buf open_;
+          body buf frames;
+          Buffer.add_string buf close
+    | Logical.T_col [] -> fun _ _ -> ()
+    | Logical.T_col (name :: rest) ->
+        let f, i, ctype = resolve scope name in
+        let atoms = atoms_at i ctype rest in
+        fun buf frames -> atoms buf frames.(f)
+    | Logical.T_foreach ([], _) -> invalid_arg "Eval: T_foreach on an empty path"
+    | Logical.T_foreach (name :: rest, body) -> (
+        let f, i, ctype = resolve scope name in
+        let sub =
+          match ctype with
+          | Rel.Nested s -> s
+          | Rel.Atom -> invalid_arg "Eval: T_foreach on an atomic column"
+        in
+        (* A multi-step path iterates each level in turn, the deeper
+           steps resolved in the scope the first one opened. *)
+        let d = List.length scope in
+        depth := max !depth (d + 1);
+        let body = match rest with [] -> body | _ -> Logical.T_foreach (rest, body) in
+        let run_body = stage (scope @ [ sub ]) body in
+        fun buf frames ->
+          match frames.(f).(i) with
+          | Rel.N inner ->
+              List.iter
+                (fun t ->
+                  frames.(d) <- t;
+                  run_body buf frames)
+                inner
+          | Rel.A _ -> invalid_arg "Eval: T_foreach on an atomic field")
+  and seq scope templates =
+    let parts = Array.of_list (List.map (stage scope) templates) in
+    fun buf frames ->
+      for k = 0 to Array.length parts - 1 do
+        parts.(k) buf frames
+      done
+  in
+  let run = stage [ schema ] template in
+  let depth = !depth in
+  fun buf t -> run buf (Array.make depth t)
 
 (* --- Per-tuple operators -------------------------------------------------- *)
 

@@ -72,6 +72,12 @@ val unnest : Rel.schema -> Rel.path -> Rel.tuple -> Rel.tuple list
 (** The [Unnest] operator on one tuple (top-level paths only): the other
     columns concatenated with each tuple of the nested collection. *)
 
-val eval_template :
-  Buffer.t -> Rel.schema -> Rel.tuple -> Logical.template -> unit
-(** Expand an XML construction template against one tuple. *)
+val stage_template : Rel.schema -> Logical.template -> Buffer.t -> Rel.tuple -> unit
+(** [stage_template schema template] is the [Xml] operator's kernel:
+    applied to one input tuple it appends the template's expansion to the
+    buffer. Every hole and [T_foreach] path is resolved to column indices
+    once, here; a [T_foreach] body sees the enclosing tuples' columns as
+    well as the inner tuple's (the first column of a name, outermost
+    first, wins), without building any extended schema or tuple per inner
+    tuple. Raises [Invalid_argument] at staging on a name not in scope or
+    a path that crosses an atomic column. *)

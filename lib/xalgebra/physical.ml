@@ -307,11 +307,13 @@ let operator plan schema inputs =
       let unnest = Eval.unnest p.schema path in
       stream (fun () -> concat_map_cursor unnest (p.open_ ()))
   | Logical.Xml (template, _), [ p ] ->
+      let expand = Eval.stage_template p.schema template in
       stream (fun () ->
+          let buf = Buffer.create 256 in
           map_cursor
             (fun t ->
-              let buf = Buffer.create 128 in
-              Eval.eval_template buf p.schema t template;
+              Buffer.clear buf;
+              expand buf t;
               [| Rel.A (Value.Str (Buffer.contents buf)) |])
             (p.open_ ()))
   | _ -> invalid_arg "Physical: operator compiled with the wrong number of inputs"
@@ -320,8 +322,10 @@ let operator plan schema inputs =
 
 type budget_dimension = Deadline | Tuples | Steps
 
+type deadline = { clock : unit -> float; at : float }
+
 type budget = {
-  deadline : float option;
+  deadline : deadline option;
   max_tuples : int option;
   max_steps : int option;
   mutable steps : int;
@@ -345,6 +349,7 @@ type op_stats = {
   mutable tuples : int;
   mutable nexts : int;
   mutable elapsed : float;
+  timed : bool;
   children : op_stats list;
 }
 
@@ -379,8 +384,8 @@ let op_name = function
 (* Compile bottom-up, each plan node exactly once: its inputs first, in
    {!Logical.inputs} order, then the operator over them. Every node gets
    its stats node here, and [wrap] may instrument its cursor with it. *)
-let rec compile_node env ~wrap plan =
-  let compiled = List.map (compile_node env ~wrap) (Logical.inputs plan) in
+let rec compile_node env ~timed ~wrap plan =
+  let compiled = List.map (compile_node env ~timed ~wrap) (Logical.inputs plan) in
   let inputs = List.map fst compiled in
   let p =
     match plan with
@@ -390,79 +395,109 @@ let rec compile_node env ~wrap plan =
         operator plan schema inputs
   in
   let st =
-    { op = op_name plan; tuples = 0; nexts = 0; elapsed = 0.0; children = List.map snd compiled }
+    { op = op_name plan; tuples = 0; nexts = 0; elapsed = 0.0; timed;
+      children = List.map snd compiled }
   in
   (wrap st p, st)
 
-let compile env plan = fst (compile_node env ~wrap:(fun _ p -> p) plan)
+let compile env plan = fst (compile_node env ~timed:false ~wrap:(fun _ p -> p) plan)
 
 let run env plan =
   let p = compile env plan in
   Rel.make p.schema (drain (p.open_ ()))
 
-let compile_instrumented ?(clock = Sys.time) ?budget env plan =
-  (* Every compiled operator's cursor counts next() calls, tuples produced
-     and wall time (inclusive of its inputs, since a parent's next() pulls
-     on its children) into its stats node. *)
-  let charge =
+(* A budget's step charge: every cursor step counts against [max_steps],
+   and the deadline's own clock is read on the first step and every 16th
+   after, so a deadline costs one clock read per 16 cursor steps. *)
+let charge b =
+  b.steps <- b.steps + 1;
+  (match b.max_steps with
+  | Some m when b.steps > m ->
+      raise (Over_budget { dimension = Steps; limit = float_of_int m })
+  | _ -> ());
+  match b.deadline with
+  | Some d when b.steps land 15 = 1 && d.clock () > d.at ->
+      raise (Over_budget { dimension = Deadline; limit = d.at })
+  | _ -> ()
+
+let compile_instrumented ?clock ?budget env plan =
+  (* Every compiled operator's cursor counts next() calls and tuples
+     produced into its stats node; with [clock] it also accumulates the
+     time spent in the cursor (inclusive of its inputs, since a parent's
+     next() pulls on its children), and with [budget] each step is
+     charged against it first. *)
+  let count st (c : cursor) : cursor =
+   fun () ->
+    let r = c () in
+    st.nexts <- st.nexts + 1;
+    (match r with Some _ -> st.tuples <- st.tuples + 1 | None -> ());
+    r
+  in
+  let time st (c : cursor) : cursor =
+    match clock with
+    | None -> c
+    | Some clock ->
+        fun () ->
+          let t0 = clock () in
+          let r = c () in
+          st.elapsed <- st.elapsed +. (clock () -. t0);
+          r
+  in
+  let charged (c : cursor) : cursor =
     match budget with
-    | None -> fun () -> ()
+    | None -> c
     | Some b ->
         fun () ->
-          b.steps <- b.steps + 1;
-          (match b.max_steps with
-          | Some m when b.steps > m ->
-              raise (Over_budget { dimension = Steps; limit = float_of_int m })
-          | _ -> ());
-          (* The clock is consulted on the first step and every 16th after,
-             so a deadline costs one gettimeofday per 16 cursor steps. *)
-          ( match b.deadline with
-          | Some d when b.steps land 15 = 1 && clock () > d ->
-              raise (Over_budget { dimension = Deadline; limit = d })
-          | _ -> () )
+          charge b;
+          c ()
   in
   let wrap st p =
-    { p with
-      open_ =
-        (fun () ->
-          let c = p.open_ () in
-          fun () ->
-            charge ();
-            let t0 = clock () in
-            let r = c () in
-            st.elapsed <- st.elapsed +. (clock () -. t0);
-            st.nexts <- st.nexts + 1;
-            (match r with Some _ -> st.tuples <- st.tuples + 1 | None -> ());
-            r) }
+    { p with open_ = (fun () -> charged (count st (time st (p.open_ ())))) }
   in
-  compile_node env ~wrap plan
+  compile_node env ~timed:(clock <> None) ~wrap plan
 
-(* Fold a finished stats tree into the registry: totals across operators
-   plus one latency observation per operator node. The registry lookups
-   are get-or-create, so the counters are shared by every plan recorded
-   against the same registry. *)
-let record_stats reg stats =
-  let tuples = Xobs.Metrics.counter reg "physical_tuples_total"
-      ~help:"tuples produced, summed over all operators" in
-  let nexts = Xobs.Metrics.counter reg "physical_nexts_total"
-      ~help:"cursor next() calls, summed over all operators" in
-  let ops = Xobs.Metrics.counter reg "physical_operators_total"
-      ~help:"physical operator instances executed" in
-  let per_op = Xobs.Metrics.histogram reg "physical_op_seconds"
-      ~help:"per-operator inclusive cursor time" in
+type metrics = {
+  m_tuples : Xobs.Metrics.counter;
+  m_nexts : Xobs.Metrics.counter;
+  m_operators : Xobs.Metrics.counter;
+  m_op_seconds : Xobs.Metrics.histogram;
+}
+
+let metrics reg =
+  { m_tuples =
+      Xobs.Metrics.counter reg "physical_tuples_total"
+        ~help:"tuples produced, summed over all operators";
+    m_nexts =
+      Xobs.Metrics.counter reg "physical_nexts_total"
+        ~help:"cursor next() calls, summed over all operators";
+    m_operators =
+      Xobs.Metrics.counter reg "physical_operators_total"
+        ~help:"physical operator instances executed";
+    m_op_seconds =
+      Xobs.Metrics.histogram reg "physical_op_seconds"
+        ~help:"per-operator inclusive cursor time, observed on timed (traced) runs only" }
+
+(* Fold a finished stats tree into the resolved series: the totals across
+   operators, plus one latency observation per operator node when the
+   run was timed. *)
+let record_stats m stats =
+  let tuples = ref 0 and nexts = ref 0 and ops = ref 0 in
   let rec go (st : op_stats) =
-    Xobs.Metrics.add tuples st.tuples;
-    Xobs.Metrics.add nexts st.nexts;
-    Xobs.Metrics.incr ops;
-    Xobs.Metrics.observe per_op st.elapsed;
+    tuples := !tuples + st.tuples;
+    nexts := !nexts + st.nexts;
+    incr ops;
+    if st.timed then Xobs.Metrics.observe m.m_op_seconds st.elapsed;
     List.iter go st.children
   in
-  go stats
+  go stats;
+  Xobs.Metrics.add m.m_tuples !tuples;
+  Xobs.Metrics.add m.m_nexts !nexts;
+  Xobs.Metrics.add m.m_operators !ops
 
 let run_instrumented ?clock ?budget ?metrics env plan =
   let p, stats = compile_instrumented ?clock ?budget env plan in
   let finish rel =
-    (match metrics with Some reg -> record_stats reg stats | None -> ());
+    (match metrics with Some m -> record_stats m stats | None -> ());
     (rel, stats)
   in
   match budget with

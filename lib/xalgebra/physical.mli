@@ -37,9 +37,15 @@ val run : Eval.env -> Logical.t -> Rel.t
 
 type budget_dimension = Deadline | Tuples | Steps
 
+type deadline = {
+  clock : unit -> float;  (** the clock that keeps the deadline (seconds) *)
+  at : float;  (** the absolute instant, in [clock]'s timebase *)
+}
+(** A deadline carries its own clock, so a budgeted run checks it whether
+    or not its operators are timed. *)
+
 type budget = {
-  deadline : float option;
-      (** absolute time in the executing clock's timebase (seconds) *)
+  deadline : deadline option;
   max_tuples : int option;  (** cap on root-level tuples produced *)
   max_steps : int option;  (** cap on total cursor steps, all operators *)
   mutable steps : int;  (** steps consumed so far (shared across plans) *)
@@ -52,7 +58,7 @@ exception Over_budget of { dimension : budget_dimension; limit : float }
     16-step clock-check window for deadlines), it never hangs. *)
 
 val budget :
-  ?deadline:float -> ?max_tuples:int -> ?max_steps:int -> unit -> budget
+  ?deadline:deadline -> ?max_tuples:int -> ?max_steps:int -> unit -> budget
 (** A fresh budget with zero consumption. The same budget value may be
     threaded through several [run_instrumented] calls; consumption
     accumulates (the engine shares one budget across the plans of a
@@ -68,7 +74,9 @@ type op_stats = {
   mutable nexts : int;  (** next() calls received *)
   mutable elapsed : float;
       (** seconds spent inside this operator's cursor, inclusive of its
-          inputs (a parent's next() pulls on its children) *)
+          inputs (a parent's next() pulls on its children); stays [0.]
+          when the run is not [timed] *)
+  timed : bool;  (** whether [elapsed] was measured (the run had a clock) *)
   children : op_stats list;  (** one per input, in {!Logical.inputs} order *)
 }
 (** One stats node per node of the logical plan, made when the node is
@@ -81,27 +89,35 @@ val compile_instrumented :
   Eval.env ->
   Logical.t ->
   t * op_stats
-(** Compile with every operator's cursor wrapped in a counting node.
-    [clock] (default [Sys.time]) supplies timestamps in seconds — pass
-    [Unix.gettimeofday] for wall-clock resolution. The returned stats tree
-    is live: its counters update as the plan executes. With [budget], every
-    cursor step also charges the budget and raises {!Over_budget} when a
-    dimension is exhausted ([budget.deadline] must be in [clock]'s
-    timebase). *)
+(** Compile with every operator's cursor wrapped in a counting node: the
+    returned stats tree is live, its [tuples] and [nexts] updating as the
+    plan executes. With [clock] every operator is also timed — two clock
+    reads per cursor step — and its stats node is [timed]; without it no
+    operator reads a clock. With [budget], every cursor step also charges
+    the budget and raises {!Over_budget} when a dimension is exhausted;
+    the deadline is read on its own clock ({!deadline}), timed run or
+    not. *)
+
+type metrics
+(** The [physical_*] series of one registry, resolved once. *)
+
+val metrics : Xobs.Metrics.registry -> metrics
+(** Get or create the registry's [physical_tuples_total],
+    [physical_nexts_total] and [physical_operators_total] counters and
+    its [physical_op_seconds] per-operator latency histogram. *)
 
 val run_instrumented :
   ?clock:(unit -> float) ->
   ?budget:budget ->
-  ?metrics:Xobs.Metrics.registry ->
+  ?metrics:metrics ->
   Eval.env ->
   Logical.t ->
   Rel.t * op_stats
 (** [compile_instrumented] then drain; the stats are final on return.
     With [budget], the drain additionally enforces [max_tuples] on the
-    root's output. With [metrics], the finished stats tree is folded
-    into the registry ([physical_tuples_total], [physical_nexts_total],
-    [physical_operators_total] counters and the [physical_op_seconds]
-    per-operator latency histogram); nothing is recorded when the drain
+    root's output. With [metrics], the finished stats tree is folded into
+    the series: the counters always, [physical_op_seconds] once per
+    operator on a timed run only; nothing is recorded when the drain
     raises. *)
 
 val stack_tree_desc :

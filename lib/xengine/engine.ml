@@ -58,6 +58,7 @@ type emetrics = {
   h_splice : Metrics.histogram;
   h_checkpoint : Metrics.histogram;
   h_replay : Metrics.histogram;
+  m_physical : Physical.metrics;
 }
 
 let register_metrics reg =
@@ -101,7 +102,8 @@ let register_metrics reg =
         "incremental summary + partition maintenance (splice) latency";
     h_checkpoint =
       h "engine_checkpoint_seconds" "checkpoint (snapshot + wal truncate) latency";
-    h_replay = h "wal_replay_seconds" "whole-log recovery replay latency" }
+    h_replay = h "wal_replay_seconds" "whole-log recovery replay latency";
+    m_physical = Physical.metrics reg }
 
 type budget = {
   deadline_ms : float option;
@@ -210,6 +212,11 @@ let rec add_op_spans trace parent ~t0 (st : Physical.op_stats) =
           ("nexts", string_of_int st.Physical.nexts) ]
   in
   List.iter (add_op_spans trace sp ~t0) st.Physical.children
+
+(* Operators are timed only under a trace: the per-operator times feed the
+   op spans above and EXPLAIN, and an untraced read must not pay two clock
+   reads per cursor step for times nobody reads. *)
+let op_clock t (tr : tr) = match tr with Some _ -> Some (clk t) | None -> None
 
 let start_trace t name =
   if t.obs.Obs.tracing then begin
@@ -968,8 +975,8 @@ let execute t (trc : tr) pattern (c : cached) cache_hit rewrite_ms pb ~degraded
       let env = pruned_env t overrides in
       let t0 = clk t () in
       let rel, stats =
-        Physical.run_instrumented ~clock:(clk t) ?budget:pb
-          ~metrics:t.obs.Obs.metrics env r.Rewrite.plan
+        Physical.run_instrumented ?clock:(op_clock t trc) ?budget:pb
+          ~metrics:t.m.m_physical env r.Rewrite.plan
       in
       let rel = normalize_schema pattern rel in
       let exec_s = clk t () -. t0 in
@@ -1010,23 +1017,29 @@ let physical_budget t override =
     Some
       (Physical.budget
          ?deadline:
-           (Option.map (fun ms -> clk t () +. (ms /. 1000.0)) b.deadline_ms)
+           (Option.map
+              (fun ms -> { Physical.clock = clk t; at = clk t () +. (ms /. 1000.0) })
+              b.deadline_ms)
          ?max_tuples:b.max_tuples ?max_steps:b.max_steps ())
 
 (* Stage boundaries (re-plan loop, base-document fallback) check the
    deadline explicitly; inside plan execution the guarded cursors check
    it continuously. *)
-let check_deadline t pb =
+let check_deadline pb =
   match pb with
   | Some (b : Physical.budget) -> (
       match b.Physical.deadline with
-      | Some d when clk t () > d ->
-          raise (Physical.Over_budget { dimension = Physical.Deadline; limit = d })
+      | Some d when d.Physical.clock () > d.Physical.at ->
+          raise (Physical.Over_budget { dimension = Physical.Deadline; limit = d.Physical.at })
       | _ -> ())
   | None -> ()
 
-let no_rewriting_msg pattern =
-  Format.asprintf "no rewriting over the catalog for:@.%a" Pattern.pp pattern
+(* What one pattern's planning and execution can end in short of an
+   answer: no rewriting over the live views — an outcome the XQuery front
+   door answers from the base document, so the message naming the
+   pattern is built only by a caller that reports it — or a classified
+   error. *)
+type unanswered = No_rewriting | Failed of Xerror.t
 
 (* Plan then execute once, classifying internal failures. Module faults
    and budget stops propagate as exceptions for the caller's recovery /
@@ -1036,13 +1049,13 @@ let plan_and_execute t (trc : tr) pattern pb ~degraded =
     match plan_for t trc pattern with
     | planned -> Ok planned
     | exception ((Store.Module_fault _ | Physical.Over_budget _) as e) -> raise e
-    | exception e -> Error (Xerror.Plan_error (Printexc.to_string e))
+    | exception e -> Error (Failed (Xerror.Plan_error (Printexc.to_string e)))
   in
   match planned with
   | Error e -> Error e
   | Ok (c, hit, rewrite_ms) -> (
       match c.rewriting with
-      | None -> Error (Xerror.No_rewriting (no_rewriting_msg pattern))
+      | None -> Error No_rewriting
       | Some r -> (
           match execute t trc pattern c hit rewrite_ms pb ~degraded r with
           | res -> Ok res
@@ -1050,18 +1063,19 @@ let plan_and_execute t (trc : tr) pattern pb ~degraded =
               raise e
           | exception Eval.Unknown_relation name ->
               Error
-                (Xerror.Storage_fault
-                   { module_name = name; reason = "unknown relation in executed plan" })
-          | exception e -> Error (Xerror.Exec_error (Printexc.to_string e))))
+                (Failed
+                   (Xerror.Storage_fault
+                      { module_name = name; reason = "unknown relation in executed plan" }))
+          | exception e -> Error (Failed (Xerror.Exec_error (Printexc.to_string e)))))
 
 (* When a fault destroyed the last rewriting, a base document (if the
    engine holds one) still answers the pattern — degraded, but correct. *)
-let degraded_fallback t (trc : tr) pattern err =
+let degraded_fallback t (trc : tr) pattern =
   match t.doc with
-  | None -> err
+  | None -> Error No_rewriting
   | Some doc -> (
       match in_span trc "fallback" (fun _ -> Xam.Embed.eval doc pattern) with
-      | exception e -> Error (Xerror.Exec_error (Printexc.to_string e))
+      | exception e -> Error (Failed (Xerror.Exec_error (Printexc.to_string e)))
       | rel ->
           Metrics.incr t.m.m_fallbacks;
           let card = Rel.cardinality rel in
@@ -1081,7 +1095,7 @@ let degraded_fallback t (trc : tr) pattern err =
                   exec_ms = 0.0;
                   stats =
                     { Physical.op = "fallback(embed)"; tuples = card; nexts = 0;
-                      elapsed = 0.0; children = [] };
+                      elapsed = 0.0; timed = false; children = [] };
                   degraded = true;
                   quarantined = quarantined_names t;
                   partitions_scanned = 0;
@@ -1093,11 +1107,12 @@ let degraded_fallback t (trc : tr) pattern err =
    the module count — every retry quarantines a module never seen
    faulty before. *)
 let rec attempt t (trc : tr) pattern pb ~faults_seen =
-  check_deadline t pb;
+  check_deadline pb;
   if faults_seen > List.length t.catalog.Store.modules then
     Error
-      (Xerror.Storage_fault
-         { module_name = "<catalog>"; reason = "fault recovery did not converge" })
+      (Failed
+         (Xerror.Storage_fault
+            { module_name = "<catalog>"; reason = "fault recovery did not converge" }))
   else
     match plan_and_execute t trc pattern pb ~degraded:(faults_seen > 0) with
     | Ok _ as ok ->
@@ -1106,11 +1121,10 @@ let rec attempt t (trc : tr) pattern pb ~faults_seen =
           tr_tag trc "degraded" "true"
         end;
         ok
-    | Error (Xerror.No_rewriting _) as err
-      when faults_seen > 0 || not (quarantine_empty t) -> (
+    | Error No_rewriting when faults_seen > 0 || not (quarantine_empty t) -> (
         (* The rewriting was lost to a fault — in this call or an earlier
            one that quarantined a module. Degrade rather than refuse. *)
-        match degraded_fallback t trc pattern err with
+        match degraded_fallback t trc pattern with
         | Ok _ as ok ->
             Metrics.incr t.m.m_degraded;
             tr_tag trc "degraded" "true";
@@ -1135,12 +1149,17 @@ let budget_error t override (dimension : Physical.budget_dimension) limit =
 let query_r ?budget t pattern =
   Metrics.incr t.m.m_queries;
   let trc = start_trace t "query" in
-  tr_tag trc "query" (Format.asprintf "%a" Pattern.pp pattern);
+  if Option.is_some trc then tr_tag trc "query" (Format.asprintf "%a" Pattern.pp pattern);
   let t0 = clk t () in
   let pb = physical_budget t budget in
   let res =
     match attempt t trc pattern pb ~faults_seen:0 with
-    | res -> res
+    | Ok _ as ok -> ok
+    | Error No_rewriting ->
+        Error
+          (Xerror.No_rewriting
+             (Format.asprintf "no rewriting over the catalog for:@.%a" Pattern.pp pattern))
+    | Error (Failed e) -> Error e
     | exception Physical.Over_budget { dimension; limit } ->
         Error (budget_error t budget dimension limit)
     | exception Xerror.Error e -> Error e
@@ -1201,10 +1220,10 @@ let extent_for t (trc : tr) pat pb =
   @@ fun () ->
   match attempt t trc pat pb ~faults_seen:0 with
   | Ok r -> Ok (r.rel, Some r.explain)
-  | Error (Xerror.No_rewriting _) -> (
+  | Error No_rewriting -> (
       match t.doc with
       | Some doc ->
-          check_deadline t pb;
+          check_deadline pb;
           Metrics.incr t.m.m_fallbacks;
           Ok (in_span trc "fallback" (fun _ -> Xam.Embed.eval doc pat), None)
       | None ->
@@ -1212,7 +1231,7 @@ let extent_for t (trc : tr) pat pb =
             (Xerror.No_rewriting
                (Format.asprintf "no rewriting and no base document for:@.%a"
                   Pattern.pp pat)))
-  | Error e -> Error e
+  | Error (Failed e) -> Error e
 
 (* The body shared by the AST and string front doors, running inside an
    already-open trace context so [query_string_r] can hang the parse span
@@ -1241,8 +1260,8 @@ let query_ast_in ?budget t (trc : tr) ast =
           in_span trc "execute" (fun trc ->
               let t0 = clk t () in
               let rel, stats =
-                Physical.run_instrumented ~clock:(clk t) ?budget:pb
-                  ~metrics:t.obs.Obs.metrics env (Xquery.Translate.plan e)
+                Physical.run_instrumented ?clock:(op_clock t trc) ?budget:pb
+                  ~metrics:t.m.m_physical env (Xquery.Translate.plan e)
               in
               Metrics.observe t.m.h_exec (clk t () -. t0);
               (match trc with

@@ -1,7 +1,10 @@
 (** The unified query engine: one entry point running
     extract → rewrite → cost-based choice → streaming physical execution
     over a XAM catalog, with an LRU plan cache and per-operator
-    instrumentation.
+    instrumentation: every executed operator counts its tuples and
+    [next()] calls; operators are timed only on traced runs
+    ([Obs.tracing]), where their times feed the trace's [op:] spans and
+    {!Explain}, and an untraced run reads no clock per cursor step.
 
     The engine's only knowledge of the storage is the catalog's view
     definitions — swapping catalogs swaps the physical layout, never the
@@ -317,8 +320,8 @@ val query_r :
   ?budget:budget -> t -> Xam.Pattern.t -> (result, Xerror.t) Stdlib.result
 (** Answer a pattern query from the catalog: plan (cache or
     rewrite + {!Xstorage.Cost.choose}) then execute the physical plan,
-    cursors piped end-to-end, every operator instrumented and charged
-    against the budget ([?budget] overrides the engine default for this
+    cursors piped end-to-end, every operator counted (and timed when
+    tracing is on) and charged against the budget ([?budget] overrides the engine default for this
     call). Module faults are absorbed: the faulty module is quarantined
     and the query re-planned over the surviving views (base-document
     fallback if none survive) — see [Explain.degraded]. Never raises;

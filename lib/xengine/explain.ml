@@ -21,11 +21,14 @@ type t = {
   partitions_pruned : int;
 }
 
+(* An untimed operator shows no time at all rather than a measured-looking
+   zero. *)
 let rec pp_stats ppf ~indent (st : Physical.op_stats) =
-  Format.fprintf ppf "%s%-*s %8d tuples %8d next() %9.3f ms@," indent
+  Format.fprintf ppf "%s%-*s %8d tuples %8d next() %s@," indent
     (max 1 (34 - String.length indent))
     st.Physical.op st.Physical.tuples st.Physical.nexts
-    (st.Physical.elapsed *. 1000.0);
+    (if st.Physical.timed then Printf.sprintf "%9.3f ms" (st.Physical.elapsed *. 1000.0)
+     else "  untimed");
   List.iter (pp_stats ppf ~indent:(indent ^ "  ")) st.Physical.children
 
 let pp ppf e =
@@ -100,7 +103,7 @@ let rec stats_to_json (st : Physical.op_stats) =
     [ ("op", Json.Str st.Physical.op);
       ("tuples", Json.Num (float_of_int st.Physical.tuples));
       ("nexts", Json.Num (float_of_int st.Physical.nexts));
-      ("elapsed_s", Json.Num st.Physical.elapsed);
+      ("elapsed_s", if st.Physical.timed then Json.Num st.Physical.elapsed else Json.Null);
       ("children", Json.Arr (List.map stats_to_json st.Physical.children)) ]
 
 let summary_to_json s =
@@ -143,7 +146,11 @@ let rec stats_of_json j =
   let* op = field "op" Json.to_str j in
   let* tuples = field "tuples" Json.to_int j in
   let* nexts = field "nexts" Json.to_int j in
-  let* elapsed = field "elapsed_s" Json.to_float j in
+  let* elapsed =
+    match Json.member "elapsed_s" j with
+    | Some Json.Null -> Ok None
+    | _ -> Result.map Option.some (field "elapsed_s" Json.to_float j)
+  in
   let* kids = field "children" Json.to_list j in
   let rec decode_kids acc = function
     | [] -> Ok (List.rev acc)
@@ -152,7 +159,9 @@ let rec stats_of_json j =
         decode_kids (st :: acc) rest
   in
   let* children = decode_kids [] kids in
-  Ok { Physical.op; tuples; nexts; elapsed; children }
+  Ok
+    { Physical.op; tuples; nexts; elapsed = Option.value elapsed ~default:0.0;
+      timed = elapsed <> None; children }
 
 let of_json j =
   let* s_query = field "query" Json.to_str j in

@@ -1,9 +1,10 @@
 (** EXPLAIN output: the chosen rewriting plus the executed plan's
     annotated operator tree — the engine's observability surface.
 
-    Each {!Xalgebra.Physical.op_stats} node carries the tuples produced,
-    next() calls received and wall time of one physical operator; the
-    tree mirrors the logical plan. *)
+    Each {!Xalgebra.Physical.op_stats} node carries the tuples produced
+    and next() calls received by one physical operator and, when the run
+    was traced, its wall time; the tree mirrors the logical plan. An
+    untimed operator prints as [untimed], never as a measured zero. *)
 
 type t = {
   query : Xam.Pattern.t;
@@ -47,7 +48,8 @@ val to_string : t -> string
     A machine-readable EXPLAIN. The pattern and logical plan serialize as
     their pretty-printed text (consumers treat them as opaque strings to
     display or diff); every numeric and structural field round-trips
-    exactly, so [of_json (to_json e) = Ok (summarize e)]. *)
+    exactly, so [of_json (to_json e) = Ok (summarize e)]. An untimed
+    operator's [elapsed_s] is [null]. *)
 
 type summary = {
   s_query : string;  (** pretty-printed pattern *)

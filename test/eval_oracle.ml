@@ -1,11 +1,13 @@
 (* The set-at-a-time reference interpreter of the logical algebra (§1.2.2):
    every operator materializes its inputs as whole relations and produces
    its output as one. The agreement tests hold {!Xalgebra.Physical}, the
-   engine's cursor executor, to it. Per-tuple semantics come from the
-   library's kernels ({!Xalgebra.Eval}); what is independent here is the
-   evaluation order, the joins — a value join hashes on any equality path,
-   nested ones included, and every structural join probes the matcher
-   where the executor runs StackTreeDesc — and the set operators. *)
+   engine's cursor executor, to it. Per-tuple semantics mostly come from
+   the library's kernels ({!Xalgebra.Eval}); what is independent here is
+   the evaluation order, the joins — a value join hashes on any equality
+   path, nested ones included, and every structural join probes the
+   matcher where the executor runs StackTreeDesc — the set operators, and
+   XML construction, which this file interprets per tuple where the
+   executor runs {!Xalgebra.Eval.stage_template}'s staged kernel. *)
 
 module Rel = Xalgebra.Rel
 module Pred = Xalgebra.Pred
@@ -42,6 +44,53 @@ let value_matches pred lsch rsch (rts : Rel.tuple list) =
   | _ ->
       let joined = Rel.concat_schemas lsch rsch in
       fun lt -> List.filter (fun rt -> Pred.eval joined (Rel.concat_tuples lt rt) pred) rts
+
+(* --- XML construction, interpreted -------------------------------------- *)
+
+let value_to_fragment = function
+  | Value.Null -> ""
+  | Value.Str s -> s
+  | Value.Int i -> string_of_int i
+  | Value.Bool b -> string_of_bool b
+  | Value.Id id -> Xdm.Nid.to_string id
+
+(* The template walked anew for every tuple, names looked up in the
+   schema on every use; a [T_foreach] body runs against the outer schema
+   extended with the inner one and the outer tuple extended with each
+   inner tuple, so holes naming enclosing columns still resolve. *)
+let rec eval_template buf schema tuple template =
+  match template with
+  | Logical.T_text s -> Buffer.add_string buf s
+  | Logical.T_col path ->
+      List.iter
+        (fun v -> Buffer.add_string buf (value_to_fragment v))
+        (Rel.atoms_of_path schema tuple path)
+  | Logical.T_tag ("", children) -> List.iter (eval_template buf schema tuple) children
+  | Logical.T_tag (tag, children) ->
+      Buffer.add_string buf ("<" ^ tag ^ ">");
+      List.iter (eval_template buf schema tuple) children;
+      Buffer.add_string buf ("</" ^ tag ^ ">")
+  | Logical.T_foreach (path, body) -> (
+      let i = Rel.col_index schema (List.hd path) in
+      let sub =
+        match (List.nth schema i).Rel.ctype with
+        | Rel.Nested s -> s
+        | Rel.Atom -> invalid_arg "Eval_oracle: T_foreach on an atomic column"
+      in
+      let body = match List.tl path with [] -> body | rest -> Logical.T_foreach (rest, body) in
+      match tuple.(i) with
+      | Rel.N inner ->
+          List.iter
+            (fun t -> eval_template buf (schema @ sub) (Rel.concat_tuples tuple t) body)
+            inner
+      | Rel.A _ -> invalid_arg "Eval_oracle: T_foreach on an atomic field")
+
+let tag schema tuple template =
+  let buf = Buffer.create 128 in
+  eval_template buf schema tuple template;
+  [| Rel.A (Value.Str (Buffer.contents buf)) |]
+
+(* --- Operators --------------------------------------------------------- *)
 
 let rec run env plan =
   let inputs = List.map (run env) (Logical.inputs plan) in
@@ -83,12 +132,7 @@ and operator plan inputs =
   | Logical.Unnest (path, _), [ r ] -> List.concat_map (Eval.unnest r.Rel.schema path) r.Rel.tuples
   | Logical.Sort (path, _), [ r ] -> (Rel.sort_by r.Rel.schema path r).Rel.tuples
   | Logical.Xml (template, _), [ r ] ->
-      List.map
-        (fun t ->
-          let buf = Buffer.create 128 in
-          Eval.eval_template buf r.Rel.schema t template;
-          [| Rel.A (Value.Str (Buffer.contents buf)) |])
-        r.Rel.tuples
+      List.map (fun t -> tag r.Rel.schema t template) r.Rel.tuples
   | _ -> invalid_arg "Eval_oracle: operator applied to the wrong number of inputs"
 
 let run_closed plan = run (fun _ -> None) plan

@@ -164,6 +164,32 @@ let test_query_r_classification () =
   | exception ex -> Alcotest.failf "wrong exception: %s" (Printexc.to_string ex)
   | _ -> Alcotest.fail "expected No_rewriting")
 
+(* The no-rewriting messages name the pattern: [query_r]'s, and the XQuery
+   front door's when no base document can answer in the views' place. *)
+let test_error_messages () =
+  let pp = Format.asprintf "%a" P.pp in
+  (match Engine.query_r (Engine.of_doc doc []) query with
+  | Error (Xerror.No_rewriting m as err) ->
+      Alcotest.(check string) "query_r names the pattern"
+        ("no rewriting over the catalog for:\n" ^ pp query) m;
+      Alcotest.(check bool) "the printed error names it too" true
+        (contains (Xerror.to_string err) (pp query))
+  | Error err -> Alcotest.failf "wrong class: %s" (Xerror.to_string err)
+  | Ok _ -> Alcotest.fail "expected No_rewriting");
+  let src = {|for $p in doc("bib")//phdthesis return <t>{$p/title/text()}</t>|} in
+  let pattern =
+    List.hd (Xquery.Extract.extract (Xquery.Parse.query src)).Xquery.Extract.patterns
+  in
+  let e = Engine.create (Xstorage.Store.catalog_of doc [ ("V1", v1) ]) in
+  match Engine.query_string_r e src with
+  | Error (Xerror.No_rewriting m as err) ->
+      Alcotest.(check string) "the front door names the pattern"
+        ("no rewriting and no base document for:\n" ^ pp pattern) m;
+      Alcotest.(check bool) "the printed error names it too" true
+        (contains (Xerror.to_string err) (pp pattern))
+  | Error err -> Alcotest.failf "wrong class: %s" (Xerror.to_string err)
+  | Ok _ -> Alcotest.fail "expected No_rewriting without a base document"
+
 let test_budget_tuples_steps () =
   let e = fresh () in
   (match Engine.query_r ~budget:{ Engine.unlimited with Engine.max_tuples = Some 1 } e query with
@@ -672,6 +698,8 @@ let () =
       ( "robustness",
         [ Alcotest.test_case "typed error classification" `Quick
             test_query_r_classification;
+          Alcotest.test_case "no-rewriting messages name the pattern" `Quick
+            test_error_messages;
           Alcotest.test_case "tuple and step budgets" `Quick test_budget_tuples_steps;
           Alcotest.test_case "deadline budget" `Quick test_budget_deadline;
           Alcotest.test_case "catalog validation" `Quick test_catalog_validation;

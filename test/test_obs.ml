@@ -705,6 +705,118 @@ let test_fake_clock_engine () =
       in
       Alcotest.(check int) "observed once" 1 snap.Metrics.count
 
+(* --- Operators are timed only under a trace ----------------------------- *)
+
+(* A fake clock that counts its reads and moves 1 ms per read, so every
+   measured span has a positive length. *)
+let counting_clock () =
+  let calls = ref 0 in
+  (calls, fun () -> incr calls; float_of_int !calls *. 1e-3)
+
+let nested_read =
+  {|for $b in doc("bib")//book where $b/@year != 1999 return <b>{$b/title/text()}{for $a in $b/author return <a>{$a/text()}</a>}</b>|}
+
+let bib_engine ~tracing books =
+  let d = Xworkload.Gen_bib.generate_doc ~seed:4 ~books ~theses:(books / 4) () in
+  let calls, clock = counting_clock () in
+  let obs = Obs.create ~clock ~tracing () in
+  (d, calls, Engine.of_doc ~obs d (Models.path_partitioned (Xsummary.Summary.of_doc d)))
+
+let rec op_spans sp =
+  let own = if String.starts_with ~prefix:"op:" (Trace.name sp) then [ sp ] else [] in
+  own @ List.concat_map op_spans (Trace.children sp)
+
+let test_untraced_reads_clock_bounded () =
+  (* An untraced read reads the clock a fixed number of times, however
+     many cursor steps its plans take: ten times the document, same
+     count. *)
+  let reads books =
+    let d, calls, e = bib_engine ~tracing:false books in
+    calls := 0;
+    match Engine.query_string_r e nested_read with
+    | Error err -> Alcotest.failf "read failed: %s" (Xerror.to_string err)
+    | Ok r ->
+        Alcotest.(check string)
+          (Printf.sprintf "answer on %d books" books)
+          (Xquery.Translate.eval_string d nested_read) r.Engine.output;
+        Alcotest.(check bool) "tag plan untimed" false r.Engine.xquery_stats.Xalgebra.Physical.timed;
+        Alcotest.(check bool) "tag plan counted" true (r.Engine.xquery_stats.Xalgebra.Physical.nexts > 0);
+        !calls
+  in
+  let small = reads 20 and large = reads 200 in
+  Alcotest.(check int) "clock reads on 20 vs 200 books" small large;
+  (* Traced, the same read times its operators on the engine's clock. *)
+  let _, calls, e = bib_engine ~tracing:true 200 in
+  calls := 0;
+  match Engine.query_string_r e nested_read with
+  | Error err -> Alcotest.failf "traced read failed: %s" (Xerror.to_string err)
+  | Ok r -> (
+      Alcotest.(check bool) "traced read reads the clock per step" true (!calls > large);
+      let st = r.Engine.xquery_stats in
+      Alcotest.(check bool) "tag plan timed" true st.Xalgebra.Physical.timed;
+      match r.Engine.xquery_trace with
+      | None -> Alcotest.fail "tracing on but no trace"
+      | Some tr ->
+          let ops = op_spans (Trace.root tr) in
+          Alcotest.(check bool) "op spans present" true (ops <> []);
+          Alcotest.(check bool) "every op span has a clock-measured length" true
+            (List.for_all (fun sp -> Trace.span_ms sp > 0.0) ops);
+          Alcotest.(check bool) "the tag plan's root span is its measured time" true
+            (List.exists
+               (fun sp ->
+                 Trace.name sp = "op:xml"
+                 && Float.abs (Trace.span_ms sp -. (st.Xalgebra.Physical.elapsed *. 1000.0)) < 1e-6)
+               ops))
+
+let test_explain_timed_only_when_traced () =
+  let explain ~tracing =
+    let _, clock = counting_clock () in
+    let obs = Obs.create ~clock ~tracing () in
+    let e = Engine.of_doc ~obs ~max_views:4 doc specs in
+    (Xerror.get_exn (Engine.query_r e book_title_query)).Engine.explain
+  in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  let traced = explain ~tracing:true and untraced = explain ~tracing:false in
+  let rec all f (st : Xalgebra.Physical.op_stats) =
+    f st && List.for_all (all f) st.Xalgebra.Physical.children
+  in
+  Alcotest.(check bool) "traced: every operator timed" true
+    (all (fun st -> st.Xalgebra.Physical.timed) traced.Explain.stats);
+  Alcotest.(check bool) "traced: the root's time is measured" true
+    (traced.Explain.stats.Xalgebra.Physical.elapsed > 0.0);
+  let ts = Explain.to_string traced in
+  Alcotest.(check bool) "traced EXPLAIN prints operator times" true
+    (contains ts " ms\n" && not (contains ts "untimed"));
+  Alcotest.(check bool) "untraced: no operator timed" true
+    (all (fun st -> not st.Xalgebra.Physical.timed) untraced.Explain.stats);
+  let us = Explain.to_string untraced in
+  Alcotest.(check bool) "untraced EXPLAIN says untimed" true (contains us "untimed");
+  Alcotest.(check bool) "untraced EXPLAIN prints no measured zero" false
+    (contains us "0.000 ms");
+  (* An untimed operator's JSON time is null, not a NaN or a zero. *)
+  List.iter
+    (fun (what, ex, timed) ->
+      let js = Explain.to_json_string ex in
+      let root_elapsed =
+        Option.bind (Result.to_option (Json.of_string js)) (fun j ->
+            Option.bind (Json.member "stats" j) (Json.member "elapsed_s"))
+      in
+      Alcotest.(check bool) (what ^ ": root elapsed_s") true
+        (match root_elapsed with
+        | Some (Json.Num x) -> timed && Float.is_finite x
+        | Some Json.Null -> not timed
+        | _ -> false);
+      match Explain.of_json_string js with
+      | Error m -> Alcotest.failf "%s: JSON did not parse back: %s" what m
+      | Ok s ->
+          Alcotest.(check bool) (what ^ ": JSON round-trip is exact") true
+            (s = Explain.summarize ex))
+    [ ("traced", traced, true); ("untraced", untraced, false) ]
+
 (* --- Apply and replay stages as spans ------------------------------------ *)
 
 let apply_stages =
@@ -799,6 +911,10 @@ let () =
             test_batch_metrics_deterministic;
           Alcotest.test_case "fake clock drives the engine" `Quick
             test_fake_clock_engine;
+          Alcotest.test_case "untraced reads read the clock a bounded number of times"
+            `Quick test_untraced_reads_clock_bounded;
+          Alcotest.test_case "EXPLAIN times operators only when traced" `Quick
+            test_explain_timed_only_when_traced;
           Alcotest.test_case "apply and replay stages as spans" `Quick
             test_apply_stage_spans ] );
       ( "export",

@@ -378,6 +378,92 @@ let test_one_compile_per_node () =
   walk plan stats;
   Alcotest.(check int) "a stats node per plan node" (L.size plan) (List.length !seen)
 
+(* A run's stats fold into the registry's physical series: the counters on
+   every run, the per-operator latency histogram on timed runs only. *)
+let test_run_metrics () =
+  let reg = Xobs.Metrics.create () in
+  let m = Ph.metrics reg in
+  let env name = if name = "nested" then Some nested_books else None in
+  let plan = L.Select (Pred.Cmp (Pred.Col [ "AS"; "N" ], Pred.Ne, Pred.Const (V.Int 0)), L.Scan "nested") in
+  let counter name = Xobs.Metrics.counter_value (Xobs.Metrics.counter reg name) in
+  let op_seconds () =
+    (Xobs.Metrics.snapshot (Xobs.Metrics.histogram reg "physical_op_seconds")).Xobs.Metrics.count
+  in
+  let _, untimed = Ph.run_instrumented ~metrics:m env plan in
+  Alcotest.(check bool) "untimed stats" false untimed.Ph.timed;
+  Alcotest.(check int) "operators counted" 2 (counter "physical_operators_total");
+  Alcotest.(check int) "nexts counted"
+    (untimed.Ph.nexts + (List.hd untimed.Ph.children).Ph.nexts)
+    (counter "physical_nexts_total");
+  Alcotest.(check int) "no latency observed untimed" 0 (op_seconds ());
+  let _, timed = Ph.run_instrumented ~clock:Unix.gettimeofday ~metrics:m env plan in
+  Alcotest.(check bool) "timed stats" true timed.Ph.timed;
+  Alcotest.(check int) "operators counted again" 4 (counter "physical_operators_total");
+  Alcotest.(check int) "one latency per operator timed" 2 (op_seconds ())
+
+(* XML construction on the template shapes generated queries do not
+   reach: each expansion is checked against a literal and against the
+   reference's per-tuple interpreter. *)
+let test_xml_templates () =
+  let str s = Rel.A (V.Str s) in
+  let schema =
+    [ Rel.atom "T"; Rel.atom "Y"; Rel.nested "AS" [ Rel.atom "A"; Rel.nested "PS" [ Rel.atom "P" ] ] ]
+  in
+  let shelf =
+    Rel.make schema
+      [ [| str "t1"; Rel.A (V.Int 3);
+           Rel.N [ [| str "a1"; Rel.N [ [| str "p1" |]; [| str "p2" |] ] |]; [| str "a2"; Rel.N [] |] ] |];
+        [| str "t2"; Rel.A V.Null; Rel.N [] |] ]
+  in
+  let run template input =
+    let plan = L.Xml (template, L.Table input) in
+    let strings (r : Rel.t) =
+      List.map (fun t -> match t.(0) with Rel.A (V.Str s) -> s | _ -> "?") r.Rel.tuples
+    in
+    let got = strings (Ph.run (fun _ -> None) plan) in
+    Alcotest.(check (list string)) "executor = reference" (strings (Eval_oracle.run_closed plan)) got;
+    got
+  in
+  let check what want template input = Alcotest.(check (list string)) what want (run template input) in
+  check "a multi-step for iterates each level"
+    [ "<r><p>p1</p><p>p2</p></r>"; "<r></r>" ]
+    (L.T_tag ("r", [ L.T_foreach ([ "AS"; "PS" ], L.T_tag ("p", [ L.T_col [ "P" ] ])) ]))
+    shelf;
+  check "a for body reads the outer columns beside the inner ones"
+    [ "<a>t1/a1:p1</a><a>t1/a1:p2</a>"; "" ]
+    (L.T_foreach
+       ( [ "AS" ],
+         L.T_foreach
+           ( [ "PS" ],
+             L.T_tag
+               ( "a",
+                 [ L.T_col [ "T" ]; L.T_text "/"; L.T_col [ "A" ]; L.T_text ":"; L.T_col [ "P" ] ] ) ) ))
+    shelf;
+  check "a hole on a nested path lists every atom it reaches"
+    [ "<n>a1a2|p1p2</n>"; "<n>|</n>" ]
+    (L.T_tag ("n", [ L.T_col [ "AS"; "A" ]; L.T_text "|"; L.T_col [ "AS"; "PS"; "P" ] ]))
+    shelf;
+  check "atoms print as text, null as nothing" [ "<y>3</y>"; "<y></y>" ]
+    (L.T_tag ("y", [ L.T_col [ "Y" ] ]))
+    shelf;
+  check "anonymous grouping emits the children only" [ "t1t1"; "t2t2" ]
+    (L.T_tag ("", [ L.T_col [ "T" ]; L.T_col [ "T" ] ]))
+    shelf;
+  check "a name in both scopes reads the outer column, as in the extended schema"
+    [ "oo" ]
+    (L.T_foreach ([ "NS" ], L.T_col [ "A" ]))
+    (Rel.make
+       [ Rel.atom "A"; Rel.nested "NS" [ Rel.atom "A" ] ]
+       [ [| str "o"; Rel.N [ [| str "i1" |]; [| str "i2" |] ] |] ]);
+  check "empty input, no output" []
+    (L.T_foreach ([ "AS" ], L.T_tag ("a", [ L.T_col [ "T" ] ])))
+    (Rel.empty schema);
+  (* A name out of scope is an ill-formed plan: it fails to compile. *)
+  Alcotest.(check bool) "unknown hole rejected at compile" true
+    (match Ph.compile (fun _ -> None) (L.Xml (L.T_col [ "P" ], L.Table shelf)) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 (* Property: the executor = the reference on the lowering of generated
    patterns, their edges redrawn among all five semantics (optional and
    nested edges included). *)
@@ -452,6 +538,8 @@ let () =
           Alcotest.test_case "agreement on every operator kind" `Quick
             test_agreement_every_operator;
           Alcotest.test_case "one compile per plan node" `Quick test_one_compile_per_node;
+          Alcotest.test_case "xml templates" `Quick test_xml_templates;
+          Alcotest.test_case "run metrics" `Quick test_run_metrics;
           Alcotest.test_case "structural join plan" `Quick test_struct_join_plan;
           Alcotest.test_case "scan order detection" `Quick test_scan_order_detection ] );
       ( "props",

@@ -207,6 +207,59 @@ let test_tag_plan_on_oracle () =
     (Xworkload.Query_gen.generate_many ~seed:77 (Xsummary.Summary.of_doc xm)
        ~doc_name:"xmark" pm ~count:40)
 
+(* Property: the staged XML-construction kernel ({!Xalgebra.Eval.stage_template},
+   what every executed [Xml] operator runs) = the per-tuple interpreter
+   of the reference ({!Eval_oracle.eval_template}), on the tagging plans
+   of generated queries over generated bibliographies. Each tuple of the
+   [Xml] input is expanded by both, the staged side reusing one buffer as
+   the executor does; the whole plan is then run on both engines. *)
+let staged_template_prop =
+  QCheck2.Test.make ~name:"staged template = interpreter on generated queries" ~count:30
+    ~long_factor:20 QCheck2.Gen.int
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let d =
+        Xworkload.Gen_bib.generate_doc ~seed ~books:(1 + Random.State.int rng 12)
+          ~theses:(Random.State.int rng 5) ()
+      in
+      let params =
+        { Xworkload.Query_gen.default with
+          nesting_p = Random.State.float rng 1.0;
+          where_p = Random.State.float rng 1.0 }
+      in
+      let qs =
+        Xworkload.Query_gen.generate_many ~seed (Xsummary.Summary.of_doc d) ~doc_name:"bib"
+          params ~count:3
+      in
+      List.for_all
+        (fun q ->
+          let e = Extract.extract q in
+          let env = Translate.env_for d e and plan = Translate.plan e in
+          let template, input =
+            match plan with
+            | Xalgebra.Logical.Xml (template, input) -> (template, input)
+            | _ -> QCheck2.Test.fail_report "a tagging plan without an Xml root"
+          in
+          let r = Eval_oracle.run env input in
+          let staged = Xalgebra.Eval.stage_template r.Xalgebra.Rel.schema template in
+          let buf = Buffer.create 16 in
+          let kernel_agrees t =
+            Buffer.clear buf;
+            staged buf t;
+            let want = Buffer.create 16 in
+            Eval_oracle.eval_template want r.Xalgebra.Rel.schema t template;
+            Buffer.contents buf = Buffer.contents want
+            || QCheck2.Test.fail_reportf "query %s@.tuple %a@.staged:      %s@.interpreted: %s"
+                 (Ast.to_string q) Xalgebra.Rel.pp_tuple t (Buffer.contents buf)
+                 (Buffer.contents want)
+          in
+          List.for_all kernel_agrees r.Xalgebra.Rel.tuples
+          &&
+          let got = Xalgebra.Physical.run env plan and want = Eval_oracle.run env plan in
+          List.equal Xalgebra.Rel.equal_tuple got.Xalgebra.Rel.tuples want.Xalgebra.Rel.tuples
+          || QCheck2.Test.fail_reportf "query %s: executor and reference differ" (Ast.to_string q))
+        qs)
+
 let () =
   Alcotest.run "xquery"
     [ ( "parse",
@@ -225,4 +278,5 @@ let () =
           Alcotest.test_case "on a generated document" `Quick test_agreement_generated;
           Alcotest.test_case "random queries agree" `Quick test_generated_queries;
           Alcotest.test_case "tag plan: executor = reference" `Quick
-            test_tag_plan_on_oracle ] ) ]
+            test_tag_plan_on_oracle ] );
+      ("props", [ QCheck_alcotest.to_alcotest staged_template_prop ]) ]
